@@ -15,7 +15,9 @@
 
 use bench::{run_manifest, write_artifact, Options};
 use costmodel::chien::tree_adaptive_timing;
-use netsim::experiment::{CubeParams, ExperimentSpec, TreeParams};
+use netsim::scenario::{
+    named, RoutingKind, RunLength, Scenario, SeedMode, SpecVisitor, TopologySpec,
+};
 use netsim::sim::run_simulation;
 use netstats::Table;
 use std::time::Instant;
@@ -31,12 +33,12 @@ fn main() {
     let start = Instant::now();
     let mut t = Table::with_columns(["configuration", "buffer_depth", "accepted_fraction"]);
     for (spec, load) in [
-        (ExperimentSpec::cube_duato(CubeParams::paper()), 0.9),
-        (ExperimentSpec::tree_adaptive(TreeParams::paper(), 2), 0.9),
+        (paper("cube-duato", len), 0.9),
+        (paper("tree-2vc", len), 0.9),
     ] {
         for depth in [2usize, 4, 6, 8] {
             let algo = spec.build_algorithm();
-            let mut cfg = spec.config_at(Pattern::Uniform, load, len);
+            let mut cfg = spec.config_at(load);
             cfg.buffer_depth = depth;
             cfg.seed ^= salt;
             let out = run_simulation(algo.as_ref(), &cfg);
@@ -68,13 +70,10 @@ fn main() {
     // load; the default is 8 of the 16 network lanes).
     let start = Instant::now();
     let mut t = Table::with_columns(["algorithm", "limit", "accepted_fraction"]);
-    for spec in [
-        ExperimentSpec::cube_deterministic(CubeParams::paper()),
-        ExperimentSpec::cube_duato(CubeParams::paper()),
-    ] {
+    for spec in [paper("cube-det", len), paper("cube-duato", len)] {
         for limit in [None, Some(4u32), Some(6), Some(8), Some(10), Some(12)] {
             let algo = spec.build_algorithm();
-            let mut cfg = spec.config_at(Pattern::Uniform, 1.0, len);
+            let mut cfg = spec.config_at(1.0);
             cfg.injection_limit = limit;
             cfg.seed ^= salt;
             let out = run_simulation(algo.as_ref(), &cfg);
@@ -113,10 +112,15 @@ fn main() {
         "accepted_bits_ns",
     ]);
     for vcs in [1usize, 2, 3, 4, 6, 8] {
-        let spec = ExperimentSpec::tree_adaptive(TreeParams::paper(), vcs);
-        let outs =
-            netsim::experiment::sweep_outcomes_salted(&spec, Pattern::Uniform, &[0.95], len, salt);
-        let out = &outs[0];
+        let out = Scenario::builder()
+            .topology(TopologySpec::tree(4, 4))
+            .routing(RoutingKind::Adaptive)
+            .vcs(vcs)
+            .run_length(len)
+            .seed(SeedMode::Derived { salt })
+            .build()
+            .expect("legal tree configuration")
+            .simulate(0.95);
         let timing = tree_adaptive_timing(4, vcs);
         // Aggregate absolute throughput with this VC count's own clock.
         let bits_ns = out.accepted_fraction * 256.0 * 1.0 * 16.0 / timing.clock_ns();
@@ -150,9 +154,14 @@ fn main() {
     torus_vs_mesh(&opts, len);
 }
 
-fn torus_vs_mesh(opts: &Options, len: netsim::experiment::RunLength) {
-    use netsim::scenario::{named, Scenario};
+/// A paper registry entry (uniform traffic) at the given run length.
+fn paper(name: &str, len: RunLength) -> Scenario {
+    named(name)
+        .expect("paper entry present")
+        .with_run_length(len)
+}
 
+fn torus_vs_mesh(opts: &Options, len: RunLength) {
     let start = Instant::now();
     let mut t = Table::with_columns([
         "topology",
@@ -211,7 +220,7 @@ struct RunWith<'c> {
     cfg: &'c netsim::sim::SimConfig,
 }
 
-impl netsim::experiment::SpecVisitor for RunWith<'_> {
+impl SpecVisitor for RunWith<'_> {
     type Out = netsim::sim::SimOutcome;
     fn visit<A: routing::RoutingAlgorithm>(self, algo: A) -> Self::Out {
         run_simulation(&algo, self.cfg)

@@ -47,15 +47,15 @@
 //! to a full run and must never replace the committed baseline.
 
 use netsim::engine::{Counters, Engine};
-use netsim::experiment::{ExperimentSpec, RunLength, SpecVisitor};
 use netsim::fault::FaultPlan;
+use netsim::scenario::{paper_scenarios, SpecVisitor};
 use netsim::sim::SimConfig;
 use netsim::wiring::Wiring;
 use routing::RoutingAlgorithm;
 use std::fmt::Write as _;
 use std::time::Instant;
 use telemetry::{FlightRecorder, Geometry, Probe, TelemetryConfig};
-use traffic::{Bernoulli, InjectionProcess, Pattern, Rng64, TrafficGen};
+use traffic::{Bernoulli, InjectionProcess, Rng64, TrafficGen};
 
 /// Offered loads (fraction of capacity) per configuration: the 0.1–0.3
 /// regime the sparse steppers target, one mid point, and saturation.
@@ -199,7 +199,7 @@ struct PointTiming {
 }
 
 /// Times every stepper on the concrete algorithm type (the
-/// configuration `simulate_load` ships), interleaved per round, minimum
+/// configuration `Scenario::simulate` ships), interleaved per round, minimum
 /// over the timed rounds. The reference leg runs behind dynamic
 /// dispatch — the pre-optimization configuration it represents.
 struct TimePoint<'c> {
@@ -469,9 +469,9 @@ fn main() {
     let rounds = if quick { QUICK_ROUNDS } else { ROUNDS };
 
     let mut samples = Vec::new();
-    for spec in ExperimentSpec::paper_five() {
+    for spec in paper_scenarios() {
         for &load in loads {
-            let mut cfg = spec.config_at(Pattern::Uniform, load, RunLength::paper());
+            let mut cfg = spec.config_at(load);
             cfg.seed ^= seed_salt;
             let t = spec.with_algorithm(TimePoint {
                 cfg: &cfg,
@@ -516,8 +516,8 @@ fn main() {
     // stepper still ticks every node's injection process each cycle.
     let (drain_burst, drain_cycles) = if quick { (300, 2_000) } else { (2_000, 20_000) };
     let mut drains = Vec::new();
-    for spec in ExperimentSpec::paper_five() {
-        let mut cfg = spec.config_at(Pattern::Uniform, 0.3, RunLength::paper());
+    for spec in paper_scenarios() {
+        let mut cfg = spec.config_at(0.3);
         cfg.seed ^= seed_salt;
         let t = spec.with_algorithm(TimeDrain {
             cfg: &cfg,

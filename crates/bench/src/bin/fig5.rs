@@ -8,15 +8,15 @@
 use bench::{
     cnf_table, paper_patterns, run_manifest, run_panel, saturation_table, write_artifact, Options,
 };
-use netsim::experiment::{ExperimentSpec, TreeParams};
+use netsim::scenario::{named, Scenario};
 use std::time::Instant;
 
 fn main() {
     let opts = Options::from_args();
     let len = opts.run_length();
-    let specs: Vec<ExperimentSpec> = [1usize, 2, 4]
+    let specs: Vec<Scenario> = ["tree-1vc", "tree-2vc", "tree-4vc"]
         .iter()
-        .map(|&v| ExperimentSpec::tree_adaptive(TreeParams::paper(), v))
+        .map(|name| named(name).expect("paper entry present"))
         .collect();
 
     for (pattern, panels) in paper_patterns() {

@@ -6,16 +6,13 @@
 use bench::{
     cnf_table, paper_patterns, run_manifest, run_panel, saturation_table, write_artifact, Options,
 };
-use netsim::experiment::{CubeParams, ExperimentSpec};
+use netsim::scenario::named;
 use std::time::Instant;
 
 fn main() {
     let opts = Options::from_args();
     let len = opts.run_length();
-    let specs = vec![
-        ExperimentSpec::cube_deterministic(CubeParams::paper()),
-        ExperimentSpec::cube_duato(CubeParams::paper()),
-    ];
+    let specs = ["cube-det", "cube-duato"].map(|name| named(name).expect("paper entry present"));
 
     for (pattern, panels) in paper_patterns() {
         eprintln!("Figure 6 {panels}) — {}", pattern.title());

@@ -6,13 +6,13 @@
 //! the cube, 2-byte flits on the tree) and latency in nanoseconds.
 
 use bench::{absolute_table, paper_patterns, run_manifest, run_panel, write_artifact, Options};
-use netsim::experiment::ExperimentSpec;
+use netsim::scenario::paper_scenarios;
 use std::time::Instant;
 
 fn main() {
     let opts = Options::from_args();
     let len = opts.run_length();
-    let specs = ExperimentSpec::paper_five();
+    let specs = paper_scenarios();
 
     println!("Clock periods (Chien model):");
     for s in &specs {

@@ -16,7 +16,7 @@
 //! `netperf-run-manifest/2` schema since the run records telemetry.
 
 use bench::{run_manifest_with_telemetry, write_artifact, Options, PanelSeries};
-use netsim::experiment::ExperimentSpec;
+use netsim::scenario::paper_scenarios;
 use netsim::scenario::SeedMode;
 use netstats::export::{Manifest, ManifestValue};
 use netstats::Table;
@@ -35,7 +35,7 @@ const STRIDE: u32 = 100;
 fn main() {
     let opts = Options::from_args();
     let len = opts.run_length();
-    let specs = ExperimentSpec::paper_five();
+    let specs = paper_scenarios();
     let tcfg = TelemetryConfig {
         stride: STRIDE,
         record_events: false,
@@ -62,7 +62,6 @@ fn main() {
     for spec in &specs {
         eprintln!("  tracing {} under uniform traffic...", spec.label());
         let scenario = spec
-            .scenario()
             .clone()
             .with_run_length(len)
             .with_seed(SeedMode::Derived {

@@ -21,7 +21,7 @@ use bench::{
     absolute_table, cnf_table, gnuplot_script, paper_patterns, run_manifest, run_panel,
     saturation_table, table1_table, table2_table, write_artifact, Options, PanelSeries,
 };
-use netsim::experiment::ExperimentSpec;
+use netsim::scenario::{paper_scenarios, Scenario};
 use netstats::Table;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -29,7 +29,7 @@ use std::time::Instant;
 fn main() {
     let opts = Options::from_args();
     let len = opts.run_length();
-    let specs = ExperimentSpec::paper_five();
+    let specs = paper_scenarios();
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -58,7 +58,7 @@ fn main() {
     let _ = writeln!(report, "## Table 2\n\n```\n{}```\n", t2.to_pretty());
 
     // One collection pass for Figures 5, 6, 7.
-    let tree_idx = [2usize, 3, 4]; // tree specs within paper_five()
+    let tree_idx = [2usize, 3, 4]; // tree entries within paper_scenarios()
     let cube_idx = [0usize, 1];
     let mut sat_all = Table::with_columns([
         "pattern",
@@ -83,9 +83,8 @@ fn main() {
                 })
                 .collect()
         };
-        let slice_specs = |idx: &[usize]| -> Vec<ExperimentSpec> {
-            idx.iter().map(|&i| specs[i].clone()).collect()
-        };
+        let slice_specs =
+            |idx: &[usize]| -> Vec<Scenario> { idx.iter().map(|&i| specs[i].clone()).collect() };
 
         let tree_series = slice(&tree_idx);
         let cube_series = slice(&cube_idx);

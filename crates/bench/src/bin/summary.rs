@@ -5,7 +5,7 @@
 //! (bits/ns) units. This is the data EXPERIMENTS.md records.
 
 use bench::{paper_patterns, run_manifest, run_panel, write_artifact, Options, PanelSeries};
-use netsim::experiment::ExperimentSpec;
+use netsim::scenario::paper_scenarios;
 use netstats::Table;
 use std::time::Instant;
 use traffic::Pattern;
@@ -51,7 +51,7 @@ fn measured_saturation(s: &PanelSeries) -> (f64, f64) {
 fn main() {
     let opts = Options::from_args();
     let len = opts.run_length();
-    let specs = ExperimentSpec::paper_five();
+    let specs = paper_scenarios();
 
     let mut t = Table::with_columns([
         "pattern",

@@ -36,7 +36,7 @@
 
 #![warn(missing_docs)]
 
-use netsim::experiment::{default_load_grid, sweep_outcomes_salted, ExperimentSpec, RunLength};
+use netsim::scenario::{default_load_grid, sweep_threads, RunLength, Scenario, SeedMode};
 use netsim::sim::SimOutcome;
 use netstats::export::{Manifest, ManifestValue};
 use netstats::{Cell, SweepCurve, Table};
@@ -150,11 +150,11 @@ impl PanelSeries {
     }
 }
 
-/// Run the load sweep of one figure panel: every `spec` under `pattern`
+/// Run the load sweep of one figure panel: every scenario under `pattern`
 /// over the default 5%–100% grid, with the derived per-point seeds
 /// XOR'd by `salt` (0 = the committed realization, bit-for-bit).
 pub fn run_panel(
-    specs: &[ExperimentSpec],
+    specs: &[Scenario],
     pattern: Pattern,
     len: RunLength,
     salt: u64,
@@ -168,7 +168,12 @@ pub fn run_panel(
                 spec.label(),
                 pattern.name()
             );
-            let outcomes = sweep_outcomes_salted(spec, pattern, &grid, len, salt);
+            let outcomes = spec
+                .clone()
+                .with_pattern(pattern)
+                .with_run_length(len)
+                .with_seed(SeedMode::Derived { salt })
+                .sweep_outcomes(&grid);
             PanelSeries {
                 label: spec.label().to_string(),
                 offered: grid.clone(),
@@ -204,7 +209,7 @@ pub fn cnf_table(series: &[PanelSeries]) -> Table {
 
 /// Build the absolute-units table of one Figure 7 panel: traffic in
 /// bits/ns and latency in ns, using each configuration's own clock.
-pub fn absolute_table(series: &[PanelSeries], specs: &[ExperimentSpec]) -> Table {
+pub fn absolute_table(series: &[PanelSeries], specs: &[Scenario]) -> Table {
     assert_eq!(series.len(), specs.len());
     let mut cols = vec!["offered_fraction".to_string()];
     for s in series {
@@ -418,7 +423,7 @@ pub fn run_manifest(
     generator: &str,
     artifact: &str,
     opts: &Options,
-    specs: &[ExperimentSpec],
+    specs: &[Scenario],
     pattern: Option<Pattern>,
     series: &[PanelSeries],
     wall_secs: f64,
@@ -438,7 +443,7 @@ pub fn run_manifest_with_telemetry(
     generator: &str,
     artifact: &str,
     opts: &Options,
-    specs: &[ExperimentSpec],
+    specs: &[Scenario],
     pattern: Option<Pattern>,
     series: &[PanelSeries],
     wall_secs: f64,
@@ -456,7 +461,7 @@ pub fn run_manifest_with_telemetry(
     rl.push("total", len.total as f64);
     m.push("run_length", rl);
     m.push("seed_salt", format!("0x{:016x}", opts.seed_salt()));
-    m.push("threads", netsim::experiment::sweep_threads() as f64);
+    m.push("threads", sweep_threads() as f64);
     m.push(
         "engine",
         netstats::export::engine_manifest(&netsim::engine_features()),
@@ -469,7 +474,7 @@ pub fn run_manifest_with_telemetry(
         ManifestValue::List(
             specs
                 .iter()
-                .map(|s| ManifestValue::Object(s.scenario().manifest()))
+                .map(|s| ManifestValue::Object(s.manifest()))
                 .collect(),
         ),
     );
@@ -598,14 +603,12 @@ pub fn gnuplot_script() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::experiment::CubeParams;
 
     #[test]
     fn cnf_table_shape() {
-        let specs = [ExperimentSpec::cube_duato(CubeParams::tiny())];
+        let specs = [netsim::named("cube-duato-tiny").unwrap()];
         let grid = [0.3, 0.8];
-        let outcomes =
-            sweep_outcomes_salted(&specs[0], Pattern::Uniform, &grid, RunLength::quick(), 0);
+        let outcomes = specs[0].sweep_outcomes(&grid);
         let series = vec![PanelSeries {
             label: specs[0].label().to_string(),
             offered: grid.to_vec(),
@@ -669,7 +672,7 @@ mod tests {
         }
         let body = format!(
             "  \"generator\": \"golden\",\n  \"artifact\": \"golden.csv\",\n  \"quick\": true,\n  \"run_length\": {{\n    \"warmup\": {},\n    \"total\": {}\n  }},\n  \"seed_salt\": \"0x0000000000000000\",\n  \"threads\": {},\n  \"engine\": {{\n{engine_block}  }},\n  \"pattern\": \"uniform\",\n  \"scenarios\": [],\n  \"wall_clock_secs\": 0.5,\n  \"counters\": {{\n    \"simulations\": 0,\n    \"created_packets\": 0,\n    \"delivered_packets\": 0\n  }}",
-            len.warmup, len.total, netsim::experiment::sweep_threads(),
+            len.warmup, len.total, sweep_threads(),
         );
 
         let plain = run_manifest(

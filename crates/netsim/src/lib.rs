@@ -39,8 +39,9 @@
 //! (topology × routing × VCs × pattern × injection × seeding), a
 //! named-scenario registry holding the paper's five configurations, and
 //! multi-threaded load sweeps producing the CNF curves of Figures 5–7.
-//! The [`experiment`] module is the historical harness interface, now a
-//! thin wrapper over scenarios.
+//! The [`request`] module is the one path from a CLI or `serve` request
+//! to rows on disk: a typed [`request::RunRequest`], validated in one
+//! place and run by [`request::execute`], with errors as values.
 //!
 //! Observability: the engine is generic over a [`telemetry::Probe`]
 //! (default `NullProbe`, compiled to a no-op), so
@@ -69,24 +70,21 @@
 #![warn(missing_docs)]
 pub mod active;
 pub mod engine;
-pub mod experiment;
 pub mod fault;
 pub mod flit;
 pub mod queue;
+pub mod request;
 pub mod scenario;
 pub mod sim;
 pub mod wiring;
 
 pub use engine::shard::ShardPlan;
 pub use engine::snapshot::{EngineSnapshot, SnapshotError};
-pub use experiment::{
-    simulate_load, sweep, sweep_outcomes, sweep_outcomes_salted, CubeParams, ExperimentSpec,
-    RunLength, SpecVisitor, TreeParams,
-};
 pub use fault::{FaultError, FaultModel, FaultPlan, FaultState, NoFaults};
 pub use scenario::{
     derived_seed, named, paper_scenarios, parse_threads, registry, InjectionModel, NamedScenario,
-    RoutingKind, Scenario, ScenarioBuilder, ScenarioError, SeedMode, Throttle, TopologySpec,
+    RoutingKind, RunLength, Scenario, ScenarioBuilder, ScenarioError, SeedMode, SpecVisitor,
+    Throttle, TopologySpec,
 };
 pub use sim::{
     run_simulation_controlled, run_simulation_faulted_stepped, run_simulation_probed, ResumeError,

@@ -5,9 +5,9 @@
 //! load — under a common physical normalization. A [`Scenario`] captures
 //! one point of that space (everything except the offered load, which
 //! stays a sweep variable) and is the single source of truth behind
-//! every frontend: the `netperf` CLI, the [`crate::experiment`] harness
-//! and the `bench` regenerator binaries all build their [`SimConfig`]s
-//! through it.
+//! every frontend: the `netperf` CLI and `serve` loop (through
+//! [`crate::request`]), the `bench` regenerator binaries, the examples
+//! and the tests all build their [`SimConfig`]s through it.
 //!
 //! The pieces:
 //!
@@ -29,7 +29,7 @@
 //!
 //! Reproducibility contract: with [`SeedMode::Derived`] and salt 0 a
 //! scenario labelled like one of the paper's configurations produces
-//! **bit-identical** counters to the historical `ExperimentSpec` path
+//! **bit-identical** counters to the pre-scenario experiment harness
 //! (the seed is an FNV-1a hash of label, pattern and load, the timing
 //! derivations reproduce Tables 1 and 2 exactly, and the injection
 //! throttle follows the same rule). `tests/scenario_equivalence.rs`
@@ -43,7 +43,7 @@
 
 #![deny(missing_docs)]
 
-use crate::fault::{FaultPlan, NoFaults};
+use crate::fault::{FaultModel, FaultPlan, NoFaults};
 use crate::sim::{
     run_simulation_controlled, run_simulation_faulted_sharded, run_simulation_faulted_stepped,
     InjectionSpec, ResumeError, RunControl, SimConfig, SimError, SimOutcome, Stepper,
@@ -52,12 +52,11 @@ use crate::wiring::Wiring;
 use costmodel::chien::RouterClass;
 use costmodel::normalize::NetworkNormalization;
 use netstats::export::{Manifest, ManifestValue};
-use netstats::SweepCurve;
 use routing::{
     CubeDeterministic, CubeDuato, MeshAdaptive, MeshDeterministic, RoutingAlgorithm,
     TaperedTreeAdaptive, ThcDeterministic, TreeAdaptive,
 };
-use telemetry::{FlightRecorder, Geometry, NullProbe, TelemetryConfig};
+use telemetry::{FlightRecorder, Geometry, NullProbe, Probe, TelemetryConfig};
 use topology::{FamilyShape, KAryNCube, KAryNMesh, KAryNTree, TaperedKAryNTree, TorusHypercube};
 use traffic::Pattern;
 
@@ -330,7 +329,7 @@ impl RunLength {
 pub enum SeedMode {
     /// Derived from (label, pattern, load) by FNV-1a, XOR'd with a
     /// caller-chosen salt. Salt 0 reproduces the historical
-    /// `ExperimentSpec` seeds bit-for-bit; any other salt yields an
+    /// harness seeds bit-for-bit; any other salt yields an
     /// independent but equally reproducible noise realization.
     Derived {
         /// XOR'd into the derived seed.
@@ -404,6 +403,11 @@ impl InjectionModel {
         }
     }
 }
+
+/// Largest network a scenario may describe, as log2 of the node count:
+/// the scale registry entries top out at 2^14, and engine state runs to
+/// ~15 KiB per node, so 2^18 nodes is already a 4 GiB simulation.
+const MAX_LOG2_NODES: f64 = 18.0;
 
 /// Why a [`ScenarioBuilder`] refused to build.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -613,6 +617,19 @@ impl ScenarioBuilder {
         if k < 2 || n < 1 {
             return Err(ScenarioError::BadShape(format!(
                 "degenerate {} shape: k = {k}, n = {n} (need k >= 2, n >= 1)",
+                topology.family()
+            )));
+        }
+        // Bound the network before anything is sized from it: a shape
+        // whose node count overflows panics in the topology crate, and
+        // one that merely fits asks for an allocation that aborts.
+        let log2_nodes = match topology {
+            TopologySpec::Thc { k, d } => 2.0 * (k as f64).log2() + d as f64,
+            _ => n as f64 * (k as f64).log2(),
+        };
+        if log2_nodes > MAX_LOG2_NODES {
+            return Err(ScenarioError::BadShape(format!(
+                "{} k = {k}, n = {n} has more than 2^{MAX_LOG2_NODES} nodes",
                 topology.family()
             )));
         }
@@ -900,6 +917,31 @@ impl Scenario {
         self
     }
 
+    /// A builder pre-loaded with every axis of this scenario: the
+    /// fallible way to edit one (`named(..)?.to_builder().pattern(p)
+    /// .build()` re-validates instead of panicking), and a fixed point
+    /// when nothing is changed.
+    pub fn to_builder(&self) -> ScenarioBuilder {
+        let s = self;
+        ScenarioBuilder {
+            label: Some(s.label.clone()),
+            topology: Some(s.topology),
+            routing: Some(s.routing),
+            vcs: Some(s.vcs),
+            pattern: Some(s.pattern),
+            injection: Some(s.injection),
+            run_length: Some(s.run_length),
+            seed: Some(s.seed),
+            buffer_depth: Some(s.buffer_depth),
+            packet_bytes: Some(s.packet_bytes),
+            throttle: Some(s.throttle),
+            telemetry: s.telemetry,
+            faults: s.faults.clone(),
+            shards: Some(s.shards),
+            stepper: Some(s.stepper),
+        }
+    }
+
     /// Same scenario under a different traffic pattern.
     ///
     /// # Panics
@@ -907,9 +949,7 @@ impl Scenario {
     /// would have rejected it).
     pub fn with_pattern(mut self, pattern: Pattern) -> Self {
         self.pattern = pattern;
-        let rebuilt = scenario_to_builder(&self)
-            .build()
-            .expect("pattern legal here");
+        let rebuilt = self.to_builder().build().expect("pattern legal here");
         debug_assert_eq!(rebuilt, self);
         self
     }
@@ -938,7 +978,7 @@ impl Scenario {
     /// against the topology. Fails with [`ScenarioError::BadFaults`] if
     /// the plan does not fit.
     pub fn with_faults(self, plan: Option<FaultPlan>) -> Result<Self, ScenarioError> {
-        let mut b = scenario_to_builder(&self);
+        let mut b = self.to_builder();
         b.faults = plan;
         b.build()
     }
@@ -1037,12 +1077,42 @@ impl Scenario {
         }
     }
 
+    /// Flits per packet and packets per node per cycle at an offered
+    /// load (fraction of capacity).
+    fn packet_rate(&self, norm: &NetworkNormalization, fraction: f64) -> (usize, f64) {
+        let flits = (self.packet_bytes / norm.flit_bytes()).max(1);
+        (
+            flits,
+            fraction * norm.capacity_flits_per_cycle() / flits as f64,
+        )
+    }
+
+    /// Whether `fraction` can be offered at all: finite, non-negative,
+    /// and within what the single injection channel can generate (at
+    /// most one packet per node per cycle, at the on-state peak for
+    /// bursty sources). The run helpers panic on a load that fails this
+    /// check; callers taking loads from outside validate here first.
+    pub fn check_load(&self, fraction: f64) -> Result<(), ScenarioError> {
+        let (_, rate) = self.packet_rate(&self.normalization(), fraction);
+        let peak = match self.injection.spec_at(rate) {
+            InjectionSpec::OnOff { peak_rate, .. } => peak_rate,
+            _ => rate,
+        };
+        if fraction.is_finite() && fraction >= 0.0 && peak <= 1.0 {
+            Ok(())
+        } else {
+            Err(ScenarioError::BadParameter(format!(
+                "offered load {fraction} is out of range (want a finite fraction of \
+                 capacity >= 0 that injects at most one packet per node per cycle)"
+            )))
+        }
+    }
+
     /// A simulation config for this scenario at the given offered load
     /// (fraction of capacity).
     pub fn config_at(&self, fraction: f64) -> SimConfig {
         let norm = self.normalization();
-        let flits = (self.packet_bytes / norm.flit_bytes()).max(1);
-        let rate = fraction * norm.capacity_flits_per_cycle() / flits as f64;
+        let (flits, rate) = self.packet_rate(&norm, fraction);
         let mut cfg = SimConfig::paper_protocol(
             self.pattern,
             self.injection.spec_at(rate),
@@ -1108,64 +1178,64 @@ impl Scenario {
         shards: usize,
         threads: usize,
     ) -> Result<SimOutcome, SimError> {
-        struct Run<'c> {
+        self.run_with(fraction, shards, threads, NullProbe, None)
+            .map(|(out, _)| out)
+            .map_err(sim_error)
+    }
+
+    /// The one run path under every run helper: monomorphize on the
+    /// routing algorithm, attach the probe, compile the fault plan (if
+    /// any), then run plain, sharded, or — with `ctl` — under
+    /// checkpoint/resume control. Bit-identical every way.
+    fn run_with<M: MakeProbe>(
+        &self,
+        fraction: f64,
+        shards: usize,
+        threads: usize,
+        probe: M,
+        ctl: Option<&mut RunControl<'_>>,
+    ) -> Result<(SimOutcome, M::Probe), ResumeError> {
+        struct Run<'c, 'm, 'cb, M> {
             cfg: &'c SimConfig,
             faults: Option<&'c FaultPlan>,
             shards: usize,
             threads: usize,
             stepper: Stepper,
+            probe: M,
+            ctl: Option<&'m mut RunControl<'cb>>,
         }
-        impl SpecVisitor for Run<'_> {
-            type Out = Result<SimOutcome, SimError>;
+        impl<M: MakeProbe> Run<'_, '_, '_, M> {
+            fn go<A: RoutingAlgorithm, F: FaultModel + Sync>(
+                self,
+                algo: &A,
+                faults: F,
+            ) -> Result<(SimOutcome, M::Probe), ResumeError> {
+                let (cfg, probe) = (self.cfg, self.probe.make(algo));
+                let (shards, threads, stepper) = (self.shards, self.threads, self.stepper);
+                match self.ctl {
+                    Some(ctl) => run_simulation_controlled(
+                        algo, cfg, probe, faults, shards, threads, stepper, ctl,
+                    ),
+                    None if shards > 1 => Ok(run_simulation_faulted_sharded(
+                        algo, cfg, probe, faults, shards, threads, stepper,
+                    )?),
+                    None => Ok(run_simulation_faulted_stepped(
+                        algo, cfg, probe, faults, stepper,
+                    )?),
+                }
+            }
+        }
+        impl<M: MakeProbe> SpecVisitor for Run<'_, '_, '_, M> {
+            type Out = Result<(SimOutcome, M::Probe), ResumeError>;
             fn visit<A: RoutingAlgorithm>(self, algo: A) -> Self::Out {
-                if self.shards > 1 {
-                    match self.faults {
-                        None => run_simulation_faulted_sharded(
-                            &algo,
-                            self.cfg,
-                            NullProbe,
-                            NoFaults,
-                            self.shards,
-                            self.threads,
-                            self.stepper,
-                        ),
-                        Some(plan) => {
-                            let w = Wiring::from_topology(algo.topology());
-                            let state = plan.compile(&w).expect("fault plan validated at build");
-                            run_simulation_faulted_sharded(
-                                &algo,
-                                self.cfg,
-                                NullProbe,
-                                state,
-                                self.shards,
-                                self.threads,
-                                self.stepper,
-                            )
-                        }
-                    }
-                } else {
-                    match self.faults {
-                        None => run_simulation_faulted_stepped(
-                            &algo,
-                            self.cfg,
-                            NullProbe,
-                            NoFaults,
-                            self.stepper,
-                        ),
-                        Some(plan) => {
-                            let w = Wiring::from_topology(algo.topology());
-                            let state = plan.compile(&w).expect("fault plan validated at build");
-                            run_simulation_faulted_stepped(
-                                &algo,
-                                self.cfg,
-                                NullProbe,
-                                state,
-                                self.stepper,
-                            )
-                        }
+                match self.faults {
+                    None => self.go(&algo, NoFaults),
+                    Some(plan) => {
+                        let w = Wiring::from_topology(algo.topology());
+                        let state = plan.compile(&w).expect("fault plan validated at build");
+                        self.go(&algo, state)
                     }
                 }
-                .map(|(out, _)| out)
             }
         }
         let cfg = self.config_at(fraction);
@@ -1175,6 +1245,8 @@ impl Scenario {
             shards,
             threads,
             stepper: self.stepper,
+            probe,
+            ctl,
         })
     }
 
@@ -1225,55 +1297,9 @@ impl Scenario {
         fraction: f64,
         ctl: &mut RunControl<'_>,
     ) -> Result<SimOutcome, ResumeError> {
-        struct Run<'c, 'm, 'cb> {
-            cfg: &'c SimConfig,
-            faults: Option<&'c FaultPlan>,
-            shards: usize,
-            threads: usize,
-            stepper: Stepper,
-            ctl: &'m mut RunControl<'cb>,
-        }
-        impl SpecVisitor for Run<'_, '_, '_> {
-            type Out = Result<SimOutcome, ResumeError>;
-            fn visit<A: RoutingAlgorithm>(self, algo: A) -> Self::Out {
-                match self.faults {
-                    None => run_simulation_controlled(
-                        &algo,
-                        self.cfg,
-                        NullProbe,
-                        NoFaults,
-                        self.shards,
-                        self.threads,
-                        self.stepper,
-                        self.ctl,
-                    ),
-                    Some(plan) => {
-                        let w = Wiring::from_topology(algo.topology());
-                        let state = plan.compile(&w).expect("fault plan validated at build");
-                        run_simulation_controlled(
-                            &algo,
-                            self.cfg,
-                            NullProbe,
-                            state,
-                            self.shards,
-                            self.threads,
-                            self.stepper,
-                            self.ctl,
-                        )
-                    }
-                }
-                .map(|(out, _)| out)
-            }
-        }
-        let cfg = self.config_at(fraction);
-        self.with_algorithm(Run {
-            cfg: &cfg,
-            faults: self.faults.as_ref(),
-            shards: self.shards,
-            threads: self.worker_threads(),
-            stepper: self.stepper,
-            ctl,
-        })
+        let threads = self.worker_threads();
+        self.run_with(fraction, self.shards, threads, NullProbe, Some(ctl))
+            .map(|(out, _)| out)
     }
 
     /// [`Scenario::try_simulate_traced`] under checkpoint/resume
@@ -1286,64 +1312,8 @@ impl Scenario {
         fraction: f64,
         ctl: &mut RunControl<'_>,
     ) -> Result<(SimOutcome, FlightRecorder), ResumeError> {
-        struct Traced<'c, 'm, 'cb> {
-            cfg: &'c SimConfig,
-            tcfg: TelemetryConfig,
-            faults: Option<&'c FaultPlan>,
-            shards: usize,
-            threads: usize,
-            stepper: Stepper,
-            ctl: &'m mut RunControl<'cb>,
-        }
-        impl SpecVisitor for Traced<'_, '_, '_> {
-            type Out = Result<(SimOutcome, FlightRecorder), ResumeError>;
-            fn visit<A: RoutingAlgorithm>(self, algo: A) -> Self::Out {
-                let w = Wiring::from_topology(algo.topology());
-                let geo = Geometry {
-                    routers: w.num_routers,
-                    ports: w.ports,
-                    vcs: algo.num_vcs(),
-                    nodes: w.num_nodes,
-                };
-                let rec = FlightRecorder::new(self.tcfg, geo);
-                match self.faults {
-                    None => run_simulation_controlled(
-                        &algo,
-                        self.cfg,
-                        rec,
-                        NoFaults,
-                        self.shards,
-                        self.threads,
-                        self.stepper,
-                        self.ctl,
-                    ),
-                    Some(plan) => {
-                        let state = plan.compile(&w).expect("fault plan validated at build");
-                        run_simulation_controlled(
-                            &algo,
-                            self.cfg,
-                            rec,
-                            state,
-                            self.shards,
-                            self.threads,
-                            self.stepper,
-                            self.ctl,
-                        )
-                    }
-                }
-            }
-        }
-        let cfg = self.config_at(fraction);
-        let tcfg = self.telemetry.unwrap_or_default();
-        self.with_algorithm(Traced {
-            cfg: &cfg,
-            tcfg,
-            faults: self.faults.as_ref(),
-            shards: self.shards,
-            threads: self.worker_threads(),
-            stepper: self.stepper,
-            ctl,
-        })
+        let (tcfg, threads) = (self.telemetry.unwrap_or_default(), self.worker_threads());
+        self.run_with(fraction, self.shards, threads, tcfg, Some(ctl))
     }
 
     /// Worker threads for the scenario's own sharded runs: capped by
@@ -1387,82 +1357,9 @@ impl Scenario {
         shards: usize,
         threads: usize,
     ) -> Result<(SimOutcome, FlightRecorder), SimError> {
-        struct Traced<'c> {
-            cfg: &'c SimConfig,
-            tcfg: TelemetryConfig,
-            faults: Option<&'c FaultPlan>,
-            shards: usize,
-            threads: usize,
-            stepper: Stepper,
-        }
-        impl SpecVisitor for Traced<'_> {
-            type Out = Result<(SimOutcome, FlightRecorder), SimError>;
-            fn visit<A: RoutingAlgorithm>(self, algo: A) -> Self::Out {
-                let w = Wiring::from_topology(algo.topology());
-                let geo = Geometry {
-                    routers: w.num_routers,
-                    ports: w.ports,
-                    vcs: algo.num_vcs(),
-                    nodes: w.num_nodes,
-                };
-                let rec = FlightRecorder::new(self.tcfg, geo);
-                if self.shards > 1 {
-                    match self.faults {
-                        None => run_simulation_faulted_sharded(
-                            &algo,
-                            self.cfg,
-                            rec,
-                            NoFaults,
-                            self.shards,
-                            self.threads,
-                            self.stepper,
-                        ),
-                        Some(plan) => {
-                            let state = plan.compile(&w).expect("fault plan validated at build");
-                            run_simulation_faulted_sharded(
-                                &algo,
-                                self.cfg,
-                                rec,
-                                state,
-                                self.shards,
-                                self.threads,
-                                self.stepper,
-                            )
-                        }
-                    }
-                } else {
-                    match self.faults {
-                        None => run_simulation_faulted_stepped(
-                            &algo,
-                            self.cfg,
-                            rec,
-                            NoFaults,
-                            self.stepper,
-                        ),
-                        Some(plan) => {
-                            let state = plan.compile(&w).expect("fault plan validated at build");
-                            run_simulation_faulted_stepped(
-                                &algo,
-                                self.cfg,
-                                rec,
-                                state,
-                                self.stepper,
-                            )
-                        }
-                    }
-                }
-            }
-        }
-        let cfg = self.config_at(fraction);
         let tcfg = self.telemetry.unwrap_or_default();
-        self.with_algorithm(Traced {
-            cfg: &cfg,
-            tcfg,
-            faults: self.faults.as_ref(),
-            shards,
-            threads,
-            stepper: self.stepper,
-        })
+        self.run_with(fraction, shards, threads, tcfg, None)
+            .map_err(sim_error)
     }
 
     /// Sweep a load grid in parallel, returning the full outcome at
@@ -1519,22 +1416,6 @@ impl Scenario {
             .into_iter()
             .map(|o| o.expect("all points simulated"))
             .collect()
-    }
-
-    /// Sweep a load grid and return the accepted-bandwidth and latency
-    /// curves (x = offered fraction of capacity).
-    pub fn sweep_curve(&self, fractions: &[f64]) -> SweepCurve {
-        let outcomes = self.sweep_outcomes(fractions);
-        let mut curve = SweepCurve::new(self.label());
-        for (f, out) in fractions.iter().zip(&outcomes) {
-            let lat = out.mean_latency_cycles();
-            curve.push(
-                *f,
-                out.accepted_fraction,
-                if lat.is_nan() { 0.0 } else { lat },
-            );
-        }
-        curve
     }
 
     /// The machine-readable description embedded in run manifests.
@@ -1597,24 +1478,39 @@ impl Scenario {
     }
 }
 
-/// Rebuild a builder matching `s` (used for re-validation on edits).
-fn scenario_to_builder(s: &Scenario) -> ScenarioBuilder {
-    ScenarioBuilder {
-        label: Some(s.label.clone()),
-        topology: Some(s.topology),
-        routing: Some(s.routing),
-        vcs: Some(s.vcs),
-        pattern: Some(s.pattern),
-        injection: Some(s.injection),
-        run_length: Some(s.run_length),
-        seed: Some(s.seed),
-        buffer_depth: Some(s.buffer_depth),
-        packet_bytes: Some(s.packet_bytes),
-        throttle: Some(s.throttle),
-        telemetry: s.telemetry,
-        faults: s.faults.clone(),
-        shards: Some(s.shards),
-        stepper: Some(s.stepper),
+/// What [`Scenario::run_with`] attaches to the engine: nothing, or a
+/// flight recorder sized to the network.
+trait MakeProbe {
+    type Probe: Probe;
+    fn make(self, algo: &dyn RoutingAlgorithm) -> Self::Probe;
+}
+
+impl MakeProbe for NullProbe {
+    type Probe = NullProbe;
+    fn make(self, _: &dyn RoutingAlgorithm) -> NullProbe {
+        NullProbe
+    }
+}
+
+impl MakeProbe for TelemetryConfig {
+    type Probe = FlightRecorder;
+    fn make(self, algo: &dyn RoutingAlgorithm) -> FlightRecorder {
+        let w = Wiring::from_topology(algo.topology());
+        let geo = Geometry {
+            routers: w.num_routers,
+            ports: w.ports,
+            vcs: algo.num_vcs(),
+            nodes: w.num_nodes,
+        };
+        FlightRecorder::new(self, geo)
+    }
+}
+
+/// A run without a checkpoint to resume can only fail in the engine.
+fn sim_error(e: ResumeError) -> SimError {
+    match e {
+        ResumeError::Sim(e) => e,
+        ResumeError::Snapshot(e) => unreachable!("nothing was resumed: {e}"),
     }
 }
 
@@ -2130,6 +2026,42 @@ mod tests {
                 .build()
                 .unwrap_err();
             assert!(matches!(err, ScenarioError::BadParameter(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn hostile_axes_are_errors_before_anything_is_sized() {
+        // `to_builder` is a fixed point, so editing through it changes
+        // only what was edited.
+        for e in registry() {
+            let s = e.scenario();
+            assert_eq!(s.to_builder().build().unwrap(), s, "{}", e.name);
+        }
+        let s = named("cube-duato-tiny").unwrap();
+        for load in [0.0, 0.5, 1.0] {
+            assert!(s.check_load(load).is_ok(), "{load}");
+        }
+        for load in [f64::NAN, -0.1, f64::INFINITY, 1e9] {
+            let e = s.check_load(load).unwrap_err();
+            assert!(matches!(e, ScenarioError::BadParameter(_)), "{load}: {e}");
+        }
+        // Bursty sources are bounded at their on-state peak.
+        let bursty = s.to_builder().injection(InjectionModel::OnOff {
+            mean_on: 10.0,
+            mean_off: 30.0,
+        });
+        let bursty = bursty.build().unwrap();
+        let limit = (1..).map(|i| i as f64).find(|&l| s.check_load(l).is_err());
+        assert!(bursty.check_load(limit.unwrap() / 3.0).is_err());
+        // Shapes that would overflow the node count, or merely ask for
+        // terabytes, are refused by the builder.
+        for t in [
+            TopologySpec::cube(100_000, 3),
+            TopologySpec::tree(4, 40),
+            TopologySpec::thc(4, 70),
+        ] {
+            let e = Scenario::builder().topology(t).build().unwrap_err();
+            assert!(matches!(e, ScenarioError::BadShape(_)), "{e}");
         }
     }
 

@@ -21,7 +21,7 @@ use netperf::prelude::*;
 use netperf::traffic::{Bernoulli, TrafficGen};
 
 fn heat_map(pattern: Pattern) -> Vec<u64> {
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
+    let spec = named("cube-duato").unwrap();
     let norm = spec.normalization();
     let algo = spec.build_algorithm();
     let rate = norm.packet_rate(0.5);

@@ -15,7 +15,7 @@
 use netperf::prelude::*;
 
 fn main() {
-    let specs = ExperimentSpec::paper_five();
+    let specs = paper_scenarios();
     let loads = [0.3, 0.6, 0.9];
 
     for pattern in [Pattern::Uniform, Pattern::Transpose] {
@@ -27,7 +27,7 @@ fn main() {
         for spec in &specs {
             let norm = spec.normalization();
             for &f in &loads {
-                let out = simulate_load(spec, pattern, f, RunLength::paper());
+                let out = spec.clone().with_pattern(pattern).simulate(f);
                 let lat_ns = norm.cycles_to_ns(out.mean_latency_cycles());
                 println!(
                     "{:24} {:>17.0} ({:>2.0}%) {:>17.0} ({:>2.0}%) {:>9.2} us",

@@ -26,10 +26,10 @@ fn main() {
         "load", "model (cycles)", "sim (cycles)", "error"
     );
     let model = CubeModel::new(16, 2, 16);
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
+    let spec = named("cube-duato").unwrap();
     for &f in &loads {
         let predicted = model.predicted_latency(f);
-        let sim = simulate_load(&spec, Pattern::Uniform, f, RunLength::paper());
+        let sim = spec.simulate(f);
         let measured = sim.mean_latency_cycles();
         println!(
             "{:>7.0}% {:>16.1} {:>16.1} {:>7.0}%",
@@ -50,10 +50,10 @@ fn main() {
         "load", "model (cycles)", "sim (cycles)", "error"
     );
     let model = TreeModel::new(4, 4, 32);
-    let spec = ExperimentSpec::tree_adaptive(TreeParams::paper(), 2);
+    let spec = named("tree-2vc").unwrap();
     for &f in &loads {
         let predicted = model.predicted_latency(f);
-        let sim = simulate_load(&spec, Pattern::Uniform, f, RunLength::paper());
+        let sim = spec.simulate(f);
         let measured = sim.mean_latency_cycles();
         println!(
             "{:>7.0}% {:>16.1} {:>16.1} {:>7.0}%",

@@ -64,14 +64,14 @@ fn main() {
     println!("collide during the deterministic descent).\n");
 
     // Dynamic confirmation: drive the tree at 90% of capacity.
-    let spec = ExperimentSpec::tree_adaptive(TreeParams::paper(), 1);
+    let spec = named("tree-1vc").unwrap();
     println!("4-ary 4-tree, 1 virtual channel, offered = 90% of capacity:");
     for pattern in [
         Pattern::Complement,
         Pattern::Transpose,
         Pattern::BitReversal,
     ] {
-        let out = simulate_load(&spec, pattern, 0.9, RunLength::paper());
+        let out = spec.clone().with_pattern(pattern).simulate(0.9);
         println!(
             "  {:12} accepted {:>5.1}%  latency {:>6.1} cycles",
             pattern.name(),

@@ -11,7 +11,7 @@ fn main() {
     // One of the paper's five configurations: the 256-node bi-dimensional
     // cube with Duato's minimal adaptive routing (2 adaptive + 2 escape
     // virtual channels, 4-byte flits).
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
+    let spec = named("cube-duato").unwrap();
 
     // Physical normalization: flit width, capacity, and the router clock
     // derived from Chien's cost model.
@@ -34,7 +34,7 @@ fn main() {
 
     // Simulate at 40% of capacity with the paper's protocol
     // (2000 warm-up cycles, measurement until cycle 20000).
-    let outcome = simulate_load(&spec, Pattern::Uniform, 0.40, RunLength::paper());
+    let outcome = spec.simulate(0.40);
 
     println!(
         "\noffered:   {:.1}% of capacity",

@@ -16,23 +16,33 @@
 
 use netperf::prelude::*;
 
-fn run_pair(tree: TreeParams, cube: CubeParams, vcs: usize, len: RunLength) {
-    let tree_spec = ExperimentSpec::tree_adaptive(tree, vcs);
-    let cube_spec = ExperimentSpec::cube_duato(cube);
+fn run_pair(tree: (usize, usize), cube: (usize, usize), vcs: usize, len: RunLength) {
+    // Family defaults: adaptive routing on the tree, Duato (always 4
+    // lanes) on the cube.
+    let build = |topology: TopologySpec, vcs: usize| {
+        Scenario::builder()
+            .topology(topology)
+            .vcs(vcs)
+            .run_length(len)
+            .build()
+            .expect("legal configuration")
+    };
+    let tree_spec = build(TopologySpec::tree(tree.0, tree.1), vcs);
+    let cube_spec = build(TopologySpec::cube(cube.0, cube.1), 4);
     let tn = tree_spec.normalization();
     let cn = cube_spec.normalization();
     println!(
         "\n{}-ary {}-tree ({} vc) vs {}-ary {}-cube (Duato): {} nodes each",
-        tree.k,
-        tree.n,
+        tree.0,
+        tree.1,
         vcs,
-        cube.k,
-        cube.n,
-        KAryNTree::new(tree.k, tree.n).num_nodes(),
+        cube.0,
+        cube.1,
+        tree_spec.topology().num_nodes(),
     );
     for f in [0.4, 0.8] {
-        let t = simulate_load(&tree_spec, Pattern::Uniform, f, len);
-        let c = simulate_load(&cube_spec, Pattern::Uniform, f, len);
+        let t = tree_spec.simulate(f);
+        let c = cube_spec.simulate(f);
         println!(
             "  offered {:>3.0}%: tree {:>6.0} bits/ns ({:>4.1}% acc) | cube {:>6.0} bits/ns ({:>4.1}% acc)",
             f * 100.0,
@@ -48,15 +58,15 @@ fn main() {
     let len = RunLength::paper();
 
     // The paper's pair: 256 nodes, 256 routers each.
-    run_pair(TreeParams::paper(), CubeParams::paper(), 4, len);
+    run_pair((4, 4), (16, 2), 4, len);
 
     // A 64-node pair (same node count, router counts differ: 48 vs 64 —
     // the normalization family has no member here, which is exactly why
     // the paper picked 256).
-    run_pair(TreeParams { k: 4, n: 3 }, CubeParams { k: 8, n: 2 }, 4, len);
+    run_pair((4, 3), (8, 2), 4, len);
 
     // A 16-node pair for completeness.
-    run_pair(TreeParams { k: 4, n: 2 }, CubeParams { k: 4, n: 2 }, 2, len);
+    run_pair((4, 2), (4, 2), 2, len);
 
     println!("\nThe cube's absolute advantage under uniform traffic persists across");
     println!("scales; it grows with the node count because the tree's wire-delay");

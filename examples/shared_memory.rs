@@ -22,7 +22,7 @@ use netperf::prelude::*;
 use netperf::traffic::{Bernoulli, TrafficGen};
 
 fn main() {
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
+    let spec = named("cube-duato").unwrap();
     let norm = spec.normalization();
 
     println!("16-ary 2-cube, Duato routing, uniform requests with replies\n");
@@ -33,7 +33,7 @@ fn main() {
 
     for fraction in [0.1, 0.2, 0.3, 0.4, 0.45] {
         // Open-loop reference.
-        let open = simulate_load(&spec, Pattern::Uniform, fraction, RunLength::paper());
+        let open = spec.simulate(fraction);
 
         // Closed-loop request-reply run at the same request rate.
         let algo = spec.build_algorithm();

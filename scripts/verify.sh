@@ -10,6 +10,13 @@ cargo fmt --all -- --check
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> benchmark harness builds against the library + its unit tests"
+# benchmark/ is its own workspace (path deps on crates/*), so the
+# workspace build above never compiles it: a library refactor could
+# break the harness unnoticed.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo build --release -p netsim --features scalar-scan"
 # The portable fallback build: SIMD scans forced to their scalar twins
 # at compile time. Must always build so the wide path can't rot it.
@@ -418,6 +425,19 @@ grep -q '"status": "ok"' "$SERVE_DIR/spool/001.resp.json" \
   || { echo "serving smoke: serve response not ok" >&2; cat "$SERVE_DIR/spool/001.resp.json" >&2; exit 1; }
 [ -f "$SERVE_DIR/spool/001.done" ] \
   || { echo "serving smoke: request not marked done" >&2; exit 1; }
+
+# One stdin session: a bad line is answered with an error response and
+# the same process goes on to answer the good line after it.
+( cd "$SERVE_DIR" && printf '%s\n' 'not json' \
+    '{"id": "s2", "op": "run", "name": "cube-duato-tiny", "quick": "true", "load": "0.4"}' \
+    | "$NP" serve --cache store > session.txt 2> session.err ) \
+  || { echo "serving smoke: serve exited non-zero on a bad line" >&2; exit 1; }
+[ "$(wc -l < "$SERVE_DIR/session.txt")" -eq 2 ] \
+  || { echo "serving smoke: want two responses" >&2; cat "$SERVE_DIR/session.txt" >&2; exit 1; }
+sed -n 1p "$SERVE_DIR/session.txt" | grep -q '"status": "error", "exit_code": 2' \
+  || { echo "serving smoke: bad line not answered with an error" >&2; exit 1; }
+sed -n 2p "$SERVE_DIR/session.txt" | grep -qx '{"id": "s2", "status": "ok", "exit_code": 0}' \
+  || { echo "serving smoke: good line after a bad one not served" >&2; exit 1; }
 
 python3 - "$SERVE_DIR" scripts/snapshot.schema.json <<'EOF'
 import json, re, sys

@@ -19,7 +19,8 @@
 //! * [`netsim`] — the flit-level wormhole simulator, the scenario
 //!   plane (`netsim::scenario`), the fault plane (`netsim::fault`,
 //!   deterministic link/router fault injection with degraded-mode
-//!   routing) and the paper's experiment harness.
+//!   routing) and the request path (`netsim::request`) behind the
+//!   `netperf` subcommands.
 //! * [`telemetry`] — the observability plane: zero-cost-when-off
 //!   engine probes, per-packet latency decomposition,
 //!   channel-utilization time series, JSONL/Chrome event traces.
@@ -64,16 +65,14 @@ pub use traffic;
 pub mod prelude {
     pub use costmodel::chien::{ChienModel, RouterTiming};
     pub use costmodel::normalize::NetworkNormalization;
-    pub use netsim::experiment::{
-        default_load_grid, simulate_load, sweep, sweep_outcomes, sweep_outcomes_salted, CubeParams,
-        ExperimentSpec, RunLength, TreeParams,
-    };
     pub use netsim::fault::{
         FaultError, FaultModel, FaultPlan, FaultState, NoFaults, TransientSpec,
     };
+    pub use netsim::request::{execute, RequestError, RunReport, RunRequest};
     pub use netsim::scenario::{
-        derived_seed, named, paper_scenarios, registry, InjectionModel, NamedScenario, RoutingKind,
-        Scenario, ScenarioBuilder, ScenarioError, SeedMode, Throttle, TopologySpec,
+        default_load_grid, derived_seed, named, paper_scenarios, registry, InjectionModel,
+        NamedScenario, RoutingKind, RunLength, Scenario, ScenarioBuilder, ScenarioError, SeedMode,
+        Throttle, TopologySpec,
     };
     pub use netsim::sim::{
         run_simulation_controlled, run_simulation_faulted, run_simulation_probed, ResumeError,

@@ -16,8 +16,8 @@ fn quick() -> RunLength {
 #[test]
 fn cube_zero_load_latency_matches_simulation_within_cycles() {
     let model = CubeModel::new(16, 2, 16);
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
-    let sim = simulate_load(&spec, Pattern::Uniform, 0.05, quick());
+    let spec = named("cube-duato").unwrap();
+    let sim = spec.clone().with_run_length(quick()).simulate(0.05);
     let measured = sim.mean_latency_cycles();
     let predicted = model.predicted_latency(0.05);
     assert!(
@@ -29,8 +29,8 @@ fn cube_zero_load_latency_matches_simulation_within_cycles() {
 #[test]
 fn tree_zero_load_latency_matches_simulation_within_cycles() {
     let model = TreeModel::new(4, 4, 32);
-    let spec = ExperimentSpec::tree_adaptive(TreeParams::paper(), 2);
-    let sim = simulate_load(&spec, Pattern::Uniform, 0.05, quick());
+    let spec = named("tree-2vc").unwrap();
+    let sim = spec.clone().with_run_length(quick()).simulate(0.05);
     let measured = sim.mean_latency_cycles();
     let predicted = model.predicted_latency(0.05);
     assert!(
@@ -47,9 +47,13 @@ fn models_track_light_load_then_overestimate_contention() {
     // contention it charges) while staying within 2x. Both facts are
     // part of the paper's "overly simplistic" argument.
     let cube = CubeModel::new(16, 2, 16);
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
+    let spec = named("cube-duato").unwrap();
 
-    let measured = simulate_load(&spec, Pattern::Uniform, 0.2, quick()).mean_latency_cycles();
+    let measured = spec
+        .clone()
+        .with_run_length(quick())
+        .simulate(0.2)
+        .mean_latency_cycles();
     let predicted = cube.predicted_latency(0.2);
     let err = (predicted - measured).abs() / measured;
     assert!(
@@ -57,7 +61,11 @@ fn models_track_light_load_then_overestimate_contention() {
         "20% load: model {predicted:.1}, sim {measured:.1}"
     );
 
-    let measured = simulate_load(&spec, Pattern::Uniform, 0.4, quick()).mean_latency_cycles();
+    let measured = spec
+        .clone()
+        .with_run_length(quick())
+        .simulate(0.4)
+        .mean_latency_cycles();
     let predicted = cube.predicted_latency(0.4);
     assert!(
         predicted > measured,
@@ -77,8 +85,8 @@ fn models_are_overly_optimistic_at_saturation() {
     assert!(cube.saturation_fraction() > 0.99);
     assert!(tree.saturation_fraction() > 0.99);
 
-    let det = ExperimentSpec::cube_deterministic(CubeParams::paper());
-    let out = simulate_load(&det, Pattern::Uniform, 0.95, quick());
+    let det = named("cube-det").unwrap();
+    let out = det.clone().with_run_length(quick()).simulate(0.95);
     assert!(
         out.accepted_fraction < 0.75,
         "simulated deterministic cube sustained {} — the model's 100% \
@@ -86,8 +94,8 @@ fn models_are_overly_optimistic_at_saturation() {
         out.accepted_fraction
     );
 
-    let t1 = ExperimentSpec::tree_adaptive(TreeParams::paper(), 1);
-    let out = simulate_load(&t1, Pattern::Uniform, 0.95, quick());
+    let t1 = named("tree-1vc").unwrap();
+    let out = t1.clone().with_run_length(quick()).simulate(0.95);
     assert!(out.accepted_fraction < 0.55);
 }
 

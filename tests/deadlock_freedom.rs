@@ -57,19 +57,15 @@ fn static_duato_escape_acyclic_across_radices() {
     }
 }
 
-fn overload_config(
-    spec: &ExperimentSpec,
-    pattern: P,
-    cycles: u32,
-) -> netperf::netsim::sim::SimConfig {
-    let mut cfg = spec.config_at(
-        pattern,
-        1.0,
-        RunLength {
+fn overload_config(spec: &Scenario, pattern: P, cycles: u32) -> netperf::netsim::sim::SimConfig {
+    let mut cfg = spec
+        .clone()
+        .with_pattern(pattern)
+        .with_run_length(RunLength {
             warmup: cycles / 4,
             total: cycles,
-        },
-    );
+        })
+        .config_at(1.0);
     // Double the nominal full load: deep saturation.
     if let InjectionSpec::Bernoulli { packets_per_cycle } = cfg.injection {
         cfg.injection = InjectionSpec::Bernoulli {
@@ -84,7 +80,7 @@ fn dynamic_survival_beyond_saturation_paper_networks() {
     // Every paper configuration, every paper pattern, at twice the
     // capacity, for a shortened run: must complete without tripping the
     // watchdog and must keep delivering.
-    for spec in ExperimentSpec::paper_five() {
+    for spec in paper_scenarios() {
         for pattern in P::PAPER_SET {
             let algo = spec.build_algorithm();
             let cfg = overload_config(&spec, pattern, 4_000);

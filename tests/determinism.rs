@@ -18,8 +18,8 @@ fn fingerprint(out: &netperf::netsim::sim::SimOutcome) -> (u64, u64, u64, u64) {
 
 #[test]
 fn identical_configs_produce_identical_outcomes() {
-    let spec = ExperimentSpec::cube_duato(CubeParams::tiny());
-    let cfg = spec.config_at(P::Uniform, 0.6, RunLength::quick());
+    let spec = named("cube-duato-tiny").unwrap();
+    let cfg = spec.config_at(0.6);
     let a = {
         let algo = spec.build_algorithm();
         run_simulation(algo.as_ref(), &cfg)
@@ -33,8 +33,8 @@ fn identical_configs_produce_identical_outcomes() {
 
 #[test]
 fn different_seeds_produce_different_traces() {
-    let spec = ExperimentSpec::cube_duato(CubeParams::tiny());
-    let mut cfg = spec.config_at(P::Uniform, 0.6, RunLength::quick());
+    let spec = named("cube-duato-tiny").unwrap();
+    let mut cfg = spec.config_at(0.6);
     let algo = spec.build_algorithm();
     let a = run_simulation(algo.as_ref(), &cfg);
     cfg.seed ^= 1;
@@ -44,13 +44,10 @@ fn different_seeds_produce_different_traces() {
 
 #[test]
 fn parallel_sweep_matches_serial_exactly() {
-    let spec = ExperimentSpec::tree_adaptive(TreeParams::tiny(), 2);
+    let transposed = named("tree-2vc-tiny").unwrap().with_pattern(P::Transpose);
     let grid = [0.2, 0.5, 0.8, 1.0];
-    let par = sweep_outcomes(&spec, P::Transpose, &grid, RunLength::quick());
-    let ser: Vec<_> = grid
-        .iter()
-        .map(|&f| simulate_load(&spec, P::Transpose, f, RunLength::quick()))
-        .collect();
+    let par = transposed.sweep_outcomes(&grid);
+    let ser: Vec<_> = grid.iter().map(|&f| transposed.simulate(f)).collect();
     for (p, s) in par.iter().zip(&ser) {
         assert_eq!(fingerprint(p), fingerprint(s));
     }
@@ -61,12 +58,17 @@ fn seeds_differ_across_grid_points_and_specs() {
     // Two different loads of the same spec, and the same load of two
     // specs, must not share RNG streams: their traces differ even
     // though the measured values could legitimately coincide.
-    let spec = ExperimentSpec::cube_deterministic(CubeParams::tiny());
-    let c1 = spec.config_at(P::Uniform, 0.5, RunLength::quick());
-    let c2 = spec.config_at(P::Uniform, 0.55, RunLength::quick());
+    let spec = Scenario::builder()
+        .topology(TopologySpec::cube(4, 2))
+        .routing(RoutingKind::Deterministic)
+        .run_length(RunLength::quick())
+        .build()
+        .unwrap();
+    let c1 = spec.config_at(0.5);
+    let c2 = spec.config_at(0.55);
     assert_ne!(c1.seed, c2.seed);
-    let other = ExperimentSpec::cube_duato(CubeParams::tiny());
-    let c3 = other.config_at(P::Uniform, 0.5, RunLength::quick());
+    let other = named("cube-duato-tiny").unwrap();
+    let c3 = other.config_at(0.5);
     assert_ne!(c1.seed, c3.seed);
 }
 
@@ -147,15 +149,15 @@ fn sharded_runs_are_bit_identical_at_scale() {
 fn engine_counters_are_stable_across_runs_of_paper_network() {
     // A short paper-size run, twice; guards the hot path against
     // nondeterministic iteration (e.g. hash maps) sneaking in.
-    let spec = ExperimentSpec::tree_adaptive(TreeParams::paper(), 2);
-    let cfg = spec.config_at(
-        P::BitReversal,
-        0.7,
-        RunLength {
+    let spec = named("tree-2vc").unwrap();
+    let cfg = spec
+        .clone()
+        .with_pattern(P::BitReversal)
+        .with_run_length(RunLength {
             warmup: 500,
             total: 2_500,
-        },
-    );
+        })
+        .config_at(0.7);
     let algo = spec.build_algorithm();
     let a = run_simulation(algo.as_ref(), &cfg);
     let b = run_simulation(algo.as_ref(), &cfg);

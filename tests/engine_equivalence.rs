@@ -25,9 +25,9 @@
 
 use netsim::engine::Engine;
 use netsim::fault::{FaultPlan, FaultState};
+use netsim::scenario::{paper_scenarios, RunLength, Scenario};
 use netsim::sim::SimConfig;
 use netsim::wiring::Wiring;
-use netsim::{ExperimentSpec, RunLength};
 use routing::RoutingAlgorithm;
 use telemetry::{trace, FlightRecorder, Geometry, NullProbe, TelemetryConfig};
 use traffic::{Bernoulli, InjectionProcess, Rng64, TrafficGen};
@@ -54,12 +54,12 @@ fn build_engine<'a>(algo: &'a (dyn RoutingAlgorithm + 'static), cfg: &SimConfig)
 /// Run the optimized and the reference stepper side by side on one
 /// paper configuration and assert identical observable state, both
 /// mid-flight and at the end.
-fn assert_equivalent(spec: &ExperimentSpec, fraction: f64, cycles: u32) {
+fn assert_equivalent(spec: &Scenario, fraction: f64, cycles: u32) {
     let len = RunLength {
         warmup: 500,
         total: cycles,
     };
-    let cfg = spec.config_at(traffic::Pattern::Uniform, fraction, len);
+    let cfg = spec.clone().with_run_length(len).config_at(fraction);
     let algo = spec.build_algorithm();
     let mut opt = build_engine(algo.as_ref(), &cfg);
     let mut refr = build_engine(algo.as_ref(), &cfg);
@@ -101,7 +101,7 @@ fn assert_equivalent(spec: &ExperimentSpec, fraction: f64, cycles: u32) {
 /// skip almost all routers.
 #[test]
 fn paper_configs_low_load() {
-    for spec in ExperimentSpec::paper_five() {
+    for spec in paper_scenarios() {
         assert_equivalent(&spec, 0.15, 2_500);
     }
 }
@@ -109,7 +109,7 @@ fn paper_configs_low_load() {
 /// Medium load: busy but below saturation.
 #[test]
 fn paper_configs_medium_load() {
-    for spec in ExperimentSpec::paper_five() {
+    for spec in paper_scenarios() {
         assert_equivalent(&spec, 0.5, 2_500);
     }
 }
@@ -118,7 +118,7 @@ fn paper_configs_medium_load() {
 /// injection active on the cubes.
 #[test]
 fn paper_configs_saturation_load() {
-    for spec in ExperimentSpec::paper_five() {
+    for spec in paper_scenarios() {
         assert_equivalent(&spec, 1.2, 2_000);
     }
 }
@@ -131,7 +131,7 @@ fn paper_configs_saturation_load() {
 /// `(shards, threads)` combination in lockstep on the same
 /// configuration and assert bit-identical observable state throughout.
 fn assert_sharded_equivalent(
-    spec: &ExperimentSpec,
+    spec: &Scenario,
     fraction: f64,
     cycles: u32,
     combos: &[(usize, usize)],
@@ -140,7 +140,7 @@ fn assert_sharded_equivalent(
         warmup: 500,
         total: cycles,
     };
-    let cfg = spec.config_at(traffic::Pattern::Uniform, fraction, len);
+    let cfg = spec.clone().with_run_length(len).config_at(fraction);
     let algo = spec.build_algorithm();
     let mut serial = build_engine(algo.as_ref(), &cfg);
     let mut sharded: Vec<_> = combos
@@ -202,7 +202,7 @@ fn assert_sharded_equivalent(
 /// serial stepper bit for bit at a busy load.
 #[test]
 fn paper_configs_sharded() {
-    for spec in ExperimentSpec::paper_five() {
+    for spec in paper_scenarios() {
         assert_sharded_equivalent(&spec, 0.5, 1_500, &[(2, 1), (4, 1), (4, 4)]);
     }
 }
@@ -211,7 +211,7 @@ fn paper_configs_sharded() {
 /// maximally exercised.
 #[test]
 fn paper_configs_sharded_saturation() {
-    for spec in ExperimentSpec::paper_five() {
+    for spec in paper_scenarios() {
         assert_sharded_equivalent(&spec, 1.2, 1_000, &[(4, 4)]);
     }
 }
@@ -221,13 +221,13 @@ fn paper_configs_sharded_saturation() {
 /// stepper must reproduce every one of them bit for bit.
 #[test]
 fn sharded_matches_serial_under_faults() {
-    let spec = &ExperimentSpec::paper_five()[0];
+    let spec = &paper_scenarios()[0];
     let cycles = 1_500;
     let len = RunLength {
         warmup: 500,
         total: cycles,
     };
-    let cfg = spec.config_at(traffic::Pattern::Uniform, 0.5, len);
+    let cfg = spec.clone().with_run_length(len).config_at(0.5);
     let algo = spec.build_algorithm();
     let plan = FaultPlan {
         link_fraction: 0.05,
@@ -280,13 +280,13 @@ fn sharded_matches_serial_under_faults() {
 /// order at the barrier and every other phase emits serially.
 #[test]
 fn sharded_matches_serial_event_stream() {
-    let spec = &ExperimentSpec::paper_five()[0];
+    let spec = &paper_scenarios()[0];
     let cycles = 1_200;
     let len = RunLength {
         warmup: 400,
         total: cycles,
     };
-    let cfg = spec.config_at(traffic::Pattern::Uniform, 0.5, len);
+    let cfg = spec.clone().with_run_length(len).config_at(0.5);
     let algo = spec.build_algorithm();
     let build = || -> Engine<'_, dyn RoutingAlgorithm, FlightRecorder> {
         let topo = algo.topology();
@@ -357,12 +357,12 @@ fn sharded_matches_serial_event_stream() {
 /// The SoA engine is pinned to the *scalar* twins of the wide mask
 /// scans while the wheel engines run the SIMD path, so every chunk
 /// boundary is also a simd ≡ scalar ≡ active checkpoint.
-fn assert_wheel_soa_equivalent(spec: &ExperimentSpec, fraction: f64, cycles: u32, chunk: u32) {
+fn assert_wheel_soa_equivalent(spec: &Scenario, fraction: f64, cycles: u32, chunk: u32) {
     let len = RunLength {
         warmup: 500,
         total: cycles,
     };
-    let cfg = spec.config_at(traffic::Pattern::Uniform, fraction, len);
+    let cfg = spec.clone().with_run_length(len).config_at(fraction);
     let algo = spec.build_algorithm();
     let mut active = build_engine(algo.as_ref(), &cfg);
     let mut soa = build_engine(algo.as_ref(), &cfg);
@@ -441,7 +441,7 @@ fn assert_wheel_soa_equivalent(spec: &ExperimentSpec, fraction: f64, cycles: u32
 /// Low load: the regime the wheel's idle fast-forward targets.
 #[test]
 fn paper_configs_wheel_soa_low_load() {
-    for spec in ExperimentSpec::paper_five() {
+    for spec in paper_scenarios() {
         assert_wheel_soa_equivalent(&spec, 0.15, 2_500, 613);
     }
 }
@@ -449,7 +449,7 @@ fn paper_configs_wheel_soa_low_load() {
 /// Past saturation: wheel slots near-full, every lane contended.
 #[test]
 fn paper_configs_wheel_soa_saturation() {
-    for spec in ExperimentSpec::paper_five() {
+    for spec in paper_scenarios() {
         assert_wheel_soa_equivalent(&spec, 1.2, 1_500, 577);
     }
 }
@@ -460,13 +460,13 @@ fn paper_configs_wheel_soa_saturation() {
 /// transient fault transitions).
 #[test]
 fn wheel_soa_match_active_under_faults() {
-    let spec = &ExperimentSpec::paper_five()[0];
+    let spec = &paper_scenarios()[0];
     let cycles = 1_500;
     let len = RunLength {
         warmup: 500,
         total: cycles,
     };
-    let cfg = spec.config_at(traffic::Pattern::Uniform, 0.5, len);
+    let cfg = spec.clone().with_run_length(len).config_at(0.5);
     let algo = spec.build_algorithm();
     let plan = FaultPlan {
         link_fraction: 0.05,
@@ -535,13 +535,13 @@ fn wheel_soa_match_active_under_faults() {
 /// and the wheel reports fast-forwarded cycles nowhere.
 #[test]
 fn wheel_soa_match_active_event_stream() {
-    let spec = &ExperimentSpec::paper_five()[0];
+    let spec = &paper_scenarios()[0];
     let cycles = 1_200;
     let len = RunLength {
         warmup: 400,
         total: cycles,
     };
-    let cfg = spec.config_at(traffic::Pattern::Uniform, 0.5, len);
+    let cfg = spec.clone().with_run_length(len).config_at(0.5);
     let algo = spec.build_algorithm();
     let build = || -> Engine<'_, dyn RoutingAlgorithm, FlightRecorder> {
         let topo = algo.topology();
@@ -636,7 +636,7 @@ impl InjectionProcess for Burst {
 /// after a restore, so the snapshot never encodes them).
 #[test]
 fn wheel_snapshot_resume_mid_drain() {
-    let spec = &ExperimentSpec::paper_five()[1];
+    let spec = &paper_scenarios()[1];
     let algo = spec.build_algorithm();
     let burst = 500u32;
     let build = || {
@@ -700,7 +700,7 @@ fn wheel_snapshot_resume_mid_drain() {
 /// suffix fast-forward both crossed.
 #[test]
 fn wheel_sharded_snapshot_resume_mid_drain() {
-    let spec = &ExperimentSpec::paper_five()[1];
+    let spec = &paper_scenarios()[1];
     let algo = spec.build_algorithm();
     let burst = 500u32;
     let build = || {

@@ -161,33 +161,57 @@ fn faulted_engine_conserves_packets() {
     assert_eq!(c.delivered_flits, c.delivered_packets * 16);
 }
 
-/// `netperf` must reject malformed or unsatisfiable `--faults` specs
-/// with exit code 2 and a single structured `error:` line — no panic,
-/// no backtrace.
+/// `netperf` must reject malformed or unsatisfiable `--faults` specs —
+/// and every other hostile value: non-finite or out-of-range loads,
+/// inverted run lengths, unbounded grids, unwritable sinks — with exit
+/// code 2 and a single structured `error:` line. No panic, no
+/// backtrace, no allocation until the process aborts.
 #[test]
 fn cli_rejects_bad_fault_specs_with_structured_error() {
     let bin = env!("CARGO_BIN_EXE_netperf");
-    for spec in ["bananas", "links=2.0", "routers=100000", "transient=1:0:5"] {
+    let cases: &[&[&str]] = &[
+        &["run", "--faults", "bananas"],
+        &["run", "--faults", "links=2.0"],
+        &["run", "--faults", "routers=100000"],
+        &["run", "--faults", "transient=1:0:5"],
+        &["run", "--load", "nan"],
+        &["run", "--load", "-1"],
+        &["run", "--load", "inf"],
+        &["run", "--load", "1e9"],
+        &["run", "--cycles", "0"],
+        &["run", "--warmup", "100", "--cycles", "50"],
+        &["sweep", "--grid", "0.1:inf:0.1"],
+        &["sweep", "--grid", "-inf:1:0.1"],
+        &["sweep", "--grid", "0.1:1:1e-12"],
+        &["run", "--csv", "/dev/null/x.csv"],
+        &["run", "--trace", "/dev/null/t"],
+        &[
+            "run",
+            "--checkpoint-every",
+            "500",
+            "--snapshot",
+            "/dev/null/ck.bin",
+        ],
+    ];
+    for case in cases {
         let out = Command::new(bin)
-            .args(["run", "cube-duato-tiny", "--quick", "--faults", spec])
+            .arg(case[0])
+            .args(["cube-duato-tiny", "--quick"])
+            .args(&case[1..])
             .output()
             .expect("spawn netperf");
         assert_eq!(
             out.status.code(),
             Some(2),
-            "--faults {spec}: expected exit 2, got {:?}",
+            "{case:?}: expected exit 2, got {:?}",
             out.status
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
         let lines: Vec<&str> = stderr.lines().collect();
-        assert_eq!(
-            lines.len(),
-            1,
-            "--faults {spec}: stderr not one line: {stderr}"
-        );
+        assert_eq!(lines.len(), 1, "{case:?}: stderr not one line: {stderr}");
         assert!(
             lines[0].starts_with("error:"),
-            "--faults {spec}: unstructured error: {stderr}"
+            "{case:?}: unstructured error: {stderr}"
         );
     }
 }

@@ -11,8 +11,8 @@ fn accepted_bandwidth_ci_is_tight_below_saturation() {
     // Below saturation the accepted bandwidth is a stable rate: the
     // batch-means 95% interval should be within a few percent and must
     // cover the generated rate.
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
-    let cfg = spec.config_at(P::Uniform, 0.5, RunLength::paper());
+    let spec = named("cube-duato").unwrap();
+    let cfg = spec.config_at(0.5);
     let algo = spec.build_algorithm();
     let out = run_simulation(algo.as_ref(), &cfg);
     let ci = out.accepted_ci;
@@ -36,16 +36,10 @@ fn accepted_bandwidth_ci_is_tight_below_saturation() {
 
 #[test]
 fn ci_stays_finite_and_wider_above_saturation() {
-    let spec = ExperimentSpec::tree_adaptive(TreeParams::paper(), 1);
+    let spec = named("tree-1vc").unwrap();
     let algo = spec.build_algorithm();
-    let below = run_simulation(
-        algo.as_ref(),
-        &spec.config_at(P::Uniform, 0.2, RunLength::paper()),
-    );
-    let above = run_simulation(
-        algo.as_ref(),
-        &spec.config_at(P::Uniform, 0.9, RunLength::paper()),
-    );
+    let below = run_simulation(algo.as_ref(), &spec.config_at(0.2));
+    let above = run_simulation(algo.as_ref(), &spec.config_at(0.9));
     assert!(below.accepted_ci.half_width.is_finite());
     assert!(above.accepted_ci.half_width.is_finite());
     // Saturated throughput is still a stable rate (Section 6's "stable
@@ -66,7 +60,7 @@ fn warmup_of_2000_cycles_reaches_steady_state() {
     use netperf::netsim::engine::Engine;
     use netperf::traffic::{Bernoulli, TrafficGen};
 
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
+    let spec = named("cube-duato").unwrap();
     let norm = spec.normalization();
     let algo = spec.build_algorithm();
     let rate = norm.packet_rate(0.6);
@@ -125,8 +119,8 @@ fn warmup_of_2000_cycles_reaches_steady_state() {
 fn batch_means_autocorrelation_is_low_in_steady_state() {
     // Sanity on the independence assumption behind the intervals.
     use netstats::BatchMeans;
-    let spec = ExperimentSpec::cube_deterministic(CubeParams::paper());
-    let cfg = spec.config_at(P::Uniform, 0.4, RunLength::paper());
+    let spec = named("cube-det").unwrap();
+    let cfg = spec.config_at(0.4);
     let algo = spec.build_algorithm();
     // Reconstruct slice rates from two runs at different batch sizes
     // via the public outcome (the CI machinery is already exercised);

@@ -74,10 +74,7 @@ fn tree_adaptive_is_minimal_for_all_vc_counts() {
 fn paper_networks_are_minimal_at_saturation() {
     // The real 256-node configurations at deep saturation: adaptivity,
     // escapes and throttling all active, yet every path stays minimal.
-    for spec in [
-        ExperimentSpec::cube_duato(CubeParams::paper()),
-        ExperimentSpec::tree_adaptive(TreeParams::paper(), 4),
-    ] {
+    for spec in [named("cube-duato").unwrap(), named("tree-4vc").unwrap()] {
         let algo = spec.build_algorithm();
         let topo = algo.topology();
         let n = topo.num_nodes();

@@ -20,8 +20,8 @@ fn normalization_conditions_of_section_5() {
 
     // Pin-count equalization: tree switch arity 8 x 2-byte paths equals
     // cube router arity 4 x 4-byte paths.
-    let t = ExperimentSpec::tree_adaptive(TreeParams::paper(), 4).normalization();
-    let c = ExperimentSpec::cube_duato(CubeParams::paper()).normalization();
+    let t = named("tree-4vc").unwrap().normalization();
+    let c = named("cube-duato").unwrap().normalization();
     assert_eq!(8 * t.flit_bytes(), 4 * c.flit_bytes());
 
     // Equal peak aggregate bandwidth: twice the links at half the width
@@ -105,11 +105,11 @@ fn capacity_definitions() {
 fn figure7_axis_scales() {
     // The paper's Figure 7 x-axis tops out around 650 bits/ns: that is
     // the deterministic cube's aggregate capacity.
-    let det = ExperimentSpec::cube_deterministic(CubeParams::paper()).normalization();
+    let det = named("cube-det").unwrap().normalization();
     let cap = det.capacity_bits_per_ns();
     assert!((cap - 646.0).abs() < 10.0, "{cap}");
     // The tree's 1 vc capacity is ~425 bits/ns.
-    let t1 = ExperimentSpec::tree_adaptive(TreeParams::paper(), 1).normalization();
+    let t1 = named("tree-1vc").unwrap().normalization();
     assert!((t1.capacity_bits_per_ns() - 425.0).abs() < 10.0);
 }
 

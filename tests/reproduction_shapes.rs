@@ -17,17 +17,21 @@ fn len() -> RunLength {
     }
 }
 
-fn accepted(spec: &ExperimentSpec, pattern: P, load: f64) -> f64 {
-    simulate_load(spec, pattern, load, len()).accepted_fraction
+fn accepted(spec: &Scenario, pattern: P, load: f64) -> f64 {
+    spec.clone()
+        .with_pattern(pattern)
+        .with_run_length(len())
+        .simulate(load)
+        .accepted_fraction
 }
 
 #[test]
 fn tree_uniform_vc_ordering() {
     // Section 8: saturation 36% (1 vc), 55% (2 vc), 72% (4 vc); "with 4
     // virtual channels doubles the accepted bandwidth".
-    let t1 = ExperimentSpec::tree_adaptive(TreeParams::paper(), 1);
-    let t2 = ExperimentSpec::tree_adaptive(TreeParams::paper(), 2);
-    let t4 = ExperimentSpec::tree_adaptive(TreeParams::paper(), 4);
+    let t1 = named("tree-1vc").unwrap();
+    let t2 = named("tree-2vc").unwrap();
+    let t4 = named("tree-4vc").unwrap();
     let (a1, a2, a4) = (
         accepted(&t1, P::Uniform, 0.95),
         accepted(&t2, P::Uniform, 0.95),
@@ -50,8 +54,12 @@ fn tree_complement_is_congestion_free_and_insensitive_to_vcs() {
     // Section 8: complement saturates around 95% for every flow-control
     // variant, and extra VCs only add latency at moderate load.
     for vcs in [1usize, 2, 4] {
-        let spec = ExperimentSpec::tree_adaptive(TreeParams::paper(), vcs);
-        let out = simulate_load(&spec, P::Complement, 0.9, len());
+        let spec = named(&format!("tree-{vcs}vc")).unwrap();
+        let out = spec
+            .clone()
+            .with_pattern(P::Complement)
+            .with_run_length(len())
+            .simulate(0.9);
         assert!(
             out.accepted_fraction > 0.80,
             "{vcs} vc accepted only {} under complement",
@@ -61,13 +69,13 @@ fn tree_complement_is_congestion_free_and_insensitive_to_vcs() {
     // Latency at moderate load: 1 vc is the fastest (no link
     // multiplexing of the worms).
     let lat = |vcs| {
-        simulate_load(
-            &ExperimentSpec::tree_adaptive(TreeParams::paper(), vcs),
-            P::Complement,
-            0.5,
-            len(),
-        )
-        .mean_latency_cycles()
+        named(&format!("tree-{vcs}vc"))
+            .unwrap()
+            .clone()
+            .with_pattern(P::Complement)
+            .with_run_length(len())
+            .simulate(0.5)
+            .mean_latency_cycles()
     };
     let (l1, l4) = (lat(1), lat(4));
     assert!(
@@ -82,31 +90,15 @@ fn tree_transpose_and_bitrev_track_flow_control() {
     // analogous ("performance results of these communication patterns
     // are very similar").
     for pattern in [P::Transpose, P::BitReversal] {
-        let a1 = accepted(
-            &ExperimentSpec::tree_adaptive(TreeParams::paper(), 1),
-            pattern,
-            0.95,
-        );
-        let a4 = accepted(
-            &ExperimentSpec::tree_adaptive(TreeParams::paper(), 4),
-            pattern,
-            0.95,
-        );
+        let a1 = accepted(&named("tree-1vc").unwrap(), pattern, 0.95);
+        let a4 = accepted(&named("tree-4vc").unwrap(), pattern, 0.95);
         assert!((0.25..0.48).contains(&a1), "{}: 1 vc {a1}", pattern.name());
         assert!((0.60..0.85).contains(&a4), "{}: 4 vc {a4}", pattern.name());
         assert!(a4 > 1.7 * a1, "{}: {a1} -> {a4}", pattern.name());
     }
     // "Very similar": transpose and bit reversal within a few points.
-    let t = accepted(
-        &ExperimentSpec::tree_adaptive(TreeParams::paper(), 2),
-        P::Transpose,
-        0.95,
-    );
-    let b = accepted(
-        &ExperimentSpec::tree_adaptive(TreeParams::paper(), 2),
-        P::BitReversal,
-        0.95,
-    );
+    let t = accepted(&named("tree-2vc").unwrap(), P::Transpose, 0.95);
+    let b = accepted(&named("tree-2vc").unwrap(), P::BitReversal, 0.95);
     assert!((t - b).abs() < 0.08, "transpose {t} vs bitrev {b}");
 }
 
@@ -114,8 +106,8 @@ fn tree_transpose_and_bitrev_track_flow_control() {
 fn cube_uniform_adaptive_beats_deterministic() {
     // Section 9: Duato saturates ~80%, deterministic ~60%; latency low
     // for both before saturation.
-    let det = ExperimentSpec::cube_deterministic(CubeParams::paper());
-    let duato = ExperimentSpec::cube_duato(CubeParams::paper());
+    let det = named("cube-det").unwrap();
+    let duato = named("cube-duato").unwrap();
     let (ad, aa) = (
         accepted(&det, P::Uniform, 0.95),
         accepted(&duato, P::Uniform, 0.95),
@@ -134,7 +126,11 @@ fn cube_uniform_adaptive_beats_deterministic() {
     );
 
     // Pre-saturation latency around 70 cycles (paper Figure 6 b).
-    let lat = simulate_load(&duato, P::Uniform, 0.5, len()).mean_latency_cycles();
+    let lat = duato
+        .clone()
+        .with_run_length(len())
+        .simulate(0.5)
+        .mean_latency_cycles();
     assert!(
         (45.0..100.0).contains(&lat),
         "latency {lat}, paper ~70 cycles"
@@ -146,8 +142,8 @@ fn cube_complement_inverts_the_ranking() {
     // Section 9: "the complement is unusual since dimension order
     // routing helps prevent conflicts": deterministic ~47% (close to
     // the 50% bound), Duato saturates early ~35%.
-    let det = ExperimentSpec::cube_deterministic(CubeParams::paper());
-    let duato = ExperimentSpec::cube_duato(CubeParams::paper());
+    let det = named("cube-det").unwrap();
+    let duato = named("cube-duato").unwrap();
     // Compare near the deterministic algorithm's sweet spot (its
     // throughput peaks around 50% offered, close to the bisection
     // bound) and at deep saturation.
@@ -180,8 +176,8 @@ fn cube_transpose_and_bitrev_favor_adaptivity() {
     // deterministic; bit reversal — 60% vs 20%.
     // Measured at 65% offered: at (or just past) Duato's saturation
     // for both patterns, where the paper reads off its numbers.
-    let det = ExperimentSpec::cube_deterministic(CubeParams::paper());
-    let duato = ExperimentSpec::cube_duato(CubeParams::paper());
+    let det = named("cube-det").unwrap();
+    let duato = named("cube-duato").unwrap();
     for (pattern, det_hi, duato_lo) in [(P::Transpose, 0.33, 0.40), (P::BitReversal, 0.30, 0.50)] {
         let ad = accepted(&det, pattern, 0.65);
         let aa = accepted(&duato, pattern, 0.65);
@@ -199,17 +195,17 @@ fn cube_transpose_and_bitrev_favor_adaptivity() {
 fn figure7_absolute_rankings_uniform() {
     // Section 10: Duato ~440 bits/ns > deterministic ~350 > tree-4vc
     // ~280 > tree-1vc ~150; cube latency about half the tree's.
-    let specs = ExperimentSpec::paper_five();
+    let specs = paper_scenarios();
     let mut abs: std::collections::HashMap<&str, f64> = Default::default();
     let mut lat_ns: std::collections::HashMap<&str, f64> = Default::default();
     for spec in &specs {
         let norm = spec.normalization();
-        let out = simulate_load(spec, P::Uniform, 0.95, len());
+        let out = spec.clone().with_run_length(len()).simulate(0.95);
         abs.insert(
             spec.label(),
             norm.fraction_to_bits_per_ns(out.accepted_fraction),
         );
-        let pre = simulate_load(spec, P::Uniform, 0.3, len());
+        let pre = spec.clone().with_run_length(len()).simulate(0.3);
         lat_ns.insert(spec.label(), norm.cycles_to_ns(pre.mean_latency_cycles()));
     }
     assert!(abs["cube, Duato"] > abs["cube, deterministic"]);
@@ -229,15 +225,9 @@ fn post_saturation_throughput_is_stable() {
     // Section 6 asks for stable accepted bandwidth after saturation;
     // Sections 8-9 confirm it for every configuration.
     for (spec, pattern) in [
-        (ExperimentSpec::cube_duato(CubeParams::paper()), P::Uniform),
-        (
-            ExperimentSpec::cube_deterministic(CubeParams::paper()),
-            P::Transpose,
-        ),
-        (
-            ExperimentSpec::tree_adaptive(TreeParams::paper(), 2),
-            P::Uniform,
-        ),
+        (named("cube-duato").unwrap(), P::Uniform),
+        (named("cube-det").unwrap(), P::Transpose),
+        (named("tree-2vc").unwrap(), P::Uniform),
     ] {
         let at_sat = accepted(&spec, pattern, 0.85);
         let beyond = accepted(&spec, pattern, 1.0);

@@ -69,15 +69,14 @@ fn open_loop_mode_produces_no_replies() {
 fn request_reply_doubles_effective_load() {
     // At the same request rate, request-reply traffic carries twice the
     // flits: accepted bandwidth doubles while below saturation.
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
-    let open = spec.config_at(
-        P::Uniform,
-        0.3,
-        RunLength {
+    let spec = named("cube-duato").unwrap();
+    let open = spec
+        .clone()
+        .with_run_length(RunLength {
             warmup: 1_500,
             total: 7_000,
-        },
-    );
+        })
+        .config_at(0.3);
     let mut rr = open;
     rr.request_reply = true;
     let algo = spec.build_algorithm();
@@ -95,12 +94,12 @@ fn request_reply_doubles_effective_load() {
 fn request_reply_saturates_earlier_in_request_rate() {
     // The reply traffic consumes the same network: saturation in
     // *request* rate arrives at about half the open-loop point.
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
+    let spec = named("cube-duato").unwrap();
     let len = RunLength {
         warmup: 1_500,
         total: 7_000,
     };
-    let mut cfg = spec.config_at(P::Uniform, 0.6, len);
+    let mut cfg = spec.clone().with_run_length(len).config_at(0.6);
     cfg.request_reply = true;
     let algo = spec.build_algorithm();
     let out = run_simulation(algo.as_ref(), &cfg);
@@ -112,7 +111,7 @@ fn request_reply_saturates_earlier_in_request_rate() {
         out.backlog_packets
     );
 
-    let mut cfg = spec.config_at(P::Uniform, 0.35, len);
+    let mut cfg = spec.clone().with_run_length(len).config_at(0.35);
     cfg.request_reply = true;
     let out = run_simulation(algo.as_ref(), &cfg);
     // 0.7 of capacity total: still fluid.

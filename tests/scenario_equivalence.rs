@@ -1,7 +1,7 @@
 //! Equivalence guard for the scenario refactor.
 //!
 //! The golden tuples below were captured from the pre-scenario
-//! `ExperimentSpec` implementation (label, pattern, offered load →
+//! experiment harness (label, pattern, offered load →
 //! derived seed, created packets, delivered packets, accepted-fraction
 //! bits) at `RunLength::quick()`. The scenario plane must reproduce
 //! them **bit-for-bit**: same FNV-derived seeds, same injection rates,
@@ -365,40 +365,6 @@ fn registry_counters_are_bit_identical_to_the_legacy_harness() {
             bits,
             "{name} transpose: accepted"
         );
-    }
-}
-
-#[test]
-fn experiment_spec_wrapper_and_registry_agree_on_configs() {
-    // The deprecated-alias path (ExperimentSpec) and the registry path
-    // must hand the engine the exact same SimConfig at every paper
-    // configuration and load.
-    let specs = ExperimentSpec::paper_five();
-    let scenarios = paper_scenarios();
-    assert_eq!(specs.len(), scenarios.len());
-    for (spec, scenario) in specs.iter().zip(&scenarios) {
-        assert_eq!(spec.label(), scenario.label());
-        for pattern in [Pattern::Uniform, Pattern::Complement, Pattern::BitReversal] {
-            for load in [0.15, 0.5, 0.85] {
-                let legacy = spec.config_at(pattern, load, RunLength::paper());
-                let new = scenario
-                    .clone()
-                    .with_pattern(pattern)
-                    .with_run_length(RunLength::paper())
-                    .config_at(load);
-                assert_eq!(legacy.seed, new.seed);
-                assert_eq!(legacy.flits_per_packet, new.flits_per_packet);
-                assert_eq!(legacy.injection_limit, new.injection_limit);
-                assert_eq!(legacy.buffer_depth, new.buffer_depth);
-                assert_eq!(legacy.warmup_cycles, new.warmup_cycles);
-                assert_eq!(legacy.total_cycles, new.total_cycles);
-                assert_eq!(
-                    legacy.injection.mean_rate().to_bits(),
-                    new.injection.mean_rate().to_bits(),
-                    "injection rate must be the same f64 expression"
-                );
-            }
-        }
     }
 }
 

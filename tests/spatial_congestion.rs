@@ -6,7 +6,7 @@ use netperf::prelude::*;
 use netperf::traffic::{Bernoulli, Pattern as P, TrafficGen};
 
 fn forwarded(pattern: P, cycles: u32) -> Vec<u64> {
-    let spec = ExperimentSpec::cube_duato(CubeParams::paper());
+    let spec = named("cube-duato").unwrap();
     let norm = spec.normalization();
     let algo = spec.build_algorithm();
     let rate = norm.packet_rate(0.5);
@@ -108,7 +108,7 @@ fn bitrev_leaves_underloaded_areas() {
 #[test]
 fn link_counters_are_consistent_with_delivery() {
     // Ejection-channel counters must sum to the delivered flits.
-    let spec = ExperimentSpec::cube_duato(CubeParams::tiny());
+    let spec = named("cube-duato-tiny").unwrap();
     let norm = spec.normalization();
     let algo = spec.build_algorithm();
     let rate = norm.packet_rate(0.4);
