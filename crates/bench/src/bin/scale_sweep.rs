@@ -1,4 +1,4 @@
-//! Strong/weak-scaling panel of the sharded stepper.
+//! Strong/weak-scaling panel of sharded runs (wheel schedule, the default).
 //!
 //! Runs a ladder of network sizes — the paper's 4-ary 4-tree (256
 //! nodes) plus the beyond-paper registry entries `cube-32ary-2`
@@ -38,7 +38,7 @@ use traffic::{Bernoulli, InjectionProcess, TrafficGen};
 /// below saturation, where all sizes run stably.
 const LOAD: f64 = 0.3;
 
-/// Shard counts per size. 1 is the serial stepper (the baseline the
+/// Shard counts per size. 1 is the serial run (the baseline the
 /// speedup column divides by).
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
 
@@ -120,12 +120,12 @@ impl SpecVisitor for TimeSharded<'_> {
             eng.set_request_reply(cfg.request_reply);
             if self.shards <= 1 {
                 let start = Instant::now();
-                eng.run(self.cycles);
+                eng.run_wheel(self.cycles);
                 (start.elapsed().as_secs_f64(), eng.counters())
             } else {
                 let mut plan = eng.shard_plan(self.shards, self.threads);
                 let start = Instant::now();
-                eng.run_sharded(self.cycles, &mut plan);
+                eng.run_wheel_sharded(self.cycles, &mut plan);
                 (start.elapsed().as_secs_f64(), eng.counters())
             }
         })

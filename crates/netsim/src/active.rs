@@ -6,88 +6,64 @@
 //! the set bits with `trailing_zeros`. Because the words are scanned in
 //! ascending order, iteration visits members in ascending id order —
 //! exactly the order of the naive `for r in 0..n` scan it replaces,
-//! which is what keeps the optimized engine bit-identical to the
-//! reference step (the routing phase consumes a shared RNG stream, so
-//! visit *order* is observable).
+//! which is what keeps the masked kernel bit-identical to the
+//! `reference` audit (the routing phase consumes a shared RNG stream,
+//! so visit *order* is observable).
 //!
 //! Membership updates during a phase are restricted by construction:
 //! a phase may remove the member it is currently visiting (it drained)
 //! and may insert into the worklists of *later* phases, but never
-//! inserts into the set it is iterating. [`ActiveSet::for_each_ascending`]
-//! relies on this: it snapshots one word at a time, so removals of
-//! already-cleared bits and insertions elsewhere cannot be missed.
+//! inserts into the set it is iterating. The phase walks snapshot one
+//! word at a time, so removals of already-visited bits and insertions
+//! elsewhere cannot be missed.
 //!
-//! # Sparse-drain summary index
-//!
-//! Each set additionally keeps a one-level *summary* bitmap: summary
-//! bit `j` is set when word `j` holds any member. A scan that consults
-//! the summary ([`ActiveSet::summary_word`]) skips 64 empty words —
-//! 4096 inactive routers — per cleared summary bit, which is what lets
-//! a nearly-drained network skip whole phase regions instead of only
-//! whole-idle cycles. The summary is maintained exactly by
-//! [`ActiveSet::insert`]/[`ActiveSet::remove`]; code that edits the
-//! backing words directly (the sharded stepper hands workers raw word
-//! ranges via `ActiveSet::words_mut`) marks the summary dirty, and
-//! [`ActiveSet::sync_summary`] rebuilds it before the next
-//! summary-driven scan.
+//! The phase kernel works on the backing words directly
+//! (`ActiveSet::words_mut`, `set_bit`, `clear_bit`): a shard of a
+//! sharded run owns the word sub-range covering its 64-aligned id
+//! range, and the serial run owns all of them.
+
+/// Set bit `id` in a word slice whose first word covers ids `0..64`.
+#[inline]
+pub(crate) fn set_bit(words: &mut [u64], id: usize) {
+    words[id >> 6] |= 1u64 << (id & 63);
+}
+
+/// Clear bit `id`, same addressing as [`set_bit`].
+#[inline]
+pub(crate) fn clear_bit(words: &mut [u64], id: usize) {
+    words[id >> 6] &= !(1u64 << (id & 63));
+}
 
 /// A bitset over `0..capacity` ids supporting ascending iteration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ActiveSet {
     words: Vec<u64>,
-    /// Summary bitmap: bit `j` ⇔ `words[j] != 0` (exact unless `dirty`).
-    summary: Vec<u64>,
-    /// The summary may be stale: raw word access via `words_mut`
-    /// bypasses the insert/remove maintenance.
-    dirty: bool,
 }
 
 impl ActiveSet {
     /// An empty set able to hold ids `0..capacity`.
     pub fn new(capacity: usize) -> Self {
-        let words = capacity.div_ceil(64);
         ActiveSet {
-            words: vec![0; words],
-            summary: vec![0; words.div_ceil(64)],
-            dirty: false,
+            words: vec![0; capacity.div_ceil(64)],
         }
     }
 
     /// Add `id` (idempotent).
     #[inline]
     pub fn insert(&mut self, id: usize) {
-        let wi = id >> 6;
-        self.words[wi] |= 1u64 << (id & 63);
-        // The word is now non-zero whether or not it already was.
-        self.summary[wi >> 6] |= 1u64 << (wi & 63);
+        set_bit(&mut self.words, id);
     }
 
     /// Remove `id` (idempotent).
     #[inline]
     pub fn remove(&mut self, id: usize) {
-        let wi = id >> 6;
-        self.words[wi] &= !(1u64 << (id & 63));
-        if self.words[wi] == 0 {
-            self.summary[wi >> 6] &= !(1u64 << (wi & 63));
-        }
+        clear_bit(&mut self.words, id);
     }
 
-    /// Remove every id in `bits` of word `wi` at once (the batch form
-    /// used by the wide scans to retire members whose enabling
-    /// condition is already clear, without visiting them one by one).
-    #[inline]
-    pub fn remove_word_bits(&mut self, wi: usize, bits: u64) {
-        self.words[wi] &= !bits;
-        if self.words[wi] == 0 {
-            self.summary[wi >> 6] &= !(1u64 << (wi & 63));
-        }
-    }
-
-    /// Empty the set (exact summary, no dirty marking).
+    /// Empty the set.
     #[inline]
     pub fn clear(&mut self) {
         self.words.fill(0);
-        self.summary.fill(0);
     }
 
     /// Whether `id` is a member.
@@ -98,10 +74,7 @@ impl ActiveSet {
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        if self.dirty {
-            return self.words.iter().all(|&w| w == 0);
-        }
-        self.summary.iter().all(|&s| s == 0)
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// Number of members.
@@ -109,97 +82,22 @@ impl ActiveSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Number of words (used by the engine's iteration loops, which
-    /// cannot borrow `self` across the visit callback).
+    /// The backing words (bit `b` of word `w` is id `w * 64 + b`).
     #[inline]
-    pub fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Snapshot of word `wi` (bits `wi*64 .. wi*64+64`).
-    #[inline]
-    pub fn word(&self, wi: usize) -> u64 {
-        self.words[wi]
-    }
-
-    /// Number of summary words.
-    #[inline]
-    pub fn num_summary_words(&self) -> usize {
-        self.summary.len()
-    }
-
-    /// Snapshot of summary word `si` (bit `j` ⇔ word `si*64 + j` holds
-    /// a member). Callers must [`ActiveSet::sync_summary`] first if raw
-    /// word mutation may have happened since the last sync.
-    #[inline]
-    pub fn summary_word(&self, si: usize) -> u64 {
-        self.summary[si]
-    }
-
-    /// Rebuild the summary from the words if raw word access may have
-    /// left it stale. O(1) when clean; called at the top of every
-    /// summary-driven scan.
-    pub fn sync_summary(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        for (si, s) in self.summary.iter_mut().enumerate() {
-            let mut bits = 0u64;
-            let base = si << 6;
-            let lim = (self.words.len() - base).min(64);
-            for j in 0..lim {
-                bits |= u64::from(self.words[base + j] != 0) << j;
-            }
-            *s = bits;
-        }
-        self.dirty = false;
-    }
-
-    /// The backing words as a shared slice (read-only snapshot view).
-    #[inline]
-    pub(crate) fn words(&self) -> &[u64] {
+    pub fn words(&self) -> &[u64] {
         &self.words
     }
 
-    /// The backing words as a mutable slice. Used by the sharded
-    /// stepper, which hands each worker the word sub-range covering its
-    /// id range; shard boundaries are 64-aligned, so the per-shard word
-    /// slices partition the set exactly. Marks the summary dirty —
-    /// [`ActiveSet::sync_summary`] rebuilds it before the next
-    /// summary-driven scan.
+    /// The backing words, mutably (see the module docs).
     #[inline]
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        self.dirty = true;
         &mut self.words
-    }
-
-    /// Visit every member in ascending order. The callback may mutate
-    /// the set through other references only per the module contract
-    /// (remove the current member / insert into *other* sets); this
-    /// method takes `&self` snapshots word by word.
-    pub fn for_each_ascending(&self, mut f: impl FnMut(usize)) {
-        for (wi, &w) in self.words.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let id = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(id);
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn summary_exact(s: &mut ActiveSet) -> bool {
-        s.sync_summary();
-        (0..s.num_words()).all(|wi| {
-            let bit = s.summary_word(wi >> 6) & (1u64 << (wi & 63)) != 0;
-            bit == (s.word(wi) != 0)
-        })
-    }
 
     #[test]
     fn insert_remove_contains() {
@@ -216,66 +114,18 @@ mod tests {
         s.remove(63); // idempotent
         assert!(!s.contains(63));
         assert_eq!(s.len(), 3);
-        assert!(summary_exact(&mut s));
+        s.clear();
+        assert!(s.is_empty());
     }
 
     #[test]
-    fn iteration_is_ascending() {
-        let mut s = ActiveSet::new(300);
-        let members = [5usize, 0, 255, 64, 63, 128, 299];
-        for &m in &members {
-            s.insert(m);
-        }
-        let mut seen = Vec::new();
-        s.for_each_ascending(|id| seen.push(id));
-        let mut sorted = members.to_vec();
-        sorted.sort_unstable();
-        assert_eq!(seen, sorted);
-    }
-
-    #[test]
-    fn word_snapshots_match() {
+    fn words_expose_members_in_ascending_order() {
         let mut s = ActiveSet::new(130);
         s.insert(1);
         s.insert(129);
-        assert_eq!(s.num_words(), 3);
-        assert_eq!(s.word(0), 2);
-        assert_eq!(s.word(2), 2);
-    }
-
-    #[test]
-    fn summary_tracks_insert_remove_and_batch_ops() {
-        let mut s = ActiveSet::new(64 * 70); // two summary words
-        assert_eq!(s.num_summary_words(), 2);
-        s.insert(0);
-        s.insert(64 * 65 + 3);
-        assert_eq!(s.summary_word(0), 1);
-        assert_eq!(s.summary_word(1), 1 << 1);
-        s.remove(64 * 65 + 3);
-        assert_eq!(s.summary_word(1), 0);
-        s.insert(65);
-        s.insert(70);
-        s.remove_word_bits(1, (1 << 1) | (1 << 6));
-        assert_eq!(s.summary_word(0), 1, "word 1 emptied by batch remove");
-        assert!(summary_exact(&mut s));
-        s.clear();
-        assert!(s.is_empty());
-        assert!(summary_exact(&mut s));
-    }
-
-    #[test]
-    fn raw_word_access_marks_dirty_and_sync_repairs() {
-        let mut s = ActiveSet::new(64 * 3);
-        s.insert(5);
-        {
-            let words = s.words_mut();
-            words[0] = 0; // remove behind the summary's back
-            words[2] = 0b1010; // insert behind the summary's back
-        }
-        s.sync_summary();
-        assert_eq!(s.summary_word(0), 1 << 2);
-        assert!(summary_exact(&mut s));
-        assert!(!s.contains(5));
-        assert!(s.contains(64 * 2 + 1));
+        assert_eq!(s.words(), &[2, 0, 2]);
+        set_bit(s.words_mut(), 64);
+        clear_bit(s.words_mut(), 1);
+        assert!(s.contains(64) && !s.contains(1));
     }
 }

@@ -23,81 +23,59 @@
 //!    (source throttling) and streams one flit per cycle into the chosen
 //!    injection lane.
 //!
-//! # Performance architecture: active sets and lane masks
+//! # One lane store, one kernel
 //!
-//! The engine's per-cycle cost is proportional to *active* work, not to
-//! network size. Three mechanisms cooperate:
+//! All lane state — queues, credits, occupancy masks, arbiter cursors,
+//! the phase worklists — lives in the flat struct-of-arrays banks of
+//! `soa`, and every phase handler is written once over them. The
+//! per-cycle cost is proportional to *active* work, not network size:
+//! each phase walks a bitset worklist of only the routers (or nodes)
+//! that can act this cycle, and each router's lanes through `u64`
+//! occupancy masks with `trailing_zeros`. The engine is monomorphized
+//! over the routing algorithm (the per-header `route` call inlines),
+//! the telemetry [`Probe`] and the [`FaultModel`], so the untraced
+//! healthy run pays for neither.
 //!
-//! * **Per-phase worklists** ([`crate::active::ActiveSet`]): the link,
-//!   crossbar and routing phases each walk a bitset of only the routers
-//!   that can possibly act this cycle. A router enters a worklist when
-//!   the enabling event occurs (a flit buffered on an output lane, an
-//!   input lane with an assigned crossbar path, an unrouted header) and
-//!   leaves when it drains, so idle routers cost exactly zero. The
-//!   injection-link loop keeps the analogous worklist over nodes.
-//! * **Occupancy lane masks**: alongside the pre-existing `pending`
-//!   (unrouted header at the front) and `out_bound` (crossbar path ends
-//!   here) masks, every router tracks `in_occ`/`out_occ` (non-empty
-//!   input/output lanes) and `routed` (lanes with an assigned output).
-//!   Phase inner loops walk set bits with `trailing_zeros` instead of
-//!   inspecting every `port × vc` lane.
-//! * **Monomorphized routing dispatch**: [`Engine`] is generic over the
-//!   routing algorithm (defaulting to `dyn RoutingAlgorithm`, so the
-//!   boxed API keeps working); constructing it with a concrete algorithm
-//!   type lets the per-header `route` call inline into the routing phase.
+//! How a run is executed varies along three independent axes, none of
+//! which can change a result — counters, packet table, RNG consumption
+//! order, probe event stream and state hash are bit-identical across
+//! all of them (`tests/engine_equivalence.rs`):
 //!
-//! The optimization is *observably equivalent* to the naive
-//! scan-everything stepper by construction: both step functions drive
-//! the identical per-router handlers, worklists iterate in ascending id
-//! order (the same order as the naive scans — visit order is observable
-//! through the shared selection-policy RNG), and the reference stepper
-//! [`Engine::step_reference`] (kept for tests and benchmark baselines
-//! behind the `reference-engine` feature) maintains the same masks so
-//! the two can even be interleaved. `tests/engine_equivalence.rs` and
-//! the unit tests below assert bit-identical outcomes.
+//! * **Schedule** — *every cycle* ([`Engine::run`]) ticks every node's
+//!   creation process each cycle; the *wheel* ([`Engine::run_wheel`],
+//!   module [`wheel`]; what `netperf` runs) files future firings in a
+//!   calendar queue, visits only firing and backlogged nodes, and
+//!   fast-forwards over cycles in which nothing can happen.
+//! * **Partition** — *serial*, or *sharded* (`*_sharded`, module
+//!   [`shard`]): the same handlers over one slice of the banks per
+//!   shard, with barriers applying what crosses shard boundaries.
+//! * **Scan** — the worklist/mask walk, or the `reference` audit
+//!   ([`Engine::run_reference`], feature `reference-engine`): the same
+//!   handlers with `MASKED = false`, visiting every router, port and
+//!   lane and inspecting the queues directly — an error in the mask or
+//!   worklist bookkeeping makes the two diverge.
 //!
-//! # Execution modes
-//!
-//! Beyond the serial active-set stepper ([`Engine::step`]) and the
-//! scan-everything reference ([`Engine::step_reference`]), the engine
-//! offers two further execution modes, both bit-identical to the
-//! active-set stepper by the same visit-order argument:
-//!
-//! * **SoA** ([`Engine::step_soa`], module [`soa`]): lane queues,
-//!   credits and occupancy masks live in flat struct-of-arrays banks so
-//!   each phase becomes a chunked word-wide scan over a dense mask
-//!   array instead of a worklist walk over scattered router structs.
-//! * **Wheel** ([`Engine::step_wheel`], module [`wheel`]): rides on the
-//!   SoA banks and additionally indexes future injection-process
-//!   firings by cycle in a calendar queue, so an idle network
-//!   fast-forwards over cycles whose wheel slot is empty.
-//!
-//! Mode state is carried in `Option` side structures; any entry point
-//! that needs the canonical array-of-structs layout (the classic
-//! steppers, snapshots, invariant checks) first calls
-//! [`Engine::to_aos`], so the modes interleave freely.
-//!
-//! A watchdog panics if flits are in flight but nothing has moved for
-//! a long time — with the deadlock-free routing functions of the
-//! `routing` crate this must never fire, and the integration tests rely
-//! on it as a runtime deadlock detector.
+//! A watchdog reports a [`Stall`] if flits are in flight but nothing
+//! has moved for a long time — with the deadlock-free routing functions
+//! of the `routing` crate this must never fire, and the integration
+//! tests rely on it as a runtime deadlock detector.
 #![deny(missing_docs)]
 
 pub mod shard;
-mod simd;
 pub mod snapshot;
-pub mod soa;
+mod soa;
 pub mod wheel;
 
-use crate::active::ActiveSet;
+use crate::active::{clear_bit, set_bit};
 use crate::fault::{FaultModel, LinkFlip, NoFaults};
 use crate::flit::{Flit, PacketRec, HEAD, NEVER, TAIL};
-use crate::queue::FlitQueue;
 use crate::wiring::{Peer, Wiring};
 use routing::{CandidateSet, RoutingAlgorithm};
+use shard::ShardPlan;
+use soa::{Direct, Env, Lanes, Prepared, SoaBanks};
 use std::collections::VecDeque;
-use telemetry::{LinkKind, NullProbe, Probe};
-use topology::{NodeId, RouterId};
+use telemetry::{NullProbe, Probe};
+use topology::NodeId;
 use traffic::{InjectionProcess, Rng64, TrafficGen};
 
 /// Sentinel for "no route assigned".
@@ -115,38 +93,7 @@ const DROP_ROUTE: u32 = u32::MAX - 1;
 /// stall for at most a few round-trips of credit propagation.
 const WATCHDOG_CYCLES: u32 = 50_000;
 
-struct RouterState {
-    /// Input lanes, indexed `port * vcs + vc`.
-    in_q: Vec<FlitQueue>,
-    /// Assigned output lane per input lane (`NO_ROUTE` if none); applies
-    /// to the packet currently at the head of the lane.
-    in_route: Vec<u32>,
-    /// Output lanes, same indexing.
-    out_q: Vec<FlitQueue>,
-    /// Credits: free buffers in the downstream input lane.
-    out_credits: Vec<u8>,
-    /// Bitmask: whether a crossbar path currently ends at each output
-    /// lane (bit = lane index).
-    out_bound: u64,
-    /// Bitmask of output lanes on ports cabled to another router (used
-    /// by the limited-injection throttle).
-    network_lanes: u64,
-    /// Bitmask of input lanes holding an unrouted header at the front.
-    pending: u64,
-    /// Bitmask of non-empty input lanes.
-    in_occ: u64,
-    /// Bitmask of non-empty output lanes.
-    out_occ: u64,
-    /// Bitmask of input lanes with an assigned route (mirror of
-    /// `in_route[l] != NO_ROUTE`, kept as a mask so the crossbar phase
-    /// can intersect it with `in_occ` and walk only live lanes).
-    routed: u64,
-    /// Round-robin cursor for the routing phase.
-    route_rr: u32,
-    /// Round-robin cursor per port for the link arbiter.
-    link_rr: Vec<u8>,
-}
-
+/// The source side of one node (its injection lanes are in the banks).
 struct NodeState {
     /// Unbounded source queue of created packets (ids).
     src_queue: VecDeque<u32>,
@@ -154,14 +101,6 @@ struct NodeState {
     active: Option<(u32, u16)>,
     /// Injection lane of the active packet.
     active_lane: u8,
-    /// Node-side injection lanes (one per VC).
-    lanes: Vec<FlitQueue>,
-    /// Credits towards the router's node-port input lanes.
-    credits: Vec<u8>,
-    /// Bitmask of non-empty node-side lanes.
-    lane_occ: u64,
-    /// Round-robin cursor for lane choice and the injection link arbiter.
-    lane_rr: u8,
     /// Per-node random stream (destinations + injection process).
     rng: Rng64,
     /// Packet creation process.
@@ -202,20 +141,18 @@ pub struct Counters {
 ///
 /// Generic over the routing algorithm so concrete instantiations
 /// (`Engine<'_, CubeDuato>` etc.) inline the per-header route call; the
-/// default parameter keeps the historical boxed form `Engine<'_>`
-/// (= `Engine<'_, dyn RoutingAlgorithm>`) source-compatible.
+/// default parameter keeps the boxed form `Engine<'_>`
+/// (= `Engine<'_, dyn RoutingAlgorithm>`) available.
 ///
 /// Also generic over the telemetry [`Probe`] observing the run. The
 /// default [`NullProbe`] monomorphizes every observation call to an
-/// inlined empty body, so an untraced engine compiles to the same hot
-/// path as before the telemetry plane existed (pinned by
-/// `bench_engine`); [`Engine::with_probe`] attaches a recording probe
-/// such as `telemetry::FlightRecorder`.
+/// inlined empty body, so an untraced engine pays nothing for the
+/// telemetry plane (pinned by `bench_engine`); [`Engine::with_probe`]
+/// attaches a recording probe such as `telemetry::FlightRecorder`.
 ///
 /// Finally, generic over the [`FaultModel`] degrading the network. The
 /// default [`NoFaults`] has `ACTIVE = false`, so every fault check
-/// (each written `F::ACTIVE && …`) constant-folds away and the healthy
-/// engine is the pre-fault-plane code, bit for bit;
+/// (each written `F::ACTIVE && …`) constant-folds away;
 /// [`Engine::with_probe_and_faults`] attaches a compiled
 /// [`crate::fault::FaultState`].
 pub struct Engine<
@@ -230,7 +167,12 @@ pub struct Engine<
     lanes_per_router: usize,
     flits_per_packet: u16,
     pattern: TrafficGen,
-    routers: Vec<RouterState>,
+    /// Every lane of the network (taken out for the duration of a
+    /// cycle, see [`Engine::cycle_serial`]).
+    banks: SoaBanks,
+    /// Per router: bitmask of output lanes on ports cabled to another
+    /// router (used by the limited-injection throttle).
+    network_lanes: Vec<u64>,
     nodes: Vec<NodeState>,
     packets: Vec<PacketRec>,
     cycle: u32,
@@ -250,18 +192,6 @@ pub struct Engine<
     /// shared-memory read traffic of the machines in the paper's
     /// introduction). Replies are not answered again.
     request_reply: bool,
-    /// Flits transmitted per directed channel (`router * ports + port`),
-    /// for spatial congestion analysis. Ejection channels included;
-    /// injection channels are tracked per node separately.
-    link_flits: Vec<u64>,
-    /// Routers with at least one non-empty output lane (`out_occ != 0`).
-    link_work: ActiveSet,
-    /// Routers with a forwardable input lane (`in_occ & routed != 0`).
-    xbar_work: ActiveSet,
-    /// Routers with an unrouted header (`pending != 0`).
-    route_work: ActiveSet,
-    /// Nodes with a non-empty injection lane (`lane_occ != 0`).
-    inject_work: ActiveSet,
     /// Requests delivered this cycle awaiting reply creation
     /// (request-reply mode); drained at the end of the link phase.
     reply_buf: Vec<u32>,
@@ -271,30 +201,18 @@ pub struct Engine<
     faults: F,
     /// Scratch buffer for per-cycle fault transitions (reused).
     fault_flips: Vec<LinkFlip>,
-    /// Stall captured by the watchdog when `report_stall` is set
-    /// (instead of panicking).
+    /// Stall captured by the watchdog.
     stall: Option<Stall>,
-    /// Report watchdog trips through [`Engine::stall`] rather than
-    /// panicking (set by [`Engine::run_checked`]).
-    report_stall: bool,
-    /// Struct-of-arrays lane banks, mounted while the engine runs in
-    /// SoA or wheel mode (see [`soa`]); `None` in the canonical
-    /// array-of-structs layout. [`Engine::to_aos`] writes them back.
-    soa: Option<Box<soa::SoaBanks>>,
-    /// Event-wheel injection scheduler, mounted while the engine runs
-    /// in wheel mode (see [`wheel`]); rides on mounted SoA banks when
-    /// present, or directly on the array-of-structs layout (the
-    /// wheel-sharded stepper). [`Engine::to_aos`] replays it away.
+    /// The calendar queue of the wheel schedule (see [`wheel`]),
+    /// mounted while the engine runs on it. The nodes' `rng`/`proc`
+    /// state is scanned ahead of the clock while it is;
+    /// [`Engine::to_aos`] replays it away.
     wheel: Option<Box<wheel::WheelState>>,
-    /// Use the scalar twins of the wide mask scans (see [`simd`]).
-    /// Defaults to the `scalar-scan` cargo feature; both paths are
-    /// always compiled, so tests can flip this at runtime.
-    scalar_scan: bool,
 }
 
-/// A watchdog trip, reported by [`Engine::run_checked`]: flits were in
-/// flight but nothing moved for the watchdog horizon — the network is
-/// deadlocked (or a fault configuration wedged it).
+/// A watchdog trip: flits were in flight but nothing moved for the
+/// watchdog horizon — the network is deadlocked (or a fault
+/// configuration wedged it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stall {
     /// Cycle at which the watchdog gave up.
@@ -388,11 +306,6 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     ) -> Self {
         let w = Wiring::from_topology(algo.topology());
         let vcs = algo.num_vcs();
-        let lanes = w.ports * vcs;
-        assert!(
-            lanes <= 64,
-            "pending bitmask supports at most 64 lanes per router"
-        );
         assert_eq!(
             pattern.num_nodes(),
             w.num_nodes,
@@ -400,55 +313,33 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         );
         assert!(flits_per_packet >= 1);
 
-        let master = Rng64::seed_from(seed);
-        let mut routers: Vec<RouterState> = (0..w.num_routers)
-            .map(|_| RouterState {
-                in_q: (0..lanes).map(|_| FlitQueue::new(buf)).collect(),
-                in_route: vec![NO_ROUTE; lanes],
-                out_q: (0..lanes).map(|_| FlitQueue::new(buf)).collect(),
-                out_credits: vec![buf as u8; lanes],
-                out_bound: 0,
-                network_lanes: 0,
-                pending: 0,
-                in_occ: 0,
-                out_occ: 0,
-                routed: 0,
-                route_rr: 0,
-                link_rr: vec![0; w.ports],
+        let banks = SoaBanks::new(&w, vcs, buf);
+        let network_lanes = (0..w.num_routers)
+            .map(|r| {
+                (0..w.ports)
+                    .filter(|&p| matches!(w.peer(r, p), Peer::Router { .. }))
+                    .fold(0u64, |m, p| m | ((1u64 << vcs) - 1) << (p * vcs))
             })
             .collect();
-        for (r, rs) in routers.iter_mut().enumerate() {
-            for p in 0..w.ports {
-                if matches!(w.peer(r, p), Peer::Router { .. }) {
-                    rs.network_lanes |= ((1u64 << vcs) - 1) << (p * vcs);
-                }
-            }
-        }
+        let master = Rng64::seed_from(seed);
         let nodes = (0..w.num_nodes)
             .map(|n| NodeState {
                 src_queue: VecDeque::new(),
                 active: None,
                 active_lane: 0,
-                lanes: (0..vcs).map(|_| FlitQueue::new(buf)).collect(),
-                credits: vec![buf as u8; vcs],
-                lane_occ: 0,
-                lane_rr: 0,
                 rng: master.derive(n as u64 + 1),
                 proc: make_proc(n),
             })
             .collect();
-
-        let num_channels = w.num_routers * w.ports;
-        let num_routers = w.num_routers;
-        let num_nodes = w.num_nodes;
         Engine {
             algo,
-            w,
             vcs,
-            lanes_per_router: lanes,
+            lanes_per_router: w.ports * vcs,
+            w,
             flits_per_packet,
             pattern,
-            routers,
+            banks,
+            network_lanes,
             nodes,
             packets: Vec::new(),
             cycle: 0,
@@ -459,35 +350,13 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             rng: master.derive(0),
             injection_limit: None,
             request_reply: false,
-            link_flits: vec![0; num_channels],
-            link_work: ActiveSet::new(num_routers),
-            xbar_work: ActiveSet::new(num_routers),
-            route_work: ActiveSet::new(num_routers),
-            inject_work: ActiveSet::new(num_nodes),
             reply_buf: Vec::new(),
             probe,
             faults,
             fault_flips: Vec::new(),
             stall: None,
-            report_stall: false,
-            soa: None,
             wheel: None,
-            scalar_scan: cfg!(feature = "scalar-scan"),
         }
-    }
-
-    /// Force (or release) the scalar fallback of the SoA wide mask
-    /// scans. Both the SIMD and the scalar path are always compiled
-    /// and bit-identical; the default comes from the `scalar-scan`
-    /// cargo feature. Purely an execution detail — never observable in
-    /// results.
-    pub fn set_scalar_scan(&mut self, scalar: bool) {
-        self.scalar_scan = scalar;
-    }
-
-    /// Whether the SoA scans currently run their scalar fallback.
-    pub fn scalar_scan(&self) -> bool {
-        self.scalar_scan
     }
 
     /// Shared access to the attached probe.
@@ -545,236 +414,44 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             .sum()
     }
 
-    /// Advance the simulation by `cycles` clocks.
-    pub fn run(&mut self, cycles: u32) {
-        for _ in 0..cycles {
-            self.step();
-        }
-    }
-
-    /// Advance by `cycles` clocks with the watchdog reporting instead
-    /// of panicking: a run that stops making progress (flits in flight,
-    /// nothing moving for the watchdog horizon) returns the [`Stall`]
-    /// as a structured error rather than aborting the process.
-    pub fn run_checked(&mut self, cycles: u32) -> Result<(), Stall> {
-        self.report_stall = true;
-        for _ in 0..cycles {
-            self.step();
-            if let Some(s) = self.stall {
-                return Err(s);
-            }
-        }
-        Ok(())
-    }
-
-    /// The stall captured by the watchdog under [`Engine::run_checked`],
-    /// if any.
+    /// The stall captured by the watchdog, if any.
     pub fn stall(&self) -> Option<Stall> {
         self.stall
     }
 
-    /// Apply this cycle's transient fault transitions and report them
-    /// to the probe. Called only when `F::ACTIVE`.
-    fn begin_fault_cycle(&mut self) {
-        let mut flips = std::mem::take(&mut self.fault_flips);
-        self.faults.begin_cycle(self.cycle, &mut flips);
-        for fl in flips.drain(..) {
-            self.probe
-                .fault_transition(self.cycle, fl.router, fl.port, fl.down);
-        }
-        self.fault_flips = flips; // return the allocation
-    }
+    // -----------------------------------------------------------------
+    // Running: schedule × partition × scan.
+    // -----------------------------------------------------------------
 
-    /// Return the engine to the canonical array-of-structs layout: if
-    /// a wheel is mounted, replay its scanned-ahead injection state
-    /// back to the canonical per-node streams; if SoA banks are
-    /// mounted, write them back into the per-router/per-node structs
-    /// (the phase worklists are maintained as usual while the banks
-    /// are mounted, so they carry over unchanged). Idempotent and free
-    /// when already in AoS mode. Every AoS entry point (the classic
-    /// steppers, snapshots, invariant checks) calls this first, which
-    /// is what lets the execution modes interleave freely while staying
-    /// bit-identical.
-    pub fn to_aos(&mut self) {
-        if self.wheel.is_some() {
-            self.wheel_resync();
+    /// Advance by `cycles` clocks on the chosen schedule, `cycle`
+    /// executing one clock. A watchdog trip ends the run with the
+    /// [`Stall`] as a structured error.
+    ///
+    /// # Panics
+    /// Panics if the cycle counter would overflow (`sim` reports that
+    /// case as `SimError::CycleOverflow` before it gets here).
+    fn drive(
+        &mut self,
+        cycles: u32,
+        wheel: bool,
+        mut cycle: impl FnMut(&mut Self),
+    ) -> Result<(), Stall> {
+        let target = (self.cycle.checked_add(cycles)).expect("cycle counter overflow");
+        if wheel {
+            self.mount_wheel();
+        } else {
+            self.to_aos();
         }
-        if let Some(banks) = self.soa.take() {
-            self.soa_write_back(banks);
-        }
-    }
-
-    /// Rebuild the four phase worklists from the occupancy masks.
-    /// Worklist membership is a pure function of the masks at a cycle
-    /// boundary; used by snapshot restore.
-    pub(crate) fn rebuild_worklists(&mut self) {
-        self.link_work = ActiveSet::new(self.w.num_routers);
-        self.xbar_work = ActiveSet::new(self.w.num_routers);
-        self.route_work = ActiveSet::new(self.w.num_routers);
-        self.inject_work = ActiveSet::new(self.w.num_nodes);
-        for (r, rs) in self.routers.iter().enumerate() {
-            if rs.out_occ != 0 {
-                self.link_work.insert(r);
-            }
-            if rs.in_occ & rs.routed != 0 {
-                self.xbar_work.insert(r);
-            }
-            if rs.pending != 0 {
-                self.route_work.insert(r);
-            }
-        }
-        for (n, ns) in self.nodes.iter().enumerate() {
-            if ns.lane_occ != 0 {
-                self.inject_work.insert(n);
-            }
-        }
-    }
-
-    /// Execute one clock cycle (active-set stepper: only routers and
-    /// nodes on the phase worklists are touched).
-    pub fn step(&mut self) {
-        self.to_aos();
-        self.moves_this_cycle = 0;
-        if F::ACTIVE {
-            self.begin_fault_cycle();
-        }
-
-        // Phase 1: link. The worklists shrink only while their own
-        // phase runs (a drained router is dropped right after its
-        // visit), so word-snapshot iteration is safe; see `active.rs`.
-        for wi in 0..self.link_work.num_words() {
-            let mut bits = self.link_work.word(wi);
-            while bits != 0 {
-                let r = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.link_router::<true>(r);
-                if self.routers[r].out_occ == 0 {
-                    self.link_work.remove(r);
+        while self.cycle < target {
+            if wheel {
+                // Skipped cycles count against the budget, exactly as
+                // if they had been stepped.
+                self.wheel_skip_idle(target);
+                if self.cycle >= target {
+                    break;
                 }
             }
-        }
-        for wi in 0..self.inject_work.num_words() {
-            let mut bits = self.inject_work.word(wi);
-            while bits != 0 {
-                let n = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.link_node::<true>(n);
-                if self.nodes[n].lane_occ == 0 {
-                    self.inject_work.remove(n);
-                }
-            }
-        }
-        self.spawn_replies();
-
-        // Phase 2: crossbar.
-        for wi in 0..self.xbar_work.num_words() {
-            let mut bits = self.xbar_work.word(wi);
-            while bits != 0 {
-                let r = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.xbar_router::<true>(r);
-                let rs = &self.routers[r];
-                if rs.in_occ & rs.routed == 0 {
-                    self.xbar_work.remove(r);
-                }
-            }
-        }
-
-        // Phase 3: routing.
-        for wi in 0..self.route_work.num_words() {
-            let mut bits = self.route_work.word(wi);
-            while bits != 0 {
-                let r = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.route_router::<true>(r);
-                if self.routers[r].pending == 0 {
-                    self.route_work.remove(r);
-                }
-            }
-        }
-
-        // Phase 4: injection (inherently O(nodes): every creation
-        // process ticks its RNG every cycle).
-        self.phase_injection();
-
-        self.end_cycle();
-    }
-
-    /// Execute one clock cycle with the naive scan-everything stepper:
-    /// every router and node is visited in every phase and every port
-    /// and lane is inspected through its queues directly, exactly like
-    /// the pre-optimization engine (the handlers take `MASKED = false`,
-    /// compiling out every mask-based early-out). The mutations are the
-    /// same per-lane bodies as [`Engine::step`] — masks and worklists
-    /// are still maintained — so the two steppers are bit-identical and
-    /// may even be interleaved. Kept as the equivalence oracle and the
-    /// benchmark baseline.
-    #[cfg(any(test, feature = "reference-engine"))]
-    pub fn step_reference(&mut self) {
-        self.to_aos();
-        self.moves_this_cycle = 0;
-        if F::ACTIVE {
-            self.begin_fault_cycle();
-        }
-
-        // Phase 1: link.
-        for r in 0..self.w.num_routers {
-            self.link_router::<false>(r);
-            if self.routers[r].out_occ == 0 {
-                self.link_work.remove(r);
-            }
-        }
-        for n in 0..self.w.num_nodes {
-            self.link_node::<false>(n);
-            if self.nodes[n].lane_occ == 0 {
-                self.inject_work.remove(n);
-            }
-        }
-        self.spawn_replies();
-
-        // Phase 2: crossbar.
-        for r in 0..self.w.num_routers {
-            self.xbar_router::<false>(r);
-            let rs = &self.routers[r];
-            if rs.in_occ & rs.routed == 0 {
-                self.xbar_work.remove(r);
-            }
-        }
-
-        // Phase 3: routing.
-        for r in 0..self.w.num_routers {
-            if self.routers[r].pending == 0 {
-                continue;
-            }
-            self.route_router::<false>(r);
-            if self.routers[r].pending == 0 {
-                self.route_work.remove(r);
-            }
-        }
-
-        // Phase 4: injection.
-        self.phase_injection();
-
-        self.end_cycle();
-    }
-
-    /// Advance the simulation by `cycles` clocks using
-    /// [`Engine::step_reference`].
-    #[cfg(any(test, feature = "reference-engine"))]
-    pub fn run_reference(&mut self, cycles: u32) {
-        for _ in 0..cycles {
-            self.step_reference();
-        }
-    }
-
-    /// [`Engine::run_reference`] with the watchdog reporting a
-    /// [`Stall`] instead of panicking, mirroring
-    /// [`Engine::run_checked`].
-    #[cfg(any(test, feature = "reference-engine"))]
-    pub fn run_checked_reference(&mut self, cycles: u32) -> Result<(), Stall> {
-        self.report_stall = true;
-        for _ in 0..cycles {
-            self.step_reference();
+            cycle(self);
             if let Some(s) = self.stall {
                 return Err(s);
             }
@@ -782,33 +459,211 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         Ok(())
     }
 
-    /// Watchdog bookkeeping shared by both steppers.
+    /// The unchecked run methods treat a watchdog trip as a bug.
+    fn or_panic(&self, run: Result<(), Stall>) {
+        if let Err(s) = run {
+            panic!("{s} (algorithm {})", self.algo.name());
+        }
+    }
+
+    /// Advance by `cycles` clocks on the every-cycle schedule. Exact
+    /// for any [`InjectionProcess`], including ones without a faithful
+    /// `state_word` (which the wheel schedule needs).
+    pub fn run_checked(&mut self, cycles: u32) -> Result<(), Stall> {
+        self.drive(cycles, false, |e| e.cycle_serial::<true>(false))
+    }
+
+    /// [`Engine::run_checked`] under its historical name (the lane
+    /// banks it once selected are the engine's only store now).
+    pub fn run_checked_soa(&mut self, cycles: u32) -> Result<(), Stall> {
+        self.run_checked(cycles)
+    }
+
+    /// Advance by `cycles` clocks on the wheel schedule (see [`wheel`]).
+    pub fn run_checked_wheel(&mut self, cycles: u32) -> Result<(), Stall> {
+        self.drive(cycles, true, |e| e.cycle_serial::<true>(true))
+    }
+
+    /// [`Engine::run_checked`], sharded along `plan` (see [`shard`]).
+    pub fn run_checked_sharded(&mut self, cycles: u32, plan: &mut ShardPlan) -> Result<(), Stall>
+    where
+        F: Sync,
+    {
+        self.drive(cycles, false, |e| e.cycle_sharded::<true>(plan, false))
+    }
+
+    /// [`Engine::run_checked_wheel`], sharded along `plan`.
+    pub fn run_checked_wheel_sharded(
+        &mut self,
+        cycles: u32,
+        plan: &mut ShardPlan,
+    ) -> Result<(), Stall>
+    where
+        F: Sync,
+    {
+        self.drive(cycles, true, |e| e.cycle_sharded::<true>(plan, true))
+    }
+
+    /// Advance by `cycles` clocks with the `reference` audit: the
+    /// every-cycle schedule with every mask- and worklist-based
+    /// early-out compiled out of the handlers (`MASKED = false`), so
+    /// each router, port and lane is visited every cycle and judged by
+    /// its queues alone — like the pre-optimization engine. The masks
+    /// and worklists are still *maintained*, which is what makes the
+    /// audit an oracle for them: it runs free of their errors, the
+    /// masked kernel does not, and the two are compared bit for bit.
+    #[cfg(any(test, feature = "reference-engine"))]
+    pub fn run_checked_reference(&mut self, cycles: u32) -> Result<(), Stall> {
+        self.drive(cycles, false, |e| e.cycle_serial::<false>(false))
+    }
+
+    /// [`Engine::run_checked_reference`], sharded along `plan`.
+    #[cfg(any(test, feature = "reference-engine"))]
+    pub fn run_checked_reference_sharded(
+        &mut self,
+        cycles: u32,
+        plan: &mut ShardPlan,
+    ) -> Result<(), Stall>
+    where
+        F: Sync,
+    {
+        self.drive(cycles, false, |e| e.cycle_sharded::<false>(plan, false))
+    }
+
+    /// [`Engine::run_checked`], panicking on a watchdog trip.
+    pub fn run(&mut self, cycles: u32) {
+        let run = self.run_checked(cycles);
+        self.or_panic(run);
+    }
+
+    /// Execute one clock cycle ([`Engine::run`] for one cycle).
+    pub fn step(&mut self) {
+        self.run(1);
+    }
+
+    /// [`Engine::run_checked_wheel`], panicking on a watchdog trip.
+    pub fn run_wheel(&mut self, cycles: u32) {
+        let run = self.run_checked_wheel(cycles);
+        self.or_panic(run);
+    }
+
+    /// [`Engine::run_checked_wheel_sharded`], panicking on a watchdog
+    /// trip.
+    pub fn run_wheel_sharded(&mut self, cycles: u32, plan: &mut ShardPlan)
+    where
+        F: Sync,
+    {
+        let run = self.run_checked_wheel_sharded(cycles, plan);
+        self.or_panic(run);
+    }
+
+    /// [`Engine::run_checked_reference`], panicking on a watchdog trip.
+    #[cfg(any(test, feature = "reference-engine"))]
+    pub fn run_reference(&mut self, cycles: u32) {
+        let run = self.run_checked_reference(cycles);
+        self.or_panic(run);
+    }
+
+    /// The read-only surroundings of the link and crossbar phases.
+    fn env(&self) -> Env<'_, F> {
+        Env {
+            w: &self.w,
+            faults: &self.faults,
+            cycle: self.cycle,
+        }
+    }
+
+    /// [`Engine::env`] plus the serial run's effect sink.
+    fn direct(&mut self) -> (Env<'_, F>, Direct<'_, P>) {
+        let env = Env {
+            w: &self.w,
+            faults: &self.faults,
+            cycle: self.cycle,
+        };
+        let sink = Direct {
+            probe: &mut self.probe,
+            counters: &mut self.counters,
+            moves: &mut self.moves_this_cycle,
+            packets: &mut self.packets,
+            reply_buf: &mut self.reply_buf,
+            request_reply: self.request_reply,
+        };
+        (env, sink)
+    }
+
+    /// One clock cycle, serial. The banks are moved out of `self` for
+    /// the duration so the kernel's view of them and `&mut self` (the
+    /// serial residue: replies, selection, injection) can coexist.
+    fn cycle_serial<const MASKED: bool>(&mut self, wheel: bool) {
+        let mut banks = std::mem::take(&mut self.banks);
+        let mut v = banks.view();
+        self.begin_cycle();
+        let (env, mut sink) = self.direct();
+        v.phase_link::<MASKED, F, _>(&env, &mut sink);
+        self.spawn_replies();
+        let (env, mut sink) = self.direct();
+        v.phase_xbar::<MASKED, F, _>(&env, &mut sink);
+        let mut cand = std::mem::take(&mut self.cand);
+        v.for_each_routable::<MASKED>(|v, r| {
+            let (env, algo, packets) = (self.env(), self.algo, &self.packets);
+            let prepared = v.prepare_route::<MASKED, A, F>(&env, algo, packets, r, &mut cand);
+            if let Some(d) = prepared {
+                self.apply_route(v, r, &d, &cand);
+            }
+        });
+        self.cand = cand;
+        self.phase_injection(&mut v, wheel);
+        self.banks = banks;
+        self.end_cycle();
+    }
+
+    /// One clock cycle, sharded along `plan` (`shards <= 1` *is* the
+    /// serial cycle).
+    fn cycle_sharded<const MASKED: bool>(&mut self, plan: &mut ShardPlan, wheel: bool)
+    where
+        F: Sync,
+    {
+        if plan.shards() <= 1 {
+            return self.cycle_serial::<MASKED>(wheel);
+        }
+        let mut banks = std::mem::take(&mut self.banks);
+        self.begin_cycle();
+        self.sharded_phases::<MASKED>(&mut banks, plan);
+        self.phase_injection(&mut banks.view(), wheel);
+        self.banks = banks;
+        self.end_cycle();
+    }
+
+    /// Reset the per-cycle movement count and apply this cycle's
+    /// transient fault transitions, reporting them to the probe.
+    fn begin_cycle(&mut self) {
+        self.moves_this_cycle = 0;
+        if F::ACTIVE {
+            let mut flips = std::mem::take(&mut self.fault_flips);
+            self.faults.begin_cycle(self.cycle, &mut flips);
+            for fl in flips.drain(..) {
+                self.probe
+                    .fault_transition(self.cycle, fl.router, fl.port, fl.down);
+            }
+            self.fault_flips = flips; // return the allocation
+        }
+    }
+
+    /// Watchdog bookkeeping and the clock tick.
     fn end_cycle(&mut self) {
         self.probe.cycle_end(self.cycle);
         self.counters.flit_moves += self.moves_this_cycle;
         if self.moves_this_cycle == 0 && self.counters.in_flight_flits > 0 {
             self.idle_cycles += 1;
             if self.idle_cycles >= WATCHDOG_CYCLES {
-                if self.report_stall {
-                    // Structured liveness failure for run_checked
-                    // callers; reset the horizon so a caller that keeps
-                    // stepping anyway is not re-tripped every cycle.
-                    self.stall = Some(Stall {
-                        cycle: self.cycle,
-                        in_flight_flits: self.counters.in_flight_flits,
-                        idle_cycles: self.idle_cycles,
-                    });
-                    self.idle_cycles = 0;
-                } else {
-                    panic!(
-                        "deadlock watchdog: {} flits in flight, nothing moved for {} cycles \
-                         (cycle {}, algorithm {})",
-                        self.counters.in_flight_flits,
-                        self.idle_cycles,
-                        self.cycle,
-                        self.algo.name()
-                    );
-                }
+                // Reset the horizon so a caller that keeps stepping
+                // anyway is not re-tripped every cycle.
+                self.stall = Some(Stall {
+                    cycle: self.cycle,
+                    in_flight_flits: self.counters.in_flight_flits,
+                    idle_cycles: self.idle_cycles,
+                });
+                self.idle_cycles = 0;
             }
         } else {
             self.idle_cycles = 0;
@@ -816,181 +671,10 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         self.cycle += 1;
     }
 
-    /// Link phase, one router: move at most one flit per physical
-    /// channel direction (router->router and router->node ports).
-    ///
-    /// `MASKED` selects the scan strategy only — `true` skips empty
-    /// directions/lanes via `out_occ`, `false` inspects every lane's
-    /// queue directly (the pre-optimization behaviour) — the mutations
-    /// are identical either way.
-    fn link_router<const MASKED: bool>(&mut self, r: usize) {
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        let ports = self.w.ports;
-        let port_lanes = (1u64 << vcs) - 1;
-        for p in 0..ports {
-            if F::ACTIVE && self.faults.channel_down(r, p) {
-                continue; // channel down: nothing crosses this cycle
-            }
-            if MASKED && self.routers[r].out_occ & (port_lanes << (p * vcs)) == 0 {
-                continue; // nothing buffered towards this direction
-            }
-            match self.w.peer(r, p) {
-                Peer::None => {
-                    // Reachable only in the unmasked full scan: flits
-                    // are never routed towards an uncabled port.
-                    debug_assert!(!MASKED, "flit buffered on an uncabled port");
-                }
-                Peer::Node(node) => {
-                    // Ejection: the node always sinks (no credits).
-                    let rs = &mut self.routers[r];
-                    let start = rs.link_rr[p] as usize;
-                    for i in 0..vcs {
-                        let v = (start + i) % vcs;
-                        let l = p * vcs + v;
-                        if MASKED && rs.out_occ & (1u64 << l) == 0 {
-                            continue;
-                        }
-                        let ready = matches!(rs.out_q[l].front(),
-                            Some(f) if f.moved < cycle);
-                        if ready {
-                            let f = rs.out_q[l].pop().unwrap();
-                            if rs.out_q[l].is_empty() {
-                                rs.out_occ &= !(1u64 << l);
-                            }
-                            rs.link_rr[p] = ((v + 1) % vcs) as u8;
-                            self.link_flits[r * ports + p] += 1;
-                            self.counters.delivered_flits += 1;
-                            self.counters.in_flight_flits -= 1;
-                            self.moves_this_cycle += 1;
-                            self.probe.link_flit(
-                                cycle,
-                                f.packet,
-                                r as u32,
-                                p as u16,
-                                v as u8,
-                                LinkKind::Ejection,
-                            );
-                            if f.is_tail() {
-                                let rec = &mut self.packets[f.packet as usize];
-                                debug_assert_eq!(rec.delivered, NEVER);
-                                rec.delivered = cycle;
-                                let reply = self.request_reply && !rec.is_reply();
-                                self.counters.delivered_packets += 1;
-                                if reply {
-                                    self.reply_buf.push(f.packet);
-                                }
-                                self.probe.packet_delivered(cycle, f.packet, node);
-                            }
-                            break;
-                        }
-                    }
-                }
-                Peer::Router {
-                    router: r2,
-                    port: p2,
-                } => {
-                    let (r2, p2) = (r2 as usize, p2 as usize);
-                    debug_assert_ne!(r, r2);
-                    let [rs, dst] = self
-                        .routers
-                        .get_disjoint_mut([r, r2])
-                        .expect("distinct routers");
-                    let start = rs.link_rr[p] as usize;
-                    for i in 0..vcs {
-                        let v = (start + i) % vcs;
-                        let l = p * vcs + v;
-                        if MASKED && rs.out_occ & (1u64 << l) == 0 {
-                            continue;
-                        }
-                        let ready = rs.out_credits[l] > 0
-                            && matches!(rs.out_q[l].front(), Some(f) if f.moved < cycle);
-                        if ready {
-                            let mut f = rs.out_q[l].pop().unwrap();
-                            if rs.out_q[l].is_empty() {
-                                rs.out_occ &= !(1u64 << l);
-                            }
-                            rs.out_credits[l] -= 1;
-                            rs.link_rr[p] = ((v + 1) % vcs) as u8;
-                            self.link_flits[r * ports + p] += 1;
-                            f.moved = cycle;
-                            let dl = p2 * vcs + v;
-                            let was_empty = dst.in_q[dl].is_empty();
-                            dst.in_q[dl].push(f);
-                            dst.in_occ |= 1u64 << dl;
-                            if was_empty && f.is_head() {
-                                debug_assert_eq!(dst.in_route[dl], NO_ROUTE);
-                                dst.pending |= 1 << dl;
-                                self.route_work.insert(r2);
-                            }
-                            if dst.routed & (1u64 << dl) != 0 {
-                                // Body/tail arriving on a lane whose head
-                                // already holds a crossbar path.
-                                self.xbar_work.insert(r2);
-                            }
-                            self.moves_this_cycle += 1;
-                            self.probe.link_flit(
-                                cycle,
-                                f.packet,
-                                r as u32,
-                                p as u16,
-                                v as u8,
-                                LinkKind::Network,
-                            );
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Link phase, one node-side injection channel (node -> router).
-    /// `MASKED` as on [`Engine::link_router`].
-    fn link_node<const MASKED: bool>(&mut self, n: usize) {
-        if F::ACTIVE && self.faults.node_dead(n) {
-            return; // dead node: its injection channel carries nothing
-        }
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        let (r, p) = self.w.node_ports[n];
-        let (r, p) = (r as usize, p as usize);
-        let ns = &mut self.nodes[n];
-        let rs = &mut self.routers[r];
-        let start = ns.lane_rr as usize;
-        for i in 0..vcs {
-            let v = (start + i) % vcs;
-            if MASKED && ns.lane_occ & (1u64 << v) == 0 {
-                continue;
-            }
-            let ready =
-                ns.credits[v] > 0 && matches!(ns.lanes[v].front(), Some(f) if f.moved < cycle);
-            if ready {
-                let mut f = ns.lanes[v].pop().unwrap();
-                if ns.lanes[v].is_empty() {
-                    ns.lane_occ &= !(1u64 << v);
-                }
-                ns.credits[v] -= 1;
-                ns.lane_rr = ((v + 1) % vcs) as u8;
-                f.moved = cycle;
-                let dl = p * vcs + v;
-                let was_empty = rs.in_q[dl].is_empty();
-                rs.in_q[dl].push(f);
-                rs.in_occ |= 1u64 << dl;
-                if was_empty && f.is_head() {
-                    rs.pending |= 1 << dl;
-                    self.route_work.insert(r);
-                }
-                if rs.routed & (1u64 << dl) != 0 {
-                    self.xbar_work.insert(r);
-                }
-                self.moves_this_cycle += 1;
-                self.probe
-                    .injection_flit(cycle, f.packet, n as u32, v as u8);
-                break;
-            }
-        }
-    }
+    // -----------------------------------------------------------------
+    // The serial residue: what consumes the shared RNG, assigns packet
+    // ids or emits per-packet probe events in a global order.
+    // -----------------------------------------------------------------
 
     /// Request-reply mode: delivered requests spawn replies at the
     /// receiving node (entering its normal source queue, so they share
@@ -1015,6 +699,10 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 in_reply_to: req,
             });
             self.nodes[rec.dest as usize].src_queue.push_back(id);
+            if let Some(w) = self.wheel.as_mut() {
+                // The wheel's injection phase must visit the node.
+                w.backlog.insert(rec.dest as usize);
+            }
             self.counters.created_packets += 1;
             self.probe
                 .packet_created(cycle, id, rec.dest, rec.src, rec.flits);
@@ -1022,302 +710,62 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         self.reply_buf = buf; // return the allocation
     }
 
-    /// Crossbar phase, one router: forward one flit on every input lane
-    /// owning a crossbar path, returning credits upstream.
-    /// `MASKED` as on [`Engine::link_router`]: `true` walks only the
-    /// set bits of `in_occ & routed`, `false` scans every lane checking
-    /// `in_route` directly.
-    fn xbar_router<const MASKED: bool>(&mut self, r: usize) {
-        if MASKED {
-            // Snapshot: lanes of this router cannot become forwardable
-            // during the phase (routes are only assigned in the routing
-            // phase, arrivals only in the link phase).
-            let mut mask = {
-                let rs = &self.routers[r];
-                rs.in_occ & rs.routed
-            };
-            while mask != 0 {
-                let l = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                self.xbar_lane(r, l);
-            }
-        } else {
-            for l in 0..self.lanes_per_router {
-                if self.routers[r].in_route[l] == NO_ROUTE {
-                    continue;
-                }
-                self.xbar_lane(r, l);
-            }
-        }
-    }
-
-    /// One crossbar lane holding a path: forward a flit if the head is
-    /// movable and the output lane has room.
-    #[inline]
-    fn xbar_lane(&mut self, r: usize, l: usize) {
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        if F::ACTIVE && self.routers[r].in_route[l] == DROP_ROUTE {
-            self.drain_lane(r, l);
-            return;
-        }
-        {
-            let rs = &mut self.routers[r];
-            let route = rs.in_route[l];
-            debug_assert_ne!(route, NO_ROUTE);
-            let movable = matches!(rs.in_q[l].front(), Some(f) if f.moved < cycle)
-                && !rs.out_q[route as usize].is_full();
-            if !movable {
-                return;
-            }
-            let mut f = rs.in_q[l].pop().unwrap();
-            if rs.in_q[l].is_empty() {
-                rs.in_occ &= !(1u64 << l);
-            }
-            f.moved = cycle;
-            rs.out_q[route as usize].push(f);
-            rs.out_occ |= 1u64 << route;
-            self.link_work.insert(r);
-            self.moves_this_cycle += 1;
-            if f.is_tail() {
-                rs.in_route[l] = NO_ROUTE;
-                rs.routed &= !(1u64 << l);
-                rs.out_bound &= !(1u64 << route);
-                if matches!(rs.in_q[l].front(), Some(nf) if nf.is_head()) {
-                    rs.pending |= 1 << l;
-                    self.route_work.insert(r);
-                }
-            }
-            // Acknowledgment: one buffer freed in this input lane.
-            let (p, v) = (l / vcs, l % vcs);
-            match self.w.peer(r, p) {
-                Peer::Router {
-                    router: r2,
-                    port: p2,
-                } => {
-                    let up = &mut self.routers[r2 as usize];
-                    let ul = p2 as usize * vcs + v;
-                    up.out_credits[ul] += 1;
-                    debug_assert!(up.out_credits[ul] as usize <= up.out_q[ul].capacity());
-                }
-                Peer::Node(nn) => {
-                    let node = &mut self.nodes[nn as usize];
-                    node.credits[v] += 1;
-                    debug_assert!(node.credits[v] as usize <= node.lanes[v].capacity());
-                }
-                Peer::None => unreachable!("flit arrived through an uncabled port"),
-            }
-        }
-    }
-
-    /// Crossbar-phase handler for a lane whose head-of-line packet was
-    /// dropped by the fault plane (`in_route[l] == DROP_ROUTE`): sink
-    /// one flit per cycle instead of forwarding it, returning the
-    /// freed buffer's credit upstream exactly as a real forward would.
-    /// The drain counts as movement, so a draining network never trips
-    /// the watchdog; when the tail is sunk the lane is released and the
-    /// next header (if any) re-enters the routing phase.
-    fn drain_lane(&mut self, r: usize, l: usize) {
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        let rs = &mut self.routers[r];
-        let movable = matches!(rs.in_q[l].front(), Some(f) if f.moved < cycle);
-        if !movable {
-            return;
-        }
-        let f = rs.in_q[l].pop().unwrap();
-        if rs.in_q[l].is_empty() {
-            rs.in_occ &= !(1u64 << l);
-        }
-        self.counters.in_flight_flits -= 1;
-        self.counters.dropped_flits += 1;
-        self.moves_this_cycle += 1;
-        if f.is_tail() {
-            rs.in_route[l] = NO_ROUTE;
-            rs.routed &= !(1u64 << l);
-            if matches!(rs.in_q[l].front(), Some(nf) if nf.is_head()) {
-                rs.pending |= 1 << l;
-                self.route_work.insert(r);
-            }
-        }
-        // Acknowledgment upstream: the buffer slot is free again.
-        let (p, v) = (l / vcs, l % vcs);
-        match self.w.peer(r, p) {
-            Peer::Router {
-                router: r2,
-                port: p2,
-            } => {
-                let up = &mut self.routers[r2 as usize];
-                let ul = p2 as usize * vcs + v;
-                up.out_credits[ul] += 1;
-                debug_assert!(up.out_credits[ul] as usize <= up.out_q[ul].capacity());
-            }
-            Peer::Node(nn) => {
-                let node = &mut self.nodes[nn as usize];
-                node.credits[v] += 1;
-                debug_assert!(node.credits[v] as usize <= node.lanes[v].capacity());
-            }
-            Peer::None => unreachable!("flit arrived through an uncabled port"),
-        }
-    }
-
-    /// Routing phase, one router: route at most one header.
-    /// `MASKED` as on [`Engine::link_router`]: `true` walks the set
-    /// bits of `pending` in round-robin order (bits at and above the
-    /// cursor, then the wrap-around), `false` rotates through every
-    /// lane index — both visit the same lanes in the same order.
-    fn route_router<const MASKED: bool>(&mut self, r: usize) {
-        let lanes = self.lanes_per_router;
-        let pending = self.routers[r].pending;
-        debug_assert_ne!(
-            pending, 0,
-            "router on routing worklist without pending header"
-        );
-        let start = self.routers[r].route_rr as usize;
-        debug_assert!(start < lanes);
-        if MASKED {
-            let below_start = (1u64 << start) - 1;
-            'scan: for part in [pending & !below_start, pending & below_start] {
-                let mut bits = part;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if self.route_lane(r, l) {
-                        break 'scan;
-                    }
-                }
-            }
-        } else {
-            for i in 0..lanes {
-                let l = (start + i) % lanes;
-                if pending & (1u64 << l) == 0 {
-                    continue;
-                }
-                if self.route_lane(r, l) {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// One pending lane: attempt the routing decision. Returns whether
-    /// a decision (successful or blocked) was made — the router's one
-    /// routing opportunity this cycle is then spent.
-    #[inline]
-    fn route_lane(&mut self, r: usize, l: usize) -> bool {
+    /// Routing phase, second half, for the header router `r` prepared
+    /// as `d` with candidates `cand`: run the selection policy (or
+    /// start the drop of an unroutable packet) and record the outcome.
+    /// One routing decision per router per cycle, successful or not;
+    /// the round-robin cursor advances for fairness either way.
+    fn apply_route(&mut self, v: &mut Lanes<'_>, r: usize, d: &Prepared, cand: &CandidateSet) {
         let cycle = self.cycle;
         let lanes = self.lanes_per_router;
-        let front = *self.routers[r].in_q[l]
-            .front()
-            .expect("pending lane must hold a flit");
-        debug_assert!(front.is_head(), "pending lane front must be a header");
-        if front.moved >= cycle {
-            // Arrived this very cycle; visible to the routing
-            // logic from the next cycle on.
-            return false;
-        }
-        let dest = self.packets[front.packet as usize].dest;
-        let in_port = l / self.vcs;
-        // Take the candidate buffer out to appease the borrow
-        // checker; it is returned below.
-        let mut cand = std::mem::take(&mut self.cand);
-        self.algo
-            .route(RouterId(r as u32), Some(in_port), NodeId(dest), &mut cand);
-        debug_assert!(!cand.is_empty(), "routing function returned no candidate");
-        if F::ACTIVE && self.fault_unroutable(r, &cand) {
-            // Degraded-mode dead end: drop the packet and hand the lane
-            // to the crossbar phase for draining.
-            self.cand = cand;
-            self.start_drop(r, l, front.packet);
-            self.routers[r].route_rr = ((l + 1) % lanes) as u32;
-            return true;
-        }
-        // Degraded-mode reroute: at least one candidate direction is
-        // down, so whatever lane wins below is a detour.
-        let degraded = F::ACTIVE
-            && cand
-                .preferred
-                .iter()
-                .chain(cand.fallback.iter())
-                .any(|c| self.faults.channel_down(r, c.port as usize));
-        let choice = self.select_output(r, &cand);
-        self.cand = cand;
-        match choice {
-            Some((ol, used_fallback)) => {
-                let rs = &mut self.routers[r];
-                rs.in_route[l] = ol as u32;
-                rs.routed |= 1u64 << l;
-                rs.out_bound |= 1u64 << ol;
-                rs.pending &= !(1 << l);
-                // The header is at the front and has not moved
-                // this cycle, so the lane is forwardable.
-                debug_assert_ne!(rs.in_occ & (1u64 << l), 0);
-                self.xbar_work.insert(r);
-                self.counters.routed_headers += 1;
-                self.packets[front.packet as usize].hops += 1;
-                if used_fallback {
-                    self.counters.escape_routings += 1;
-                }
-                self.probe.header_routed(
-                    cycle,
-                    front.packet,
-                    r as u32,
-                    l as u16,
-                    ol as u16,
-                    used_fallback,
-                );
-                if degraded {
-                    self.probe
-                        .header_rerouted(cycle, front.packet, r as u32, ol as u16);
-                }
+        let (ll, l) = (d.lane, r * lanes + d.lane);
+        let route = if d.unroutable {
+            // Degraded-mode dead end: mark the lane so the crossbar
+            // phase drains it, and count the packet.
+            self.counters.dropped_packets += 1;
+            self.probe.packet_dropped(cycle, d.packet, r as u32);
+            Some(DROP_ROUTE)
+        } else if let Some((ol, used_fallback)) = self.select_output(v, r, cand) {
+            v.out_bound[r] |= 1u64 << ol;
+            self.counters.routed_headers += 1;
+            self.packets[d.packet as usize].hops += 1;
+            if used_fallback {
+                self.counters.escape_routings += 1;
             }
-            None => {
-                self.counters.routing_blocked += 1;
+            self.probe.header_routed(
+                cycle,
+                d.packet,
+                r as u32,
+                ll as u16,
+                ol as u16,
+                used_fallback,
+            );
+            if d.degraded {
+                // Some candidate direction is down, so whatever lane
+                // won is a detour.
                 self.probe
-                    .routing_blocked(cycle, front.packet, r as u32, l as u16);
+                    .header_rerouted(cycle, d.packet, r as u32, ol as u16);
+            }
+            Some(ol as u32)
+        } else {
+            self.counters.routing_blocked += 1;
+            self.probe
+                .routing_blocked(cycle, d.packet, r as u32, ll as u16);
+            None
+        };
+        if let Some(route) = route {
+            v.in_route[l] = route;
+            v.routed[r] |= 1u64 << ll;
+            v.pending[r] &= !(1u64 << ll);
+            // The header is at the front and has not moved this cycle,
+            // so the lane is forwardable.
+            debug_assert_ne!(v.in_occ[r] & (1u64 << ll), 0);
+            set_bit(v.xbar_words, r);
+            if v.pending[r] == 0 {
+                clear_bit(v.route_words, r);
             }
         }
-        // One routing decision per router per cycle, successful
-        // or not; advance the cursor for fairness either way.
-        self.routers[r].route_rr = ((l + 1) % lanes) as u32;
-        true
-    }
-
-    /// Fault-plane dead-end detection at routing time: whether this
-    /// header can never be routed to completion from `r`.
-    ///
-    /// * With a non-empty fallback (escape) class — the algorithms
-    ///   whose deadlock freedom rests on the escape network — the
-    ///   packet is unroutable as soon as **every escape direction is
-    ///   permanently dead**: routing on only adaptive lanes would void
-    ///   the deadlock-freedom argument, so escape-channel loss is
-    ///   reported as a structured drop rather than risked as a hang.
-    /// * Without a fallback class (fat-tree ascent/descent, where every
-    ///   candidate class is safe), the packet is unroutable only when
-    ///   every candidate direction is dead.
-    ///
-    /// Transiently-down channels never make a packet unroutable; they
-    /// only block it until the repair.
-    fn fault_unroutable(&self, r: usize, cand: &CandidateSet) -> bool {
-        let dead = |c: &routing::Candidate| self.faults.channel_dead(r, c.port as usize);
-        if !cand.fallback.is_empty() {
-            cand.fallback.iter().all(dead)
-        } else {
-            cand.preferred.iter().all(dead)
-        }
-    }
-
-    /// Declare the head-of-line packet of input lane `l` dropped: mark
-    /// the lane with `DROP_ROUTE` so the crossbar phase drains it, and
-    /// count the packet.
-    fn start_drop(&mut self, r: usize, l: usize, packet: u32) {
-        let rs = &mut self.routers[r];
-        rs.in_route[l] = DROP_ROUTE;
-        rs.routed |= 1u64 << l;
-        rs.pending &= !(1 << l);
-        self.xbar_work.insert(r);
-        self.counters.dropped_packets += 1;
-        self.probe.packet_dropped(self.cycle, packet, r as u32);
+        v.route_rr[r] = ((ll + 1) % lanes) as u32;
     }
 
     /// The selection policy: among admissible preferred lanes pick the
@@ -1326,13 +774,19 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// the first admissible escape lane. Returns the chosen output-lane
     /// index and whether the fallback class was used. Lanes on
     /// currently-down channels (fault plane) are never admissible.
-    fn select_output(&mut self, r: usize, cand: &CandidateSet) -> Option<(usize, bool)> {
-        let rs = &self.routers[r];
+    fn select_output(
+        &mut self,
+        v: &Lanes<'_>,
+        r: usize,
+        cand: &CandidateSet,
+    ) -> Option<(usize, bool)> {
         let vcs = self.vcs;
+        let base = r * self.lanes_per_router;
+        let out_bound = v.out_bound[r];
         let faults = &self.faults;
         let admissible = |lane: usize| {
-            rs.out_bound & (1u64 << lane) == 0
-                && !rs.out_q[lane].is_full()
+            out_bound & (1u64 << lane) == 0
+                && !v.out_q.is_full(base + lane)
                 && !(F::ACTIVE && faults.channel_down(r, lane / vcs))
         };
 
@@ -1357,7 +811,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 continue;
             }
             let port_mask = ((1u64 << vcs) - 1) << (port * vcs);
-            let free_vcs = vcs - (rs.out_bound & port_mask).count_ones() as usize;
+            let free_vcs = vcs - (out_bound & port_mask).count_ones() as usize;
             if best_port.is_none() || free_vcs > best_score {
                 best_port = Some(port);
                 best_score = free_vcs;
@@ -1383,7 +837,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 if !admissible(lane) {
                     continue;
                 }
-                let headroom = rs.out_credits[lane] as usize + rs.out_q[lane].free();
+                let headroom = v.out_credits[base + lane] as usize + v.out_q.free(base + lane);
                 if best_lane.is_none() || headroom > best_headroom {
                     best_lane = Some(lane);
                     best_headroom = headroom;
@@ -1402,9 +856,13 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         None
     }
 
-    /// Phase 4: tick every node's creation process, then run the
-    /// shared per-node injection body.
-    fn phase_injection(&mut self) {
+    /// Phase 4: on the wheel schedule visit the firing and backlogged
+    /// nodes; on the every-cycle schedule tick every node's creation
+    /// process (inherently O(nodes)) and run the injection body on it.
+    fn phase_injection(&mut self, v: &mut Lanes<'_>, wheel: bool) {
+        if wheel {
+            return self.wheel_phase_injection(v);
+        }
         for n in 0..self.w.num_nodes {
             let ns = &mut self.nodes[n];
             let created = if ns.proc.tick(&mut ns.rng) {
@@ -1414,18 +872,15 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             } else {
                 None
             };
-            self.inject_node(n, created);
+            self.inject_node(v, n, created);
         }
     }
 
-    /// The per-node injection body shared by the classic steppers, the
-    /// sharded stepper's serial injection residue, and the wheel's
-    /// array-of-structs injection: packet creation (when the caller's
+    /// The per-node injection body: packet creation (when the caller's
     /// tick drew `created` as a destination), the fault-plane source
     /// purge, throttled packet start, and streaming one flit of the
-    /// active packet. AoS twin of `soa_inject_node` — the two must
-    /// stay line-for-line parallel.
-    fn inject_node(&mut self, n: usize, created: Option<u32>) {
+    /// active packet.
+    fn inject_node(&mut self, v: &mut Lanes<'_>, n: usize, created: Option<u32>) {
         let cycle = self.cycle;
         let flits = self.flits_per_packet;
         let ns = &mut self.nodes[n];
@@ -1467,36 +922,30 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         // packet streams at a time; limited injection may hold it
         // back while the local router is congested).
         let vcs = self.vcs;
+        let nb = n * vcs;
         if ns.active.is_none() {
-            let throttled = match self.injection_limit {
-                None => false,
-                Some(limit) => {
-                    let (r, _) = self.w.node_ports[n];
-                    let rs = &self.routers[r as usize];
-                    (rs.out_bound & rs.network_lanes).count_ones() >= limit
-                }
-            };
-            if !throttled {
-                if let Some(&pkt) = ns.src_queue.front() {
-                    // Choose the lane with the most headroom; rotate on
-                    // ties for fairness.
-                    let start = ns.lane_rr as usize;
-                    let mut best: Option<(usize, usize)> = None;
-                    for i in 0..vcs {
-                        let v = (start + i) % vcs;
-                        if ns.lanes[v].is_full() {
-                            continue;
-                        }
-                        let headroom = ns.lanes[v].free() + ns.credits[v] as usize;
+            let throttled = self.injection_limit.is_some_and(|limit| {
+                let r = self.w.node_ports[n].0 as usize;
+                (v.out_bound[r] & self.network_lanes[r]).count_ones() >= limit
+            });
+            if let (false, Some(&pkt)) = (throttled, ns.src_queue.front()) {
+                // Choose the lane with the most headroom; rotate on
+                // ties for fairness.
+                let start = v.node_lane_rr[n] as usize;
+                let mut best: Option<(usize, usize)> = None;
+                for lane in (start..vcs).chain(0..start) {
+                    if !v.node_lanes.is_full(nb + lane) {
+                        let headroom =
+                            v.node_lanes.free(nb + lane) + v.node_credits[nb + lane] as usize;
                         if best.is_none_or(|(_, h)| headroom > h) {
-                            best = Some((v, headroom));
+                            best = Some((lane, headroom));
                         }
                     }
-                    if let Some((v, _)) = best {
-                        ns.src_queue.pop_front();
-                        ns.active = Some((pkt, flits));
-                        ns.active_lane = v as u8;
-                    }
+                }
+                if let Some((lane, _)) = best {
+                    ns.src_queue.pop_front();
+                    ns.active = Some((pkt, flits));
+                    ns.active_lane = lane as u8;
                 }
             }
         }
@@ -1504,7 +953,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         // Stream one flit of the active packet.
         if let Some((pkt, remaining)) = ns.active {
             let lane = ns.active_lane as usize;
-            if !ns.lanes[lane].is_full() {
+            if !v.node_lanes.is_full(nb + lane) {
                 let mut flags = 0u8;
                 if remaining == flits {
                     flags |= HEAD;
@@ -1514,28 +963,31 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 if remaining == 1 {
                     flags |= TAIL;
                 }
-                ns.lanes[lane].push(Flit {
-                    packet: pkt,
-                    moved: cycle,
-                    flags,
-                });
-                ns.lane_occ |= 1u64 << lane;
-                self.inject_work.insert(n);
+                v.node_lanes.push(
+                    nb + lane,
+                    Flit {
+                        packet: pkt,
+                        moved: cycle,
+                        flags,
+                    },
+                );
+                v.node_lane_occ[n] |= 1u64 << lane;
+                set_bit(v.inject_words, n);
                 self.counters.in_flight_flits += 1;
                 self.moves_this_cycle += 1;
-                ns.active = if remaining == 1 {
-                    None
-                } else {
-                    Some((pkt, remaining - 1))
-                };
+                ns.active = (remaining > 1).then(|| (pkt, remaining - 1));
             }
         }
     }
 
+    // -----------------------------------------------------------------
+    // Spatial counters and invariant checks, read off the banks.
+    // -----------------------------------------------------------------
+
     /// Flits transmitted so far on the directed channel leaving
     /// `router` through `port` (ejection channels included).
     pub fn link_flits(&self, router: usize, port: usize) -> u64 {
-        self.link_flits[router * self.w.ports + port]
+        self.banks.link_flits[router * self.w.ports + port]
     }
 
     /// Total flits forwarded by each router onto its *network* ports
@@ -1545,7 +997,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             .map(|r| {
                 (0..self.w.ports)
                     .filter(|&p| matches!(self.w.peer(r, p), Peer::Router { .. }))
-                    .map(|p| self.link_flits[r * self.w.ports + p])
+                    .map(|p| self.link_flits(r, p))
                     .sum()
             })
             .collect()
@@ -1554,107 +1006,130 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// Verify the credit-counting invariant: for every cabled channel,
     /// the upstream output lane's credits plus the downstream input
     /// lane's occupancy equal the buffer depth. Returns the first
-    /// violation as `(router, port, vc, credits, occupancy)`. Leaves
-    /// any mounted execution mode ([`Engine::to_aos`]).
-    pub fn check_credit_invariant(&mut self) -> Result<(), (usize, usize, usize, u8, usize)> {
-        self.to_aos();
+    /// violation as `(router, port, vc, credits, occupancy)`.
+    pub fn check_credit_invariant(&self) -> Result<(), (usize, usize, usize, u8, usize)> {
+        let (b, vcs, lanes) = (&self.banks, self.vcs, self.lanes_per_router);
+        let depth = b.in_q.capacity();
+        let check = |credits: u8, r: usize, p: usize, v: usize| {
+            let occ = b.in_q.len(r * lanes + p * vcs + v);
+            if credits as usize + occ == depth {
+                Ok(())
+            } else {
+                Err((r, p, v, credits, occ))
+            }
+        };
         for r in 0..self.w.num_routers {
             for p in 0..self.w.ports {
-                if let Peer::Router {
-                    router: r2,
-                    port: p2,
-                } = self.w.peer(r, p)
-                {
-                    for v in 0..self.vcs {
-                        let l = p * self.vcs + v;
-                        let credits = self.routers[r].out_credits[l];
-                        let occ = self.routers[r2 as usize].in_q[p2 as usize * self.vcs + v].len();
-                        let cap = self.routers[r].out_q[l].capacity();
-                        if credits as usize + occ != cap {
-                            return Err((r, p, v, credits, occ));
-                        }
+                if let Peer::Router { router, port } = self.w.peer(r, p) {
+                    for v in 0..vcs {
+                        let credits = b.out_credits[r * lanes + p * vcs + v];
+                        check(credits, router as usize, port as usize, v)
+                            .map_err(|(.., c, occ)| (r, p, v, c, occ))?;
                     }
                 }
             }
         }
         // Node-side injection channels.
-        for n in 0..self.w.num_nodes {
-            let (r, p) = self.w.node_ports[n];
-            for v in 0..self.vcs {
-                let credits = self.nodes[n].credits[v];
-                let occ = self.routers[r as usize].in_q[p as usize * self.vcs + v].len();
-                let cap = self.nodes[n].lanes[v].capacity();
-                if credits as usize + occ != cap {
-                    return Err((r as usize, p as usize, v, credits, occ));
-                }
+        for (n, &(r, p)) in self.w.node_ports.iter().enumerate() {
+            for v in 0..vcs {
+                check(b.node_credits[n * vcs + v], r as usize, p as usize, v)?;
             }
         }
         Ok(())
     }
 
-    /// Verify the worklist/occupancy-mask invariants the active-set
-    /// stepper relies on: every occupancy mask mirrors its queues,
-    /// `routed` mirrors `in_route`, and each worklist contains exactly
-    /// the routers/nodes whose enabling condition holds. Returns the
-    /// first violation as a description. Leaves any mounted execution
-    /// mode ([`Engine::to_aos`]).
-    pub fn check_worklist_invariant(&mut self) -> Result<(), String> {
-        self.to_aos();
-        for (r, rs) in self.routers.iter().enumerate() {
-            for l in 0..self.lanes_per_router {
-                let bit = 1u64 << l;
-                if (rs.in_occ & bit != 0) == rs.in_q[l].is_empty() {
-                    return Err(format!("router {r} lane {l}: in_occ mask desynced"));
+    /// Verify the worklist/occupancy-mask invariants the masked kernel
+    /// relies on: every occupancy mask mirrors its queues, `routed`
+    /// mirrors `in_route`, and each worklist contains exactly the
+    /// routers/nodes whose enabling condition holds. Returns the first
+    /// violation as a description.
+    pub fn check_worklist_invariant(&self) -> Result<(), String> {
+        let (b, lanes, vcs) = (&self.banks, self.lanes_per_router, self.vcs);
+        let mirrors = |mask: u64, bit: usize, set: bool| (mask >> bit & 1 != 0) == set;
+        for r in 0..self.w.num_routers {
+            for ll in 0..lanes {
+                let l = r * lanes + ll;
+                if !mirrors(b.in_occ[r], ll, b.in_q.len(l) > 0) {
+                    return Err(format!("router {r} lane {ll}: in_occ mask desynced"));
                 }
-                if (rs.out_occ & bit != 0) == rs.out_q[l].is_empty() {
-                    return Err(format!("router {r} lane {l}: out_occ mask desynced"));
+                if !mirrors(b.out_occ[r], ll, b.out_q.len(l) > 0) {
+                    return Err(format!("router {r} lane {ll}: out_occ mask desynced"));
                 }
-                if (rs.routed & bit != 0) != (rs.in_route[l] != NO_ROUTE) {
-                    return Err(format!("router {r} lane {l}: routed mask desynced"));
+                if !mirrors(b.routed[r], ll, b.in_route[l] != NO_ROUTE) {
+                    return Err(format!("router {r} lane {ll}: routed mask desynced"));
                 }
             }
-            if (rs.out_occ != 0) != self.link_work.contains(r) {
+            if (b.out_occ[r] != 0) != b.link_work.contains(r) {
                 return Err(format!("router {r}: link worklist desynced"));
             }
-            if (rs.in_occ & rs.routed != 0) != self.xbar_work.contains(r) {
+            if (b.in_occ[r] & b.routed[r] != 0) != b.xbar_work.contains(r) {
                 return Err(format!("router {r}: crossbar worklist desynced"));
             }
-            if (rs.pending != 0) != self.route_work.contains(r) {
+            if (b.pending[r] != 0) != b.route_work.contains(r) {
                 return Err(format!("router {r}: routing worklist desynced"));
             }
         }
-        for (n, ns) in self.nodes.iter().enumerate() {
-            for (v, lane) in ns.lanes.iter().enumerate() {
-                if (ns.lane_occ & (1u64 << v) != 0) == lane.is_empty() {
+        for n in 0..self.w.num_nodes {
+            for v in 0..vcs {
+                if !mirrors(b.node_lane_occ[n], v, b.node_lanes.len(n * vcs + v) > 0) {
                     return Err(format!("node {n} lane {v}: lane_occ mask desynced"));
                 }
             }
-            if (ns.lane_occ != 0) != self.inject_work.contains(n) {
+            if (b.node_lane_occ[n] != 0) != b.inject_work.contains(n) {
                 return Err(format!("node {n}: injection worklist desynced"));
             }
         }
         Ok(())
     }
 
-    /// Count every flit currently buffered in any lane (for conservation
-    /// checks in tests). Leaves any mounted execution mode
-    /// ([`Engine::to_aos`]).
-    pub fn buffered_flits(&mut self) -> u64 {
-        self.to_aos();
-        let router_flits: usize = self
-            .routers
-            .iter()
-            .map(|r| {
-                r.in_q.iter().map(FlitQueue::len).sum::<usize>()
-                    + r.out_q.iter().map(FlitQueue::len).sum::<usize>()
+    /// Count every flit currently buffered in any lane.
+    pub fn buffered_flits(&self) -> u64 {
+        self.banks.in_q.total() + self.banks.out_q.total() + self.banks.node_lanes.total()
+    }
+
+    /// Verify flit and credit conservation from the lane banks — an
+    /// oracle independent of how the run was scheduled, partitioned or
+    /// scanned, so an error common to all of them still trips it:
+    ///
+    /// * every created flit is delivered, dropped, buffered in a lane,
+    ///   or still at its source (queued, streaming, or abandoned as
+    ///   unroutable): `created = delivered + dropped + unroutable +
+    ///   in-flight`;
+    /// * the buffered flits are what the counters call in flight;
+    /// * credits + buffered = depth on every channel
+    ///   ([`Engine::check_credit_invariant`]).
+    ///
+    /// Returns the first violation as a description. Exact only while
+    /// every packet has the configured length (true of this engine).
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let (c, fpp) = (self.counters, u64::from(self.flits_per_packet));
+        let buffered = self.buffered_flits();
+        if buffered != c.in_flight_flits {
+            return Err(format!(
+                "{buffered} flits buffered but {} counted in flight",
+                c.in_flight_flits
+            ));
+        }
+        let at_source: u64 = (self.nodes.iter())
+            .map(|n| {
+                n.src_queue.len() as u64 * fpp + n.active.map_or(0, |(_, left)| u64::from(left))
             })
             .sum();
-        let node_flits: usize = self
-            .nodes
-            .iter()
-            .map(|n| n.lanes.iter().map(FlitQueue::len).sum::<usize>())
-            .sum();
-        (router_flits + node_flits) as u64
+        let accounted =
+            c.delivered_flits + c.dropped_flits + buffered + at_source + c.unroutable_packets * fpp;
+        if c.created_packets * fpp != accounted {
+            return Err(format!(
+                "{} flits created but {accounted} accounted for \
+                 ({} delivered, {} dropped, {buffered} buffered, {at_source} at source)",
+                c.created_packets * fpp,
+                c.delivered_flits,
+                c.dropped_flits
+            ));
+        }
+        self.check_credit_invariant()
+            .map_err(|(r, p, v, credits, occ)| {
+                format!("router {r} port {p} vc {v}: {credits} credits + {occ} buffered != depth")
+            })
     }
 }
 
@@ -1677,6 +1152,23 @@ mod tests {
             }
         }
         Box::new(Once(node == at_node))
+    }
+
+    /// A Bernoulli source that goes silent after a number of cycles
+    /// (no `state_word`: every-cycle schedule only).
+    struct Window(u32, f64);
+    impl InjectionProcess for Window {
+        fn tick(&mut self, rng: &mut Rng64) -> bool {
+            if self.0 > 0 {
+                self.0 -= 1;
+                rng.chance(self.1)
+            } else {
+                false
+            }
+        }
+        fn mean_rate(&self) -> f64 {
+            0.0
+        }
     }
 
     #[test]
@@ -1718,42 +1210,20 @@ mod tests {
     }
 
     #[test]
-    fn flit_conservation_invariant() {
-        let cube = KAryNCube::new(4, 2);
-        let algo = CubeDuato::new(cube);
+    fn conservation_holds_every_cycle() {
+        let algo = CubeDuato::new(KAryNCube::new(4, 2));
         let pattern = TrafficGen::new(Pattern::Uniform, 16);
-        let mut eng = Engine::new(
-            &algo,
-            4,
-            16,
-            pattern,
-            &|_| Box::new(Bernoulli::new(0.02)),
-            99,
-        );
+        let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(0.04)) };
+        let mut eng = Engine::new(&algo, 4, 16, pattern, &mk, 99);
+        eng.set_request_reply(true);
         for _ in 0..500 {
             eng.step();
-            assert_eq!(eng.buffered_flits(), eng.counters().in_flight_flits);
+            assert_eq!(eng.check_conservation(), Ok(()));
         }
-        let c = eng.counters();
-        assert!(c.created_packets > 0);
-        // injected = delivered + in flight (in flits).
-        let injected_flits: u64 = eng
-            .packets()
-            .iter()
-            .filter(|p| p.injected != NEVER)
-            .map(|p| {
-                // flits already pushed into the network
-
-                if p.delivered != NEVER {
-                    p.flits as u64
-                } else {
-                    // partially streamed packets are harder to count
-                    // exactly; bounded above by flits
-                    0
-                }
-            })
-            .sum();
-        assert!(injected_flits <= c.delivered_flits + c.in_flight_flits);
+        assert!(eng.counters().delivered_packets > 0);
+        // A miscounted flit must be noticed.
+        eng.counters.delivered_flits += 1;
+        assert!(eng.check_conservation().is_err());
     }
 
     #[test]
@@ -1764,27 +1234,13 @@ mod tests {
             Box::new(CubeDeterministic::new(KAryNCube::new(4, 2))) as Box<dyn RoutingAlgorithm>,
             Box::new(CubeDuato::new(KAryNCube::new(4, 2))),
         ] {
-            struct Window(u32);
-            impl InjectionProcess for Window {
-                fn tick(&mut self, rng: &mut Rng64) -> bool {
-                    if self.0 > 0 {
-                        self.0 -= 1;
-                        rng.chance(0.05)
-                    } else {
-                        false
-                    }
-                }
-                fn mean_rate(&self) -> f64 {
-                    0.0
-                }
-            }
             let pattern = TrafficGen::new(Pattern::Uniform, 16);
             let mut eng = Engine::new(
                 algo_box.as_ref(),
                 4,
                 16,
                 pattern,
-                &|_| Box::new(Window(300)),
+                &|_| Box::new(Window(300, 0.05)),
                 5,
             );
             eng.run(300 + 3000);
@@ -1800,30 +1256,16 @@ mod tests {
             assert_eq!(eng.source_queue_len(), 0, "{}", algo_box.name());
             // Everything drained: every worklist must be empty again.
             assert_eq!(eng.check_worklist_invariant(), Ok(()));
-            assert!(eng.link_work.is_empty() && eng.route_work.is_empty());
+            assert!(eng.banks.link_work.is_empty() && eng.banks.route_work.is_empty());
         }
     }
 
     #[test]
     fn tree_drains_too() {
-        struct Window(u32);
-        impl InjectionProcess for Window {
-            fn tick(&mut self, rng: &mut Rng64) -> bool {
-                if self.0 > 0 {
-                    self.0 -= 1;
-                    rng.chance(0.02)
-                } else {
-                    false
-                }
-            }
-            fn mean_rate(&self) -> f64 {
-                0.0
-            }
-        }
         for vcs in [1usize, 2, 4] {
             let algo = TreeAdaptive::new(KAryNTree::new(2, 3), vcs);
             let pattern = TrafficGen::new(Pattern::Uniform, 8);
-            let mut eng = Engine::new(&algo, 4, 32, pattern, &|_| Box::new(Window(400)), 11);
+            let mut eng = Engine::new(&algo, 4, 32, pattern, &|_| Box::new(Window(400, 0.02)), 11);
             eng.run(400 + 4000);
             let c = eng.counters();
             assert!(c.created_packets > 5);
@@ -1915,62 +1357,34 @@ mod tests {
         assert_ne!(run(42), run(43));
     }
 
-    /// Build the pair of engines used by the step/step_reference
-    /// equivalence tests.
-    fn engine_pair<'a, Algo: RoutingAlgorithm>(
-        algo: &'a Algo,
-        rate: f64,
-        seed: u64,
-    ) -> (Engine<'a, Algo>, Engine<'a, Algo>) {
-        let n = algo.topology().num_nodes();
-        let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(rate)) };
-        let a = Engine::new(algo, 4, 8, TrafficGen::new(Pattern::Uniform, n), &mk, seed);
-        let b = Engine::new(algo, 4, 8, TrafficGen::new(Pattern::Uniform, n), &mk, seed);
-        (a, b)
-    }
-
     #[test]
-    fn active_step_matches_reference_step_exactly() {
+    fn masked_kernel_matches_the_reference_audit_exactly() {
         // Cycle-by-cycle lockstep comparison on both network families,
         // checking the full observable state every few cycles.
         let cube = CubeDuato::new(KAryNCube::new(4, 2));
         let tree = TreeAdaptive::new(KAryNTree::new(2, 3), 2);
         fn check<Algo: RoutingAlgorithm>(algo: &Algo, rate: f64) {
-            let (mut opt, mut refr) = engine_pair(algo, rate, 77);
+            let n = algo.topology().num_nodes();
+            let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(rate)) };
+            let build = || Engine::new(algo, 4, 8, TrafficGen::new(Pattern::Uniform, n), &mk, 77);
+            let (mut opt, mut refr) = (build(), build());
             for cycle in 0..1500 {
                 opt.step();
-                refr.step_reference();
+                refr.run_reference(1);
                 if cycle % 64 == 0 {
                     assert_eq!(opt.counters(), refr.counters(), "cycle {cycle}");
                     assert_eq!(opt.packets(), refr.packets(), "cycle {cycle}");
                     assert_eq!(opt.check_worklist_invariant(), Ok(()), "cycle {cycle}");
+                    assert_eq!(refr.check_worklist_invariant(), Ok(()), "cycle {cycle}");
                 }
             }
             assert_eq!(opt.counters(), refr.counters());
             assert_eq!(opt.packets(), refr.packets());
-            assert_eq!(opt.buffered_flits(), refr.buffered_flits());
+            assert_eq!(opt.state_hash(), refr.state_hash());
         }
         check(&cube, 0.01);
         check(&cube, 0.08); // saturating
         check(&tree, 0.02);
-    }
-
-    #[test]
-    fn steppers_can_interleave() {
-        // Both steppers maintain the same state, so alternating them
-        // must equal running either one alone.
-        let algo = CubeDuato::new(KAryNCube::new(4, 2));
-        let (mut pure, mut mixed) = engine_pair(&algo, 0.03, 5);
-        for cycle in 0..1000 {
-            pure.step();
-            if cycle % 3 == 0 {
-                mixed.step_reference();
-            } else {
-                mixed.step();
-            }
-        }
-        assert_eq!(pure.counters(), mixed.counters());
-        assert_eq!(pure.packets(), mixed.packets());
     }
 
     #[test]
@@ -1992,6 +1406,19 @@ mod tests {
             assert_eq!(eng.check_worklist_invariant(), Ok(()));
         }
         assert!(eng.counters().delivered_packets > 0);
+    }
+
+    #[test]
+    fn cycle_counter_overflow_is_loud() {
+        let algo = CubeDuato::new(KAryNCube::new(4, 2));
+        let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(0.0)) };
+        let build = || Engine::new(&algo, 4, 8, TrafficGen::new(Pattern::Uniform, 16), &mk, 1);
+        let mut eng = build();
+        eng.run_wheel(10);
+        let overflow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = eng.run_checked_wheel(u32::MAX - 5);
+        }));
+        assert!(overflow.is_err(), "a wrapped target would return at once");
     }
 
     #[test]
@@ -2088,10 +1515,9 @@ mod tests {
         let pattern = TrafficGen::new(Pattern::Uniform, 16);
         let mut eng = Engine::new(&algo, 4, 16, pattern, &|_| Box::new(Bernoulli::new(0.0)), 1);
         eng.run(100);
-        assert!(eng.link_work.is_empty());
-        assert!(eng.xbar_work.is_empty());
-        assert!(eng.route_work.is_empty());
-        assert!(eng.inject_work.is_empty());
+        let b = &eng.banks;
+        assert!(b.link_work.is_empty() && b.xbar_work.is_empty());
+        assert!(b.route_work.is_empty() && b.inject_work.is_empty());
         assert_eq!(eng.counters().flit_moves, 0);
     }
 }

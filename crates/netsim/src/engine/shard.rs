@@ -1,66 +1,52 @@
-//! Sharded intra-run stepping: domain decomposition of one engine
-//! cycle across worker threads with deterministic phase barriers.
+//! Sharded intra-run stepping: one engine cycle decomposed across
+//! worker threads with deterministic phase barriers.
 //!
-//! [`Engine::step_sharded`] partitions routers (and, independently,
-//! nodes) into `S` contiguous, 64-aligned id ranges and runs each
-//! engine phase shard-parallel. Every cross-shard effect is carried
-//! through per-`(src-shard, dst-shard)` handoff queues that a serial
-//! barrier drains in a fixed total order — destination-shard major,
-//! source-shard minor, record order within a queue — so the result is
-//! **bit-identical** to [`Engine::step`]: counters, the packet table,
-//! RNG consumption order, and the telemetry event stream.
-//! `tests/engine_equivalence.rs` enforces this the same way it pins the
-//! active-set stepper to the reference stepper.
+//! A [`ShardPlan`] partitions routers (and, independently, nodes) into
+//! `S` contiguous, 64-aligned id ranges. A sharded cycle runs the *same
+//! kernel* as a serial one — the handlers of `soa.rs` — over one
+//! `Lanes` view per shard (disjoint `split_at_mut` slices of the lane
+//! banks), each with a `Handoff` sink that buffers what leaves the
+//! shard; a serial barrier after each phase applies the buffers in
+//! shard order. The result is **bit-identical** to the serial run —
+//! counters, the packet table, RNG consumption order and the telemetry
+//! event stream — for every shard and thread count
+//! (`tests/engine_equivalence.rs`).
 //!
 //! # Why each phase decomposes
 //!
 //! * **Link** — a worker owns its routers' *send* side outright; the
-//!   receive side of an intra-shard hop is applied immediately (the
-//!   worker is the destination's single writer too), while a
-//!   cross-shard hop defers the receive to the barrier. Each
-//!   destination input lane has exactly one upstream source, so at most
-//!   one flit arrives per lane per cycle and receive application is
-//!   order-free; the only order-sensitive observables — probe events —
-//!   are buffered per shard and replayed in shard order, which *is* the
-//!   serial ascending-id emission order. Node injection links use the
-//!   same handoff mechanism (nodes are ranged independently of their
-//!   attached routers).
+//!   receive side of an intra-shard hop is applied immediately, a
+//!   cross-shard hop defers the receive to the barrier. Each input lane
+//!   has exactly one upstream source, so at most one flit arrives per
+//!   lane per cycle and receive application is order-free; the only
+//!   order-sensitive observables — probe events — are buffered per
+//!   shard and replayed in shard order, which *is* the serial
+//!   ascending-id emission order. The packet table is read-only during
+//!   the phase; delivery stamps are applied at the barrier.
 //! * **Crossbar** — all mutations are router-local except the one-flit
-//!   credit acknowledgment, which is deferred when cross-shard (and for
-//!   every node-side credit, since crossbar workers own no nodes);
-//!   nothing in the phase reads a credit count, so deferral is
-//!   unobservable. The phase makes no probe calls.
+//!   credit acknowledgment, deferred when it leaves the shard; nothing
+//!   in the phase reads a credit count. The phase makes no probe calls.
 //! * **Routing** — the *preparation* (round-robin pending-lane scan and
 //!   the routing-function call) is a pure function of pre-phase state
 //!   and runs shard-parallel; the *selection* consumes the engine's
-//!   single shared RNG stream (the fair tie-break of the selection
-//!   policy) and therefore runs serially at the barrier, in ascending
-//!   router order — exactly the serial stepper's consumption order.
-//! * **Injection** — the per-node creation processes tick their
-//!   node-local RNGs shard-parallel; packet-id assignment, source
-//!   queueing and flit streaming run serially (ids are global sequence
-//!   numbers and the probe observes them in node order).
-//!
-//! `shards <= 1` falls straight through to [`Engine::step`], so the
-//! default path remains the serial hot loop, untouched.
+//!   single shared RNG stream and therefore runs serially at the
+//!   barrier, in ascending router order — the serial consumption order.
+//! * **Injection** — packet ids are global sequence numbers and the
+//!   probe observes them in node order, so the phase stays serial; on
+//!   the wheel schedule it only touches firing and backlogged nodes.
 
-use super::{Counters, Engine, NodeState, RouterState, Stall, DROP_ROUTE, NO_ROUTE};
+use super::soa::{Lanes, Prepared, Sink, SoaBanks};
+use super::{Counters, Engine};
 use crate::fault::FaultModel;
 use crate::flit::{Flit, PacketRec, NEVER};
-use crate::wiring::{Peer, Wiring};
 use routing::{CandidateSet, RoutingAlgorithm};
 use telemetry::{LinkKind, Probe};
-use topology::{NodeId, RouterId};
-use traffic::TrafficGen;
 
 /// The shard decomposition of one engine plus its reusable per-shard
-/// scratch state (handoff queues, probe-event buffers, candidate
-/// pools). Build one with [`Engine::shard_plan`] and feed it to
-/// [`Engine::step_sharded`] / [`Engine::run_sharded`]; it is only valid
-/// for engines of the same topology it was built from.
+/// scratch state. Build one with [`Engine::shard_plan`] and feed it to
+/// the `*_sharded` run methods; it is only valid for engines of the
+/// same topology it was built from.
 pub struct ShardPlan {
-    /// Effective shard count (after clamping to the router count).
-    shards: usize,
     /// Worker threads: `<= 1` runs every shard on the calling thread
     /// (in ascending shard order — bit-identical by construction),
     /// `> 1` spawns one scoped thread per shard per phase.
@@ -71,12 +57,6 @@ pub struct ShardPlan {
     /// Node id boundaries, aligned the same way (independent of router
     /// attachment: a shard's nodes need not hang off its routers).
     node_starts: Vec<usize>,
-    /// `router_starts[i] / 64` (worklist word boundaries).
-    router_word_starts: Vec<usize>,
-    /// `node_starts[i] / 64`.
-    node_word_starts: Vec<usize>,
-    /// `router_starts[i] * ports` (per-channel counter boundaries).
-    link_flit_starts: Vec<usize>,
     /// Per-shard scratch, reused across cycles.
     scratch: Vec<ShardScratch>,
 }
@@ -85,84 +65,50 @@ impl ShardPlan {
     /// Effective shard count (requests beyond the router count are
     /// clamped at construction).
     pub fn shards(&self) -> usize {
-        self.shards
+        self.scratch.len()
     }
 
     /// Worker-thread setting (`<= 1` = run shards on the caller).
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Node id boundaries (the wheel-sharded stepper partitions its
-    /// calendar queue along these).
-    pub(super) fn node_starts(&self) -> &[usize] {
-        &self.node_starts
-    }
 }
 
-/// Per-shard scratch: everything a worker produces for the barrier to
-/// consume. All queues are drained every cycle, so the allocations are
-/// reused for the lifetime of the plan.
+/// Everything one shard's workers produce for the barriers to consume.
+/// All queues are drained every cycle, so the allocations are reused
+/// for the lifetime of the plan.
+#[derive(Default)]
 struct ShardScratch {
-    /// Cross-shard flit arrivals, one queue per destination shard:
-    /// `(dst router, dst input lane, flit)`. The flit's `moved` stamp
-    /// is set by the sender, exactly as on an intra-shard hop.
-    flits_out: Vec<Vec<(u32, u16, Flit)>>,
-    /// Cross-shard credit acknowledgments, per destination shard:
-    /// `(router, output lane)`.
-    credits_out: Vec<Vec<(u32, u16)>>,
-    /// Node-side credit acknowledgments `(node, vc)` — always deferred
-    /// (crossbar workers own routers, not nodes).
-    node_credits: Vec<(u32, u8)>,
-    /// Packets whose tail was ejected this cycle; the `delivered` stamp
-    /// is applied at the barrier so the packet table stays read-only
-    /// during the parallel phase.
+    /// Flits that crossed into another shard: `(router, input lane,
+    /// flit)`, the `moved` stamp already set by the sender.
+    flits_out: Vec<(u32, u16, Flit)>,
+    /// Credit acknowledgments for another shard's `(router, output
+    /// lane)` and `(node, vc)`.
+    credits_out: Vec<(u32, u16)>,
+    node_credits_out: Vec<(u32, u8)>,
+    /// Packets whose tail was ejected this cycle (stamped at the
+    /// barrier), and those among them awaiting a reply.
     delivered: Vec<u32>,
-    /// Delivered requests awaiting reply creation (request-reply mode).
     replies: Vec<u32>,
-    /// Probe events from the router leg of the link phase, in emission
-    /// order (replayed shard-ascending = serial router order).
+    /// Probe events from the router leg and from the node (injection)
+    /// leg of the link phase, in emission order.
     router_events: Vec<LinkEvent>,
-    /// Probe events from the node (injection) leg of the link phase.
     node_events: Vec<LinkEvent>,
-    /// Routing decisions prepared by this shard, ascending router order.
-    decisions: Vec<RouteDecision>,
-    /// Reusable candidate-set allocations for `decisions`.
+    /// Routing decisions prepared by this shard, ascending router
+    /// order, and the reusable candidate-set allocations behind them.
+    decisions: Vec<(u32, Prepared, CandidateSet)>,
     cand_pool: Vec<CandidateSet>,
-    /// Packet creations from the injection tick pass: `(node, dest)`.
-    creations: Vec<(u32, u32)>,
-    /// Counter deltas. Decrements (e.g. `in_flight_flits` on ejection)
-    /// wrap below the zero-initialized delta and are reconciled by the
-    /// wrapping merge in [`Engine::merge_shard_counters`].
+    /// Counter deltas. Decrements wrap below the zero-initialized
+    /// delta and are reconciled by the wrapping merge.
     counters: Counters,
     /// Flit movements executed by this shard this cycle.
     moves: u64,
-}
-
-impl ShardScratch {
-    fn new(shards: usize) -> Self {
-        ShardScratch {
-            flits_out: (0..shards).map(|_| Vec::new()).collect(),
-            credits_out: (0..shards).map(|_| Vec::new()).collect(),
-            node_credits: Vec::new(),
-            delivered: Vec::new(),
-            replies: Vec::new(),
-            router_events: Vec::new(),
-            node_events: Vec::new(),
-            decisions: Vec::new(),
-            cand_pool: Vec::new(),
-            creations: Vec::new(),
-            counters: Counters::default(),
-            moves: 0,
-        }
-    }
 }
 
 /// A buffered probe observation from the link phase (the only parallel
 /// phase that makes probe calls). Replayed on the stepping thread, so
 /// probes need not be `Send`.
 enum LinkEvent {
-    /// `Probe::link_flit`.
     Link {
         packet: u32,
         router: u32,
@@ -170,25 +116,79 @@ enum LinkEvent {
         vc: u8,
         kind: LinkKind,
     },
-    /// `Probe::packet_delivered` (emitted right after the tail's
-    /// ejection `Link` event, as in the serial handler).
-    Delivered { packet: u32, node: u32 },
-    /// `Probe::injection_flit`.
-    Injection { packet: u32, node: u32, vc: u8 },
+    Delivered {
+        packet: u32,
+        node: u32,
+    },
+    Injection {
+        packet: u32,
+        node: u32,
+        vc: u8,
+    },
 }
 
-/// One prepared routing decision: everything `route_lane` computes
-/// before the RNG-consuming output selection.
-struct RouteDecision {
-    router: u32,
-    lane: u8,
-    packet: u32,
-    /// Fault-plane dead end: drop instead of selecting.
-    unroutable: bool,
-    /// At least one candidate direction is transiently down (reroute
-    /// telemetry).
-    degraded: bool,
-    cand: CandidateSet,
+/// A shard's sink: effects that leave the shard's lanes are buffered
+/// for the barrier.
+struct Handoff<'a> {
+    scratch: &'a mut ShardScratch,
+    packets: &'a [PacketRec],
+    request_reply: bool,
+}
+
+impl Sink for Handoff<'_> {
+    const WHOLE: bool = false;
+
+    fn counters(&mut self) -> &mut Counters {
+        &mut self.scratch.counters
+    }
+    fn moves(&mut self) -> &mut u64 {
+        &mut self.scratch.moves
+    }
+    fn link_flit(
+        &mut self,
+        _: u32,
+        f: &Flit,
+        router: usize,
+        port: usize,
+        vc: usize,
+        kind: LinkKind,
+    ) {
+        self.scratch.router_events.push(LinkEvent::Link {
+            packet: f.packet,
+            router: router as u32,
+            port: port as u16,
+            vc: vc as u8,
+            kind,
+        });
+    }
+    fn tail_ejected(&mut self, _: u32, packet: u32, node: u32) {
+        let rec = &self.packets[packet as usize];
+        debug_assert_eq!(rec.delivered, NEVER);
+        self.scratch.delivered.push(packet);
+        if self.request_reply && !rec.is_reply() {
+            self.scratch.replies.push(packet);
+        }
+        self.scratch.counters.delivered_packets += 1;
+        self.scratch
+            .router_events
+            .push(LinkEvent::Delivered { packet, node });
+    }
+    fn injection_flit(&mut self, _: u32, f: &Flit, node: usize, vc: usize) {
+        self.scratch.node_events.push(LinkEvent::Injection {
+            packet: f.packet,
+            node: node as u32,
+            vc: vc as u8,
+        });
+    }
+    fn flit_out(&mut self, router: usize, lane: usize, f: Flit) {
+        self.scratch.flits_out.push((router as u32, lane as u16, f));
+    }
+    fn credit_out(&mut self, router: usize, lane: usize) {
+        self.scratch.credits_out.push((router as u32, lane as u16));
+    }
+    fn node_credit_out(&mut self, node: usize, vc: usize) {
+        self.scratch.node_credits_out.push((node as u32, vc as u8));
+    }
 }
 
 /// 64-aligned boundary table: `shards + 1` monotone offsets into
@@ -201,49 +201,13 @@ fn aligned_starts(len: usize, shards: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Split `s` into the consecutive sub-slices delimited by `starts`
-/// (`starts[0] == 0`, `starts.last() == s.len()`).
-fn split_mut<'s, T>(mut s: &'s mut [T], starts: &[usize]) -> Vec<&'s mut [T]> {
-    let mut out = Vec::with_capacity(starts.len().saturating_sub(1));
-    let mut prev = 0;
-    for &b in &starts[1..] {
-        let (head, tail) = s.split_at_mut(b - prev);
-        out.push(head);
-        s = tail;
-        prev = b;
-    }
-    out
-}
-
-/// The shard owning `id` under boundary table `starts`.
-#[inline]
-fn shard_of(starts: &[usize], id: usize) -> usize {
-    debug_assert!(id < *starts.last().expect("non-empty boundary table"));
-    starts.partition_point(|&s| s <= id) - 1
-}
-
-/// Set bit `id` in a worklist word slice whose first word covers ids
-/// `word_base * 64 ..`.
-#[inline]
-fn set_bit(words: &mut [u64], word_base: usize, id: usize) {
-    words[(id >> 6) - word_base] |= 1u64 << (id & 63);
-}
-
-/// Clear bit `id`, same addressing as [`set_bit`].
-#[inline]
-fn clear_bit(words: &mut [u64], word_base: usize, id: usize) {
-    words[(id >> 6) - word_base] &= !(1u64 << (id & 63));
-}
-
 /// Run one closure per shard context: on the calling thread in
 /// ascending shard order when `threads <= 1`, else on one scoped worker
 /// thread per shard. Both modes execute the identical worker code; the
 /// barriers around this call are what make the schedule unobservable.
 fn run_shards<C: Send, W: Fn(&mut C) + Sync>(threads: usize, ctxs: &mut [C], work: W) {
     if threads <= 1 {
-        for c in ctxs.iter_mut() {
-            work(c);
-        }
+        ctxs.iter_mut().for_each(work);
     } else {
         let work = &work;
         std::thread::scope(|s| {
@@ -254,568 +218,31 @@ fn run_shards<C: Send, W: Fn(&mut C) + Sync>(threads: usize, ctxs: &mut [C], wor
     }
 }
 
-// ---------------------------------------------------------------------
-// Phase 1: link.
-// ---------------------------------------------------------------------
+/// Drain `q` through `f`, keeping its allocation.
+fn drain<T>(q: &mut Vec<T>, f: impl FnMut(T)) {
+    q.drain(..).for_each(f);
+}
 
-/// Shared (read-only) link-phase environment.
-struct LinkEnv<'e, F> {
-    w: &'e Wiring,
-    faults: &'e F,
-    packets: &'e [PacketRec],
-    router_starts: &'e [usize],
-    cycle: u32,
-    vcs: usize,
+/// One `(view, sink)` worker context per shard.
+fn shard_ctxs<'b>(
+    banks: &'b mut SoaBanks,
+    plan: &'b mut ShardPlan,
+    packets: &'b [PacketRec],
     request_reply: bool,
+) -> Vec<(Lanes<'b>, Handoff<'b>)> {
+    let views = (banks.view()).split(&plan.router_starts, &plan.node_starts);
+    let sinks = plan.scratch.iter_mut().map(|scratch| Handoff {
+        scratch,
+        packets,
+        request_reply,
+    });
+    views.into_iter().zip(sinks).collect()
 }
-
-/// One link-phase worker's exclusive state.
-struct LinkShard<'e> {
-    router_base: usize,
-    node_base: usize,
-    routers: &'e mut [RouterState],
-    nodes: &'e mut [NodeState],
-    link_flits: &'e mut [u64],
-    link_words: &'e mut [u64],
-    route_words: &'e mut [u64],
-    xbar_words: &'e mut [u64],
-    inject_words: &'e mut [u64],
-    scratch: &'e mut ShardScratch,
-}
-
-/// Mirror of the serial stepper's link-phase worklist walk, restricted
-/// to one shard's router and node word ranges.
-fn link_worker<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'_>) {
-    let rword_base = sh.router_base >> 6;
-    for wi in 0..sh.link_words.len() {
-        let mut bits = sh.link_words[wi];
-        while bits != 0 {
-            let r = ((rword_base + wi) << 6) + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            link_router_sharded(env, sh, r);
-            if sh.routers[r - sh.router_base].out_occ == 0 {
-                clear_bit(sh.link_words, rword_base, r);
-            }
-        }
-    }
-    let nword_base = sh.node_base >> 6;
-    for wi in 0..sh.inject_words.len() {
-        let mut bits = sh.inject_words[wi];
-        while bits != 0 {
-            let n = ((nword_base + wi) << 6) + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            link_node_sharded(env, sh, n);
-            if sh.nodes[n - sh.node_base].lane_occ == 0 {
-                clear_bit(sh.inject_words, nword_base, n);
-            }
-        }
-    }
-}
-
-/// Shard mirror of `Engine::link_router::<true>`: identical mutations
-/// on the send side; intra-shard receives applied inline, cross-shard
-/// receives handed off; probe calls and packet/counter writes buffered.
-fn link_router_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'_>, r: usize) {
-    let cycle = env.cycle;
-    let vcs = env.vcs;
-    let ports = env.w.ports;
-    let port_lanes = (1u64 << vcs) - 1;
-    let rbase = sh.router_base;
-    let rend = rbase + sh.routers.len();
-    let rword_base = rbase >> 6;
-    for p in 0..ports {
-        if F::ACTIVE && env.faults.channel_down(r, p) {
-            continue; // channel down: nothing crosses this cycle
-        }
-        if sh.routers[r - rbase].out_occ & (port_lanes << (p * vcs)) == 0 {
-            continue; // nothing buffered towards this direction
-        }
-        match env.w.peer(r, p) {
-            Peer::None => {
-                debug_assert!(false, "flit buffered on an uncabled port");
-            }
-            Peer::Node(node) => {
-                // Ejection: the node always sinks (no credits).
-                let rs = &mut sh.routers[r - rbase];
-                let start = rs.link_rr[p] as usize;
-                for i in 0..vcs {
-                    let v = (start + i) % vcs;
-                    let l = p * vcs + v;
-                    if rs.out_occ & (1u64 << l) == 0 {
-                        continue;
-                    }
-                    let ready = matches!(rs.out_q[l].front(),
-                            Some(f) if f.moved < cycle);
-                    if ready {
-                        let f = rs.out_q[l].pop().unwrap();
-                        if rs.out_q[l].is_empty() {
-                            rs.out_occ &= !(1u64 << l);
-                        }
-                        rs.link_rr[p] = ((v + 1) % vcs) as u8;
-                        sh.link_flits[(r - rbase) * ports + p] += 1;
-                        sh.scratch.counters.delivered_flits += 1;
-                        sh.scratch.counters.in_flight_flits =
-                            sh.scratch.counters.in_flight_flits.wrapping_sub(1);
-                        sh.scratch.moves += 1;
-                        sh.scratch.router_events.push(LinkEvent::Link {
-                            packet: f.packet,
-                            router: r as u32,
-                            port: p as u16,
-                            vc: v as u8,
-                            kind: LinkKind::Ejection,
-                        });
-                        if f.is_tail() {
-                            let rec = &env.packets[f.packet as usize];
-                            debug_assert_eq!(rec.delivered, NEVER);
-                            sh.scratch.delivered.push(f.packet);
-                            let reply = env.request_reply && !rec.is_reply();
-                            sh.scratch.counters.delivered_packets += 1;
-                            if reply {
-                                sh.scratch.replies.push(f.packet);
-                            }
-                            sh.scratch.router_events.push(LinkEvent::Delivered {
-                                packet: f.packet,
-                                node,
-                            });
-                        }
-                        break;
-                    }
-                }
-            }
-            Peer::Router {
-                router: r2,
-                port: p2,
-            } => {
-                let (r2, p2) = (r2 as usize, p2 as usize);
-                debug_assert_ne!(r, r2);
-                if r2 >= rbase && r2 < rend {
-                    // Intra-shard hop: the serial handler, verbatim.
-                    let [rs, dst] = sh
-                        .routers
-                        .get_disjoint_mut([r - rbase, r2 - rbase])
-                        .expect("distinct routers");
-                    let start = rs.link_rr[p] as usize;
-                    for i in 0..vcs {
-                        let v = (start + i) % vcs;
-                        let l = p * vcs + v;
-                        if rs.out_occ & (1u64 << l) == 0 {
-                            continue;
-                        }
-                        let ready = rs.out_credits[l] > 0
-                            && matches!(rs.out_q[l].front(), Some(f) if f.moved < cycle);
-                        if ready {
-                            let mut f = rs.out_q[l].pop().unwrap();
-                            if rs.out_q[l].is_empty() {
-                                rs.out_occ &= !(1u64 << l);
-                            }
-                            rs.out_credits[l] -= 1;
-                            rs.link_rr[p] = ((v + 1) % vcs) as u8;
-                            sh.link_flits[(r - rbase) * ports + p] += 1;
-                            f.moved = cycle;
-                            let dl = p2 * vcs + v;
-                            let was_empty = dst.in_q[dl].is_empty();
-                            dst.in_q[dl].push(f);
-                            dst.in_occ |= 1u64 << dl;
-                            if was_empty && f.is_head() {
-                                debug_assert_eq!(dst.in_route[dl], NO_ROUTE);
-                                dst.pending |= 1 << dl;
-                                set_bit(sh.route_words, rword_base, r2);
-                            }
-                            if dst.routed & (1u64 << dl) != 0 {
-                                set_bit(sh.xbar_words, rword_base, r2);
-                            }
-                            sh.scratch.moves += 1;
-                            sh.scratch.router_events.push(LinkEvent::Link {
-                                packet: f.packet,
-                                router: r as u32,
-                                port: p as u16,
-                                vc: v as u8,
-                                kind: LinkKind::Network,
-                            });
-                            break;
-                        }
-                    }
-                } else {
-                    // Cross-shard hop: readiness depends only on the
-                    // send side (credits stand in for receiver state),
-                    // so the receive is deferred whole to the barrier.
-                    let rs = &mut sh.routers[r - rbase];
-                    let start = rs.link_rr[p] as usize;
-                    for i in 0..vcs {
-                        let v = (start + i) % vcs;
-                        let l = p * vcs + v;
-                        if rs.out_occ & (1u64 << l) == 0 {
-                            continue;
-                        }
-                        let ready = rs.out_credits[l] > 0
-                            && matches!(rs.out_q[l].front(), Some(f) if f.moved < cycle);
-                        if ready {
-                            let mut f = rs.out_q[l].pop().unwrap();
-                            if rs.out_q[l].is_empty() {
-                                rs.out_occ &= !(1u64 << l);
-                            }
-                            rs.out_credits[l] -= 1;
-                            rs.link_rr[p] = ((v + 1) % vcs) as u8;
-                            sh.link_flits[(r - rbase) * ports + p] += 1;
-                            f.moved = cycle;
-                            let dl = p2 * vcs + v;
-                            let dst_shard = shard_of(env.router_starts, r2);
-                            sh.scratch.flits_out[dst_shard].push((r2 as u32, dl as u16, f));
-                            sh.scratch.moves += 1;
-                            sh.scratch.router_events.push(LinkEvent::Link {
-                                packet: f.packet,
-                                router: r as u32,
-                                port: p as u16,
-                                vc: v as u8,
-                                kind: LinkKind::Network,
-                            });
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Shard mirror of `Engine::link_node::<true>`. The attached router is
-/// looked up against this shard's *router* range (node and router
-/// ranges are independent); a cross-shard push rides the same handoff
-/// queue as a router-to-router hop.
-fn link_node_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'_>, n: usize) {
-    if F::ACTIVE && env.faults.node_dead(n) {
-        return; // dead node: its injection channel carries nothing
-    }
-    let cycle = env.cycle;
-    let vcs = env.vcs;
-    let (r, p) = env.w.node_ports[n];
-    let (r, p) = (r as usize, p as usize);
-    let rbase = sh.router_base;
-    let rend = rbase + sh.routers.len();
-    let ns = &mut sh.nodes[n - sh.node_base];
-    let start = ns.lane_rr as usize;
-    for i in 0..vcs {
-        let v = (start + i) % vcs;
-        if ns.lane_occ & (1u64 << v) == 0 {
-            continue;
-        }
-        let ready = ns.credits[v] > 0 && matches!(ns.lanes[v].front(), Some(f) if f.moved < cycle);
-        if ready {
-            let mut f = ns.lanes[v].pop().unwrap();
-            if ns.lanes[v].is_empty() {
-                ns.lane_occ &= !(1u64 << v);
-            }
-            ns.credits[v] -= 1;
-            ns.lane_rr = ((v + 1) % vcs) as u8;
-            f.moved = cycle;
-            let dl = p * vcs + v;
-            if r >= rbase && r < rend {
-                let rs = &mut sh.routers[r - rbase];
-                let was_empty = rs.in_q[dl].is_empty();
-                rs.in_q[dl].push(f);
-                rs.in_occ |= 1u64 << dl;
-                if was_empty && f.is_head() {
-                    rs.pending |= 1 << dl;
-                    set_bit(sh.route_words, rbase >> 6, r);
-                }
-                if rs.routed & (1u64 << dl) != 0 {
-                    set_bit(sh.xbar_words, rbase >> 6, r);
-                }
-            } else {
-                let dst_shard = shard_of(env.router_starts, r);
-                sh.scratch.flits_out[dst_shard].push((r as u32, dl as u16, f));
-            }
-            sh.scratch.moves += 1;
-            sh.scratch.node_events.push(LinkEvent::Injection {
-                packet: f.packet,
-                node: n as u32,
-                vc: v as u8,
-            });
-            break;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Phase 2: crossbar.
-// ---------------------------------------------------------------------
-
-/// Shared crossbar-phase environment.
-struct XbarEnv<'e> {
-    w: &'e Wiring,
-    router_starts: &'e [usize],
-    cycle: u32,
-    vcs: usize,
-    lanes_per_router: usize,
-}
-
-/// One crossbar worker's exclusive state.
-struct XbarShard<'e> {
-    router_base: usize,
-    routers: &'e mut [RouterState],
-    link_words: &'e mut [u64],
-    route_words: &'e mut [u64],
-    xbar_words: &'e mut [u64],
-    scratch: &'e mut ShardScratch,
-}
-
-/// Mirror of the serial crossbar worklist walk for one shard.
-fn xbar_worker<F: FaultModel>(env: &XbarEnv<'_>, sh: &mut XbarShard<'_>) {
-    let word_base = sh.router_base >> 6;
-    for wi in 0..sh.xbar_words.len() {
-        let mut bits = sh.xbar_words[wi];
-        while bits != 0 {
-            let r = ((word_base + wi) << 6) + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            // Snapshot, as in the serial handler: lanes cannot become
-            // forwardable during the phase.
-            let mut mask = {
-                let rs = &sh.routers[r - sh.router_base];
-                rs.in_occ & rs.routed
-            };
-            while mask != 0 {
-                let l = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                xbar_lane_sharded::<F>(env, sh, r, l);
-            }
-            let rs = &sh.routers[r - sh.router_base];
-            if rs.in_occ & rs.routed == 0 {
-                clear_bit(sh.xbar_words, word_base, r);
-            }
-        }
-    }
-}
-
-/// Shard mirror of `Engine::xbar_lane` + `Engine::drain_lane`: all
-/// mutations are router-local except the upstream credit, which is
-/// returned inline intra-shard and deferred otherwise (node credits
-/// always deferred). No probe calls in this phase.
-fn xbar_lane_sharded<F: FaultModel>(env: &XbarEnv<'_>, sh: &mut XbarShard<'_>, r: usize, l: usize) {
-    let cycle = env.cycle;
-    let vcs = env.vcs;
-    let rbase = sh.router_base;
-    let rend = rbase + sh.routers.len();
-    let draining = F::ACTIVE && sh.routers[r - rbase].in_route[l] == DROP_ROUTE;
-    {
-        let rs = &mut sh.routers[r - rbase];
-        if draining {
-            // Fault-plane drain: sink one flit, credits still returned.
-            let movable = matches!(rs.in_q[l].front(), Some(f) if f.moved < cycle);
-            if !movable {
-                return;
-            }
-            let f = rs.in_q[l].pop().unwrap();
-            if rs.in_q[l].is_empty() {
-                rs.in_occ &= !(1u64 << l);
-            }
-            sh.scratch.counters.in_flight_flits =
-                sh.scratch.counters.in_flight_flits.wrapping_sub(1);
-            sh.scratch.counters.dropped_flits += 1;
-            sh.scratch.moves += 1;
-            if f.is_tail() {
-                rs.in_route[l] = NO_ROUTE;
-                rs.routed &= !(1u64 << l);
-                if matches!(rs.in_q[l].front(), Some(nf) if nf.is_head()) {
-                    rs.pending |= 1 << l;
-                    set_bit(sh.route_words, rbase >> 6, r);
-                }
-            }
-        } else {
-            let route = rs.in_route[l];
-            debug_assert_ne!(route, NO_ROUTE);
-            let movable = matches!(rs.in_q[l].front(), Some(f) if f.moved < cycle)
-                && !rs.out_q[route as usize].is_full();
-            if !movable {
-                return;
-            }
-            let mut f = rs.in_q[l].pop().unwrap();
-            if rs.in_q[l].is_empty() {
-                rs.in_occ &= !(1u64 << l);
-            }
-            f.moved = cycle;
-            rs.out_q[route as usize].push(f);
-            rs.out_occ |= 1u64 << route;
-            set_bit(sh.link_words, rbase >> 6, r);
-            sh.scratch.moves += 1;
-            if f.is_tail() {
-                rs.in_route[l] = NO_ROUTE;
-                rs.routed &= !(1u64 << l);
-                rs.out_bound &= !(1u64 << route);
-                if matches!(rs.in_q[l].front(), Some(nf) if nf.is_head()) {
-                    rs.pending |= 1 << l;
-                    set_bit(sh.route_words, rbase >> 6, r);
-                }
-            }
-        }
-    }
-    // Acknowledgment: one buffer freed in this input lane.
-    let (p, v) = (l / vcs, l % vcs);
-    match env.w.peer(r, p) {
-        Peer::Router {
-            router: r2,
-            port: p2,
-        } => {
-            let ul = p2 as usize * vcs + v;
-            let r2 = r2 as usize;
-            if r2 >= rbase && r2 < rend {
-                let up = &mut sh.routers[r2 - rbase];
-                up.out_credits[ul] += 1;
-                debug_assert!(up.out_credits[ul] as usize <= up.out_q[ul].capacity());
-            } else {
-                let dst_shard = shard_of(env.router_starts, r2);
-                sh.scratch.credits_out[dst_shard].push((r2 as u32, ul as u16));
-            }
-        }
-        Peer::Node(nn) => {
-            sh.scratch.node_credits.push((nn, v as u8));
-        }
-        Peer::None => unreachable!("flit arrived through an uncabled port"),
-    }
-    debug_assert!(l < env.lanes_per_router);
-}
-
-// ---------------------------------------------------------------------
-// Phase 3: routing (parallel preparation, serial selection).
-// ---------------------------------------------------------------------
-
-/// Shared routing-preparation environment (entirely read-only: the
-/// phase writes nothing but its own decision list).
-struct RouteEnv<'e, A: ?Sized, F> {
-    routers: &'e [RouterState],
-    route_words: &'e [u64],
-    packets: &'e [PacketRec],
-    algo: &'e A,
-    faults: &'e F,
-    cycle: u32,
-    vcs: usize,
-}
-
-/// One routing-preparation worker's exclusive state.
-struct RouteShard<'e> {
-    /// Word range `[word_lo, word_hi)` of `route_words` owned here.
-    word_lo: usize,
-    word_hi: usize,
-    scratch: &'e mut ShardScratch,
-}
-
-/// Mirror of the serial routing phase up to (not including) the
-/// RNG-consuming output selection: scan the round-robin pending order
-/// for the first visible header, call the routing function, and record
-/// the decision for the barrier to select and apply in serial order.
-fn route_prepare_worker<A: RoutingAlgorithm + ?Sized, F: FaultModel>(
-    env: &RouteEnv<'_, A, F>,
-    sh: &mut RouteShard<'_>,
-) {
-    for wi in sh.word_lo..sh.word_hi {
-        let mut bits = env.route_words[wi];
-        while bits != 0 {
-            let r = (wi << 6) + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            prepare_router(env, sh, r);
-        }
-    }
-}
-
-/// The per-router preparation: same lane visit order as
-/// `Engine::route_router::<true>` / `Engine::route_lane`.
-fn prepare_router<A: RoutingAlgorithm + ?Sized, F: FaultModel>(
-    env: &RouteEnv<'_, A, F>,
-    sh: &mut RouteShard<'_>,
-    r: usize,
-) {
-    let rs = &env.routers[r];
-    let pending = rs.pending;
-    debug_assert_ne!(
-        pending, 0,
-        "router on routing worklist without pending header"
-    );
-    let start = rs.route_rr as usize;
-    let below_start = (1u64 << start) - 1;
-    'scan: for part in [pending & !below_start, pending & below_start] {
-        let mut bits = part;
-        while bits != 0 {
-            let l = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let front = *rs.in_q[l].front().expect("pending lane must hold a flit");
-            debug_assert!(front.is_head(), "pending lane front must be a header");
-            if front.moved >= env.cycle {
-                // Arrived this very cycle; visible next cycle — the
-                // serial scan tries the next pending lane.
-                continue;
-            }
-            let dest = env.packets[front.packet as usize].dest;
-            let in_port = l / env.vcs;
-            let mut cand = sh.scratch.cand_pool.pop().unwrap_or_default();
-            env.algo
-                .route(RouterId(r as u32), Some(in_port), NodeId(dest), &mut cand);
-            debug_assert!(!cand.is_empty(), "routing function returned no candidate");
-            let unroutable = F::ACTIVE && fault_unroutable(env.faults, r, &cand);
-            let degraded = !unroutable
-                && F::ACTIVE
-                && cand
-                    .preferred
-                    .iter()
-                    .chain(cand.fallback.iter())
-                    .any(|c| env.faults.channel_down(r, c.port as usize));
-            sh.scratch.decisions.push(RouteDecision {
-                router: r as u32,
-                lane: l as u8,
-                packet: front.packet,
-                unroutable,
-                degraded,
-                cand,
-            });
-            break 'scan;
-        }
-    }
-}
-
-/// Free-function twin of `Engine::fault_unroutable` (the worker has no
-/// engine reference).
-fn fault_unroutable<F: FaultModel>(faults: &F, r: usize, cand: &CandidateSet) -> bool {
-    let dead = |c: &routing::Candidate| faults.channel_dead(r, c.port as usize);
-    if !cand.fallback.is_empty() {
-        cand.fallback.iter().all(dead)
-    } else {
-        cand.preferred.iter().all(dead)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Phase 4: injection (parallel creation ticks, serial remainder).
-// ---------------------------------------------------------------------
-
-/// One injection-tick worker's exclusive state.
-struct TickShard<'e> {
-    node_base: usize,
-    nodes: &'e mut [NodeState],
-    scratch: &'e mut ShardScratch,
-}
-
-/// Advance every node's creation process one cycle and record the
-/// `(node, destination)` of each created packet. Only node-local RNG
-/// streams are consumed, in the same per-node order as the serial
-/// stepper; hoisting the ticks ahead of the serial remainder is
-/// unobservable because nothing later in the phase touches them.
-fn tick_worker(pattern: &TrafficGen, sh: &mut TickShard<'_>) {
-    for (i, ns) in sh.nodes.iter_mut().enumerate() {
-        if ns.proc.tick(&mut ns.rng) {
-            let n = (sh.node_base + i) as u32;
-            if let Some(dest) = pattern.dest(NodeId(n), &mut ns.rng) {
-                sh.scratch.creations.push((n, dest.0));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The sharded stepper.
-// ---------------------------------------------------------------------
 
 impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P, F> {
     /// Build a shard decomposition of this engine: `shards` contiguous,
     /// 64-aligned router ranges (nodes are ranged independently) plus
-    /// the per-shard scratch the sharded stepper reuses across cycles.
+    /// the per-shard scratch the sharded run reuses across cycles.
     ///
     /// A request beyond the router count is clamped (with a warning on
     /// stderr) rather than rejected, so tiny topologies keep working
@@ -825,489 +252,145 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     pub fn shard_plan(&self, shards: usize, threads: usize) -> ShardPlan {
         let want = shards.max(1);
         let cap = self.w.num_routers.max(1);
-        let shards = if want > cap {
+        if want > cap {
             eprintln!(
                 "warning: {want} shards exceed the {cap} router(s) of this topology; \
                  clamping to {cap}"
             );
-            cap
-        } else {
-            want
-        };
-        let router_starts = aligned_starts(self.w.num_routers, shards);
-        let node_starts = aligned_starts(self.w.num_nodes, shards);
-        let router_word_starts: Vec<usize> = router_starts.iter().map(|s| s.div_ceil(64)).collect();
-        let node_word_starts: Vec<usize> = node_starts.iter().map(|s| s.div_ceil(64)).collect();
-        let link_flit_starts: Vec<usize> = router_starts.iter().map(|s| s * self.w.ports).collect();
+        }
+        let shards = want.min(cap);
         ShardPlan {
-            shards,
             threads: threads.max(1),
-            router_starts,
-            node_starts,
-            router_word_starts,
-            node_word_starts,
-            link_flit_starts,
-            scratch: (0..shards).map(|_| ShardScratch::new(shards)).collect(),
+            router_starts: aligned_starts(self.w.num_routers, shards),
+            node_starts: aligned_starts(self.w.num_nodes, shards),
+            scratch: (0..shards).map(|_| ShardScratch::default()).collect(),
         }
     }
 
-    /// Execute one clock cycle with the sharded stepper. Bit-identical
-    /// to [`Engine::step`] for every shard/thread count; `shards <= 1`
-    /// *is* [`Engine::step`]. The plan must have been built by
-    /// [`Engine::shard_plan`] on an engine of the same topology.
-    pub fn step_sharded(&mut self, plan: &mut ShardPlan)
-    where
+    /// Phases 1–3 of one cycle, sharded: each parallel phase over one
+    /// view per shard, each followed by its serial barrier.
+    pub(super) fn sharded_phases<const MASKED: bool>(
+        &mut self,
+        banks: &mut SoaBanks,
+        plan: &mut ShardPlan,
+    ) where
         F: Sync,
     {
-        if plan.shards <= 1 {
-            self.step();
-            return;
-        }
-        // The sharded stepper walks the canonical per-router structs;
-        // leave any mounted SoA/wheel execution mode first.
-        self.to_aos();
         debug_assert_eq!(
-            *plan.router_starts.last().unwrap(),
-            self.w.num_routers,
+            plan.router_starts.last(),
+            Some(&self.w.num_routers),
             "shard plan built for a different topology"
         );
-
-        self.moves_this_cycle = 0;
-        if F::ACTIVE {
-            self.begin_fault_cycle();
+        let (threads, request_reply) = (plan.threads, self.request_reply);
+        {
+            let env = self.env();
+            let mut ctxs = shard_ctxs(banks, plan, &self.packets, request_reply);
+            run_shards(threads, &mut ctxs, |(v, sink)| {
+                v.phase_link::<MASKED, F, _>(&env, sink)
+            });
         }
-
-        self.shard_phase_link(plan);
-        self.link_barrier(plan);
-        self.shard_phase_xbar(plan);
-        self.xbar_barrier(plan);
-        self.shard_phase_route_prepare(plan);
-        self.apply_route_decisions(plan);
-        self.shard_phase_injection_ticks(plan);
-        self.apply_injection(plan);
-
-        self.end_cycle();
-    }
-
-    /// Advance the simulation by `cycles` clocks with the sharded
-    /// stepper.
-    pub fn run_sharded(&mut self, cycles: u32, plan: &mut ShardPlan)
-    where
-        F: Sync,
-    {
-        for _ in 0..cycles {
-            self.step_sharded(plan);
+        self.link_barrier(&mut banks.view(), plan);
+        {
+            let env = self.env();
+            let mut ctxs = shard_ctxs(banks, plan, &self.packets, request_reply);
+            run_shards(threads, &mut ctxs, |(v, sink)| {
+                v.phase_xbar::<MASKED, F, _>(&env, sink)
+            });
         }
-    }
-
-    /// [`Engine::run_checked`] on the sharded stepper: the watchdog
-    /// reports a [`Stall`] instead of panicking.
-    pub fn run_checked_sharded(&mut self, cycles: u32, plan: &mut ShardPlan) -> Result<(), Stall>
-    where
-        F: Sync,
-    {
-        self.report_stall = true;
-        for _ in 0..cycles {
-            self.step_sharded(plan);
-            if let Some(s) = self.stall {
-                return Err(s);
-            }
-        }
-        Ok(())
-    }
-
-    /// Phase 1, shard-parallel.
-    pub(super) fn shard_phase_link(&mut self, plan: &mut ShardPlan)
-    where
-        F: Sync,
-    {
-        let env = LinkEnv {
-            w: &self.w,
-            faults: &self.faults,
-            packets: &self.packets,
-            router_starts: &plan.router_starts,
-            cycle: self.cycle,
-            vcs: self.vcs,
-            request_reply: self.request_reply,
-        };
-        let router_starts = &plan.router_starts;
-        let node_starts = &plan.node_starts;
-        let mut ctxs: Vec<LinkShard<'_>> = split_mut(&mut self.routers, router_starts)
-            .into_iter()
-            .zip(split_mut(&mut self.nodes, node_starts))
-            .zip(split_mut(&mut self.link_flits, &plan.link_flit_starts))
-            .zip(split_mut(
-                self.link_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(split_mut(
-                self.route_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(split_mut(
-                self.xbar_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(split_mut(
-                self.inject_work.words_mut(),
-                &plan.node_word_starts,
-            ))
-            .zip(plan.scratch.iter_mut())
-            .enumerate()
-            .map(
-                |(
-                    i,
-                    (
-                        (
-                            (
-                                ((((routers, nodes), link_flits), link_words), route_words),
-                                xbar_words,
-                            ),
-                            inject_words,
-                        ),
-                        scratch,
-                    ),
-                )| {
-                    LinkShard {
-                        router_base: router_starts[i],
-                        node_base: node_starts[i],
-                        routers,
-                        nodes,
-                        link_flits,
-                        link_words,
-                        route_words,
-                        xbar_words,
-                        inject_words,
-                        scratch,
+        self.xbar_barrier(&mut banks.view(), plan);
+        {
+            let (env, algo, packets) = (self.env(), self.algo, &self.packets[..]);
+            let mut ctxs = shard_ctxs(banks, plan, packets, request_reply);
+            run_shards(threads, &mut ctxs, |(v, sink)| {
+                let scratch = &mut *sink.scratch;
+                v.for_each_routable::<MASKED>(|v, lr| {
+                    let mut cand = scratch.cand_pool.pop().unwrap_or_default();
+                    match v.prepare_route::<MASKED, A, F>(&env, algo, packets, lr, &mut cand) {
+                        Some(d) => {
+                            let r = (v.router_base() + lr) as u32;
+                            scratch.decisions.push((r, d, cand));
+                        }
+                        None => scratch.cand_pool.push(cand),
                     }
-                },
-            )
-            .collect();
-        run_shards(plan.threads, &mut ctxs, |sh| link_worker(&env, sh));
+                });
+            });
+        }
+        // Selection: the prepared decisions in ascending router order
+        // (shard-ascending, ascending within a shard) — exactly the
+        // serial order of RNG draws, counter updates and probe calls.
+        let mut v = banks.view();
+        for sh in plan.scratch.iter_mut() {
+            let pool = &mut sh.cand_pool;
+            drain(&mut sh.decisions, |(r, d, cand)| {
+                self.apply_route(&mut v, r as usize, &d, &cand);
+                pool.push(cand);
+            });
+        }
+    }
+
+    /// Serial barrier after the link phase: apply the cross-shard flit
+    /// arrivals and the deferred delivery stamps, replay the buffered
+    /// probe events in serial order, spawn replies.
+    fn link_barrier(&mut self, v: &mut Lanes<'_>, plan: &mut ShardPlan) {
+        let cycle = self.cycle;
+        for sh in plan.scratch.iter_mut() {
+            drain(&mut sh.flits_out, |(r2, dl, f)| {
+                v.arrive(r2 as usize, dl as usize, f)
+            });
+            drain(&mut sh.delivered, |pkt| {
+                self.packets[pkt as usize].delivered = cycle
+            });
+        }
+        // Probe replay: router legs shard-ascending (= ascending router
+        // order), then node legs (= ascending node order) — the serial
+        // emission order.
+        for sh in plan.scratch.iter_mut() {
+            drain(&mut sh.router_events, |e| self.replay_link_event(e));
+        }
+        for sh in plan.scratch.iter_mut() {
+            drain(&mut sh.node_events, |e| self.replay_link_event(e));
+            // Replies were recorded during the router-ascending
+            // ejection walk, so shard-ascending concatenation is the
+            // serial push order.
+            self.reply_buf.append(&mut sh.replies);
+        }
+        self.spawn_replies();
+        self.merge_shard_counters(plan);
     }
 
     /// Replay one buffered link-phase probe observation.
-    fn replay_link_event(&mut self, e: &LinkEvent) {
-        match *e {
+    fn replay_link_event(&mut self, e: LinkEvent) {
+        let cycle = self.cycle;
+        match e {
             LinkEvent::Link {
                 packet,
                 router,
                 port,
                 vc,
                 kind,
-            } => self
-                .probe
-                .link_flit(self.cycle, packet, router, port, vc, kind),
+            } => self.probe.link_flit(cycle, packet, router, port, vc, kind),
             LinkEvent::Delivered { packet, node } => {
-                self.probe.packet_delivered(self.cycle, packet, node)
+                self.probe.packet_delivered(cycle, packet, node)
             }
             LinkEvent::Injection { packet, node, vc } => {
-                self.probe.injection_flit(self.cycle, packet, node, vc)
+                self.probe.injection_flit(cycle, packet, node, vc)
             }
         }
     }
 
-    /// Serial barrier after the link phase: drain the cross-shard flit
-    /// handoffs in fixed total order, apply the deferred delivered
-    /// stamps, replay the buffered probe events in serial order, spawn
-    /// replies, and merge the counter deltas.
-    pub(super) fn link_barrier(&mut self, plan: &mut ShardPlan) {
-        let cycle = self.cycle;
-        let shards = plan.shards;
-        // Handoff drain order: destination-shard major, source-shard
-        // minor, record order within a queue. The state updates are
-        // order-free (one arrival per input lane per cycle), but the
-        // fixed order keeps the drain auditable and deterministic.
-        for dst in 0..shards {
-            for src in 0..shards {
-                let mut q = std::mem::take(&mut plan.scratch[src].flits_out[dst]);
-                for (r2, dl, f) in q.drain(..) {
-                    let (r2, dl) = (r2 as usize, dl as usize);
-                    let rs = &mut self.routers[r2];
-                    let was_empty = rs.in_q[dl].is_empty();
-                    rs.in_q[dl].push(f);
-                    rs.in_occ |= 1u64 << dl;
-                    if was_empty && f.is_head() {
-                        debug_assert_eq!(rs.in_route[dl], NO_ROUTE);
-                        rs.pending |= 1 << dl;
-                        self.route_work.insert(r2);
-                    }
-                    if self.routers[r2].routed & (1u64 << dl) != 0 {
-                        // Body/tail arriving on a lane whose head
-                        // already holds a crossbar path.
-                        self.xbar_work.insert(r2);
-                    }
-                }
-                plan.scratch[src].flits_out[dst] = q; // return the allocation
-            }
-        }
-        // Deferred delivered stamps (the packet table was read-only
-        // during the parallel phase).
+    /// Serial barrier after the crossbar phase: return the credits that
+    /// left their shard.
+    fn xbar_barrier(&mut self, v: &mut Lanes<'_>, plan: &mut ShardPlan) {
+        let (lanes, vcs) = (self.lanes_per_router, self.vcs);
         for sh in plan.scratch.iter_mut() {
-            for pkt in sh.delivered.drain(..) {
-                let rec = &mut self.packets[pkt as usize];
-                debug_assert_eq!(rec.delivered, NEVER);
-                rec.delivered = cycle;
-            }
-        }
-        // Probe replay: router legs shard-ascending (= ascending router
-        // order), then node legs (= ascending node order) — the serial
-        // stepper's exact emission order.
-        for i in 0..shards {
-            let evs = std::mem::take(&mut plan.scratch[i].router_events);
-            for e in &evs {
-                self.replay_link_event(e);
-            }
-            let mut evs = evs;
-            evs.clear();
-            plan.scratch[i].router_events = evs;
-        }
-        for i in 0..shards {
-            let evs = std::mem::take(&mut plan.scratch[i].node_events);
-            for e in &evs {
-                self.replay_link_event(e);
-            }
-            let mut evs = evs;
-            evs.clear();
-            plan.scratch[i].node_events = evs;
-        }
-        // Replies were recorded during the (router-ascending) ejection
-        // walk, so shard-ascending concatenation is the serial push
-        // order.
-        for i in 0..shards {
-            let mut r = std::mem::take(&mut plan.scratch[i].replies);
-            self.reply_buf.append(&mut r);
-            plan.scratch[i].replies = r;
-        }
-        // Wheel-sharded composition: replies enter the receiving node's
-        // source queue when spawned below, so the wheel's injection
-        // phase must visit those nodes this cycle (mirror of the hook
-        // in `wheel_step_inner`). A plain sharded run has no wheel
-        // mounted and skips this.
-        if let Some(w) = self.wheel.as_mut() {
-            for &req in &self.reply_buf {
-                w.backlog.insert(self.packets[req as usize].dest as usize);
-            }
-        }
-        self.spawn_replies();
-        self.merge_shard_counters(plan);
-    }
-
-    /// Phase 2, shard-parallel.
-    pub(super) fn shard_phase_xbar(&mut self, plan: &mut ShardPlan)
-    where
-        F: Sync,
-    {
-        let env = XbarEnv {
-            w: &self.w,
-            router_starts: &plan.router_starts,
-            cycle: self.cycle,
-            vcs: self.vcs,
-            lanes_per_router: self.lanes_per_router,
-        };
-        let router_starts = &plan.router_starts;
-        let mut ctxs: Vec<XbarShard<'_>> = split_mut(&mut self.routers, router_starts)
-            .into_iter()
-            .zip(split_mut(
-                self.link_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(split_mut(
-                self.route_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(split_mut(
-                self.xbar_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(plan.scratch.iter_mut())
-            .enumerate()
-            .map(
-                |(i, ((((routers, link_words), route_words), xbar_words), scratch))| XbarShard {
-                    router_base: router_starts[i],
-                    routers,
-                    link_words,
-                    route_words,
-                    xbar_words,
-                    scratch,
-                },
-            )
-            .collect();
-        run_shards(plan.threads, &mut ctxs, |sh| xbar_worker::<F>(&env, sh));
-    }
-
-    /// Serial barrier after the crossbar phase: apply the deferred
-    /// credit acknowledgments (cross-shard router credits in fixed
-    /// total order, then all node-side credits) and merge deltas.
-    pub(super) fn xbar_barrier(&mut self, plan: &mut ShardPlan) {
-        let shards = plan.shards;
-        for dst in 0..shards {
-            for src in 0..shards {
-                let mut q = std::mem::take(&mut plan.scratch[src].credits_out[dst]);
-                for (r2, ul) in q.drain(..) {
-                    let up = &mut self.routers[r2 as usize];
-                    up.out_credits[ul as usize] += 1;
-                    debug_assert!(
-                        up.out_credits[ul as usize] as usize <= up.out_q[ul as usize].capacity()
-                    );
-                }
-                plan.scratch[src].credits_out[dst] = q;
-            }
-        }
-        for i in 0..shards {
-            let mut q = std::mem::take(&mut plan.scratch[i].node_credits);
-            for (nn, v) in q.drain(..) {
-                let node = &mut self.nodes[nn as usize];
-                node.credits[v as usize] += 1;
-                debug_assert!(
-                    node.credits[v as usize] as usize <= node.lanes[v as usize].capacity()
-                );
-            }
-            plan.scratch[i].node_credits = q;
+            drain(&mut sh.credits_out, |(r2, ul)| {
+                v.out_credits[r2 as usize * lanes + ul as usize] += 1
+            });
+            drain(&mut sh.node_credits_out, |(nn, vc)| {
+                v.node_credits[nn as usize * vcs + vc as usize] += 1
+            });
         }
         self.merge_shard_counters(plan);
-    }
-
-    /// Phase 3 preparation, shard-parallel (read-only).
-    pub(super) fn shard_phase_route_prepare(&mut self, plan: &mut ShardPlan)
-    where
-        F: Sync,
-    {
-        let env = RouteEnv {
-            routers: &self.routers,
-            route_words: self.route_work.words(),
-            packets: &self.packets,
-            algo: self.algo,
-            faults: &self.faults,
-            cycle: self.cycle,
-            vcs: self.vcs,
-        };
-        let word_starts = &plan.router_word_starts;
-        let mut ctxs: Vec<RouteShard<'_>> = plan
-            .scratch
-            .iter_mut()
-            .enumerate()
-            .map(|(i, scratch)| RouteShard {
-                word_lo: word_starts[i],
-                word_hi: word_starts[i + 1],
-                scratch,
-            })
-            .collect();
-        run_shards(plan.threads, &mut ctxs, |sh| route_prepare_worker(&env, sh));
-    }
-
-    /// Serial half of the routing phase: run the RNG-consuming output
-    /// selection over the prepared decisions in ascending router order
-    /// (shard-ascending, ascending within a shard) and apply the
-    /// results — exactly the serial stepper's order of RNG draws,
-    /// counter updates and probe calls.
-    pub(super) fn apply_route_decisions(&mut self, plan: &mut ShardPlan) {
-        let lanes = self.lanes_per_router;
-        for i in 0..plan.shards {
-            let mut decisions = std::mem::take(&mut plan.scratch[i].decisions);
-            for d in decisions.drain(..) {
-                let r = d.router as usize;
-                let l = d.lane as usize;
-                if d.unroutable {
-                    // Degraded-mode dead end: drop the packet and hand
-                    // the lane to the crossbar phase for draining.
-                    self.start_drop(r, l, d.packet);
-                    self.routers[r].route_rr = ((l + 1) % lanes) as u32;
-                } else {
-                    let choice = self.select_output(r, &d.cand);
-                    match choice {
-                        Some((ol, used_fallback)) => {
-                            let rs = &mut self.routers[r];
-                            rs.in_route[l] = ol as u32;
-                            rs.routed |= 1u64 << l;
-                            rs.out_bound |= 1u64 << ol;
-                            rs.pending &= !(1 << l);
-                            debug_assert_ne!(rs.in_occ & (1u64 << l), 0);
-                            self.xbar_work.insert(r);
-                            self.counters.routed_headers += 1;
-                            self.packets[d.packet as usize].hops += 1;
-                            if used_fallback {
-                                self.counters.escape_routings += 1;
-                            }
-                            self.probe.header_routed(
-                                self.cycle,
-                                d.packet,
-                                r as u32,
-                                l as u16,
-                                ol as u16,
-                                used_fallback,
-                            );
-                            if d.degraded {
-                                self.probe
-                                    .header_rerouted(self.cycle, d.packet, r as u32, ol as u16);
-                            }
-                        }
-                        None => {
-                            self.counters.routing_blocked += 1;
-                            self.probe
-                                .routing_blocked(self.cycle, d.packet, r as u32, l as u16);
-                        }
-                    }
-                    self.routers[r].route_rr = ((l + 1) % lanes) as u32;
-                }
-                if self.routers[r].pending == 0 {
-                    self.route_work.remove(r);
-                }
-                let mut cand = d.cand;
-                cand.clear();
-                plan.scratch[i].cand_pool.push(cand);
-            }
-            plan.scratch[i].decisions = decisions;
-        }
-    }
-
-    /// Phase 4 creation ticks, shard-parallel.
-    fn shard_phase_injection_ticks(&mut self, plan: &mut ShardPlan) {
-        let pattern = &self.pattern;
-        let node_starts = &plan.node_starts;
-        let mut ctxs: Vec<TickShard<'_>> = split_mut(&mut self.nodes, node_starts)
-            .into_iter()
-            .zip(plan.scratch.iter_mut())
-            .enumerate()
-            .map(|(i, (nodes, scratch))| TickShard {
-                node_base: node_starts[i],
-                nodes,
-                scratch,
-            })
-            .collect();
-        run_shards(plan.threads, &mut ctxs, |sh| tick_worker(pattern, sh));
-    }
-
-    /// Serial remainder of the injection phase: mirror of
-    /// `Engine::phase_injection` with the creation ticks replaced by
-    /// the recorded `(node, dest)` pairs (shard-ascending concatenation
-    /// = ascending node order), so packet ids, probe events, queueing
-    /// and streaming all happen in the serial per-node order. The
-    /// per-node body itself is the shared `Engine::inject_node`.
-    fn apply_injection(&mut self, plan: &mut ShardPlan) {
-        let mut si = 0usize; // shard cursor into the creation records
-        let mut pi = 0usize;
-        for n in 0..self.w.num_nodes {
-            while n >= plan.node_starts[si + 1] {
-                si += 1;
-                pi = 0;
-            }
-
-            // Packet creation (tick already ran in the parallel pass).
-            let created = if pi < plan.scratch[si].creations.len()
-                && plan.scratch[si].creations[pi].0 == n as u32
-            {
-                let dest = plan.scratch[si].creations[pi].1;
-                pi += 1;
-                Some(dest)
-            } else {
-                None
-            };
-            self.inject_node(n, created);
-        }
-        for sh in plan.scratch.iter_mut() {
-            sh.creations.clear();
-        }
     }
 
     /// Fold every shard's counter/movement delta into the engine
@@ -1318,15 +401,8 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             let c = &mut self.counters;
             c.delivered_flits = c.delivered_flits.wrapping_add(d.delivered_flits);
             c.delivered_packets = c.delivered_packets.wrapping_add(d.delivered_packets);
-            c.created_packets = c.created_packets.wrapping_add(d.created_packets);
             c.in_flight_flits = c.in_flight_flits.wrapping_add(d.in_flight_flits);
-            c.routed_headers = c.routed_headers.wrapping_add(d.routed_headers);
-            c.routing_blocked = c.routing_blocked.wrapping_add(d.routing_blocked);
-            c.escape_routings = c.escape_routings.wrapping_add(d.escape_routings);
-            c.flit_moves = c.flit_moves.wrapping_add(d.flit_moves);
-            c.dropped_packets = c.dropped_packets.wrapping_add(d.dropped_packets);
             c.dropped_flits = c.dropped_flits.wrapping_add(d.dropped_flits);
-            c.unroutable_packets = c.unroutable_packets.wrapping_add(d.unroutable_packets);
             self.moves_this_cycle += std::mem::take(&mut sh.moves);
         }
     }
@@ -1350,24 +426,5 @@ mod tests {
                 assert!(s % 64 == 0 || s == len, "interior boundary {s} unaligned");
             }
         }
-    }
-
-    #[test]
-    fn shard_of_handles_empty_ranges() {
-        let starts = vec![0usize, 0, 64, 64, 100];
-        assert_eq!(shard_of(&starts, 0), 1);
-        assert_eq!(shard_of(&starts, 63), 1);
-        assert_eq!(shard_of(&starts, 64), 3);
-        assert_eq!(shard_of(&starts, 99), 3);
-    }
-
-    #[test]
-    fn split_mut_partitions() {
-        let mut v: Vec<u32> = (0..10).collect();
-        let parts = split_mut(&mut v, &[0, 4, 4, 10]);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0], &[0, 1, 2, 3]);
-        assert!(parts[1].is_empty());
-        assert_eq!(parts[2], &[4, 5, 6, 7, 8, 9]);
     }
 }

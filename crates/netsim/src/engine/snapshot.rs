@@ -16,7 +16,10 @@
 //!
 //! * **worklists** (`link_work` …): membership is a pure function of
 //!   the occupancy masks (`out_occ`, `in_occ & routed`, `pending`,
-//!   `lane_occ`), so the restore rebuilds them from the masks;
+//!   `node_lane_occ`), so the restore rebuilds them from the masks;
+//! * **the wheel**: a snapshot first leaves the wheel schedule
+//!   ([`Engine::to_aos`]), so the per-node streams are serialized at
+//!   their canonical positions and the wheel is remounted lazily;
 //! * **`network_lanes`**: derived from the wiring at construction;
 //! * **`reply_buf`**: drained within every cycle's link phase, so it is
 //!   empty at every boundary (debug-asserted by the writer);
@@ -24,9 +27,9 @@
 //!   of the cycle number, so the restore calls
 //!   [`resync`](crate::fault::FaultModel::resync) instead
 //!   of serializing bitsets;
-//! * **shard plans**: the sharded stepper drains its scratch queues at
-//!   every phase barrier and plans are rebuilt lazily, so a snapshot
-//!   taken between cycles restores under either stepper.
+//! * **shard plans**: a sharded cycle drains its scratch queues at
+//!   every phase barrier, so a snapshot taken between cycles restores
+//!   under any partition.
 //!
 //! # Binary format (version 1, all integers little-endian)
 //!
@@ -44,10 +47,10 @@
 //! restore contract "same `state_hash` ⟹ same future" is exactly the
 //! determinism statement above.
 
-use super::{Counters, Engine, RouterState};
+use super::soa::{QueueBank, SoaBanks};
+use super::{Counters, Engine};
 use crate::fault::FaultModel;
 use crate::flit::{Flit, PacketRec};
-use crate::queue::FlitQueue;
 use netstats::cache::{fnv1a, fnv1a_extend};
 use routing::RoutingAlgorithm;
 use telemetry::Probe;
@@ -196,9 +199,10 @@ impl Enc {
             self.u64(word);
         }
     }
-    pub(crate) fn queue(&mut self, q: &FlitQueue) {
-        self.u8(q.len() as u8);
-        for f in q.iter() {
+    /// One lane: its occupancy, then its flits front to back.
+    fn queue(&mut self, q: &QueueBank, l: usize) {
+        self.u8(q.len(l) as u8);
+        for f in q.iter(l) {
             self.u32(f.packet);
             self.u32(f.moved);
             self.u8(f.flags);
@@ -242,22 +246,25 @@ impl<'b> Dec<'b> {
             self.u64()?,
         ]))
     }
-    pub(crate) fn queue(&mut self, cap: usize) -> Result<FlitQueue, SnapshotError> {
-        let len = self.u8()? as usize;
+    /// Decode one lane into the (empty) lane `l` of `q`.
+    fn queue(&mut self, q: &mut QueueBank, l: usize) -> Result<(), SnapshotError> {
+        let (len, cap) = (self.u8()? as usize, q.capacity());
         if len > cap {
             return Err(SnapshotError::Corrupt(format!(
                 "lane holds {len} flits but capacity is {cap}"
             )));
         }
-        let mut q = FlitQueue::new(cap);
         for _ in 0..len {
-            q.push(Flit {
-                packet: self.u32()?,
-                moved: self.u32()?,
-                flags: self.u8()?,
-            });
+            q.push(
+                l,
+                Flit {
+                    packet: self.u32()?,
+                    moved: self.u32()?,
+                    flags: self.u8()?,
+                },
+            );
         }
-        Ok(q)
+        Ok(())
     }
     pub(crate) fn done(&self) -> Result<(), SnapshotError> {
         if self.pos != self.bytes.len() {
@@ -303,16 +310,18 @@ pub(crate) fn decode_counters(d: &mut Dec) -> Result<Counters, SnapshotError> {
 impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P, F> {
     /// The lane depth this engine was built with.
     fn buffer_depth(&self) -> usize {
-        self.routers[0].in_q[0].capacity()
+        self.banks.in_q.capacity()
     }
 
     /// Serialize the state section (everything between the ident and
-    /// the trailer) into `e`. Field order is the format contract.
+    /// the trailer) into `e`. Field order is the format contract: the
+    /// banks are written router by router, node by node.
     fn encode_state(&self, e: &mut Enc) {
         debug_assert!(
             self.reply_buf.is_empty(),
             "snapshots are taken at cycle boundaries, where reply_buf is drained"
         );
+        debug_assert!(self.wheel.is_none(), "node streams must be canonical");
         e.u32(self.cycle);
         e.u32(self.idle_cycles);
         encode_counters(e, &self.counters);
@@ -328,30 +337,29 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         e.u16(self.flits_per_packet);
         e.u8(self.buffer_depth() as u8);
 
-        for rs in &self.routers {
-            for q in &rs.in_q {
-                e.queue(q);
+        let (b, lanes, ports, vcs) = (&self.banks, self.lanes_per_router, self.w.ports, self.vcs);
+        for r in 0..self.w.num_routers {
+            let lane_range = r * lanes..(r + 1) * lanes;
+            for l in lane_range.clone() {
+                e.queue(&b.in_q, l);
             }
-            for &r in &rs.in_route {
-                e.u32(r);
+            for &route in &b.in_route[lane_range.clone()] {
+                e.u32(route);
             }
-            for q in &rs.out_q {
-                e.queue(q);
+            for l in lane_range.clone() {
+                e.queue(&b.out_q, l);
             }
-            for &c in &rs.out_credits {
-                e.u8(c);
-            }
-            e.u64(rs.out_bound);
-            e.u64(rs.pending);
-            e.u64(rs.in_occ);
-            e.u64(rs.out_occ);
-            e.u64(rs.routed);
-            e.u32(rs.route_rr);
-            for &rr in &rs.link_rr {
-                e.u8(rr);
-            }
+            e.buf.extend_from_slice(&b.out_credits[lane_range]);
+            e.u64(b.out_bound[r]);
+            e.u64(b.pending[r]);
+            e.u64(b.in_occ[r]);
+            e.u64(b.out_occ[r]);
+            e.u64(b.routed[r]);
+            e.u32(b.route_rr[r]);
+            e.buf
+                .extend_from_slice(&b.link_rr[r * ports..(r + 1) * ports]);
         }
-        for ns in &self.nodes {
+        for (n, ns) in self.nodes.iter().enumerate() {
             e.u32(ns.src_queue.len() as u32);
             for &id in &ns.src_queue {
                 e.u32(id);
@@ -369,14 +377,13 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 }
             }
             e.u8(ns.active_lane);
-            for q in &ns.lanes {
-                e.queue(q);
+            for l in n * vcs..(n + 1) * vcs {
+                e.queue(&b.node_lanes, l);
             }
-            for &c in &ns.credits {
-                e.u8(c);
-            }
-            e.u64(ns.lane_occ);
-            e.u8(ns.lane_rr);
+            e.buf
+                .extend_from_slice(&b.node_credits[n * vcs..(n + 1) * vcs]);
+            e.u64(b.node_lane_occ[n]);
+            e.u8(b.node_lane_rr[n]);
             e.rng(&ns.rng);
             e.u64(ns.proc.state_word());
         }
@@ -391,7 +398,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             e.u16(p.hops);
             e.u32(p.in_reply_to);
         }
-        for &lf in &self.link_flits {
+        for &lf in &self.banks.link_flits {
             e.u64(lf);
         }
     }
@@ -401,9 +408,8 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// (the scenario layer uses its scenario/fault digest); restore
     /// refuses a snapshot whose ident differs.
     ///
-    /// Leaves any mounted execution mode first ([`Engine::to_aos`]), so
-    /// the serialized bytes are independent of which stepper produced
-    /// the state.
+    /// Leaves the wheel schedule first ([`Engine::to_aos`]), so the
+    /// serialized bytes are independent of how the state was produced.
     pub fn snapshot(&mut self, ident: u64) -> EngineSnapshot {
         self.to_aos();
         let mut e = Enc {
@@ -421,8 +427,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// FNV-1a over the serialized state section, without building the
     /// envelope: equal hashes ⟺ equal engine state (in an equal
     /// configuration). `eng.state_hash() == eng.snapshot(i).state_hash()`
-    /// for every `i`. Leaves any mounted execution mode
-    /// ([`Engine::to_aos`]).
+    /// for every `i`. Leaves the wheel schedule ([`Engine::to_aos`]).
     pub fn state_hash(&mut self) -> u64 {
         self.to_aos();
         let mut e = Enc {
@@ -439,9 +444,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// `ident` contract. After a successful restore the engine's future
     /// is bit-identical to the snapshotted engine's.
     pub fn restore(&mut self, snap: &EngineSnapshot, ident: u64) -> Result<(), SnapshotError> {
-        // Leave any mounted execution mode: the geometry checks below
-        // read the canonical per-router structs, and a mode structure
-        // describing the pre-restore state must not survive it.
+        // A wheel describing the pre-restore streams must not survive.
         self.to_aos();
         if snap.ident() != ident {
             return Err(SnapshotError::Mismatch(format!(
@@ -494,67 +497,40 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             )));
         }
 
-        // Decode into fresh state vectors first, so a corrupt tail
-        // leaves the engine untouched.
-        let lanes = self.lanes_per_router;
-        let ports = self.w.ports;
-        let mut routers: Vec<RouterState> = Vec::with_capacity(self.w.num_routers);
-        for old in &self.routers {
-            let mut in_q = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                in_q.push(d.queue(buf_depth)?);
+        // Decode into fresh banks first, so a corrupt tail leaves the
+        // engine untouched.
+        let (lanes, ports, vcs) = (self.lanes_per_router, self.w.ports, self.vcs);
+        let mut b = SoaBanks::new(&self.w, vcs, buf_depth);
+        for r in 0..self.w.num_routers {
+            let lane_range = r * lanes..(r + 1) * lanes;
+            for l in lane_range.clone() {
+                d.queue(&mut b.in_q, l)?;
             }
-            let mut in_route = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                in_route.push(d.u32()?);
+            for l in lane_range.clone() {
+                b.in_route[l] = d.u32()?;
             }
-            let mut out_q = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                out_q.push(d.queue(buf_depth)?);
+            for l in lane_range.clone() {
+                d.queue(&mut b.out_q, l)?;
             }
-            let mut out_credits = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                out_credits.push(d.u8()?);
-            }
-            let out_bound = d.u64()?;
-            let pending = d.u64()?;
-            let in_occ = d.u64()?;
-            let out_occ = d.u64()?;
-            let routed = d.u64()?;
-            let route_rr = d.u32()?;
-            let mut link_rr = Vec::with_capacity(ports);
-            for _ in 0..ports {
-                link_rr.push(d.u8()?);
-            }
-            routers.push(RouterState {
-                in_q,
-                in_route,
-                out_q,
-                out_credits,
-                out_bound,
-                network_lanes: old.network_lanes, // derived from wiring
-                pending,
-                in_occ,
-                out_occ,
-                routed,
-                route_rr,
-                link_rr,
-            });
+            b.out_credits[lane_range.clone()].copy_from_slice(d.take(lanes)?);
+            b.out_bound[r] = d.u64()?;
+            b.pending[r] = d.u64()?;
+            b.in_occ[r] = d.u64()?;
+            b.out_occ[r] = d.u64()?;
+            b.routed[r] = d.u64()?;
+            b.route_rr[r] = d.u32()?;
+            b.link_rr[r * ports..(r + 1) * ports].copy_from_slice(d.take(ports)?);
         }
 
         struct NodePatch {
             src_queue: std::collections::VecDeque<u32>,
             active: Option<(u32, u16)>,
             active_lane: u8,
-            lanes: Vec<FlitQueue>,
-            credits: Vec<u8>,
-            lane_occ: u64,
-            lane_rr: u8,
             rng: Rng64,
             proc_word: u64,
         }
         let mut node_patches: Vec<NodePatch> = Vec::with_capacity(self.w.num_nodes);
-        for _ in 0..self.w.num_nodes {
+        for n in 0..self.w.num_nodes {
             let qlen = d.u32()? as usize;
             let mut src_queue = std::collections::VecDeque::with_capacity(qlen);
             for _ in 0..qlen {
@@ -565,22 +541,16 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             let left = d.u16()?;
             let active = has_active.then_some((id, left));
             let active_lane = d.u8()?;
-            let mut lanes_q = Vec::with_capacity(self.vcs);
-            for _ in 0..self.vcs {
-                lanes_q.push(d.queue(buf_depth)?);
+            for l in n * vcs..(n + 1) * vcs {
+                d.queue(&mut b.node_lanes, l)?;
             }
-            let mut credits = Vec::with_capacity(self.vcs);
-            for _ in 0..self.vcs {
-                credits.push(d.u8()?);
-            }
+            b.node_credits[n * vcs..(n + 1) * vcs].copy_from_slice(d.take(vcs)?);
+            b.node_lane_occ[n] = d.u64()?;
+            b.node_lane_rr[n] = d.u8()?;
             node_patches.push(NodePatch {
                 src_queue,
                 active,
                 active_lane,
-                lanes: lanes_q,
-                credits,
-                lane_occ: d.u64()?,
-                lane_rr: d.u8()?,
                 rng: d.rng()?,
                 proc_word: d.u64()?,
             });
@@ -600,9 +570,8 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 in_reply_to: d.u32()?,
             });
         }
-        let mut link_flits = Vec::with_capacity(self.link_flits.len());
-        for _ in 0..self.link_flits.len() {
-            link_flits.push(d.u64()?);
+        for lf in b.link_flits.iter_mut() {
+            *lf = d.u64()?;
         }
         d.done()?;
 
@@ -613,28 +582,22 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         self.rng = rng;
         self.injection_limit = injection_limit;
         self.request_reply = request_reply;
-        self.routers = routers;
+        // Worklist membership is a pure function of the masks at a
+        // cycle boundary.
+        b.rebuild_worklists();
+        self.banks = b;
         for (ns, patch) in self.nodes.iter_mut().zip(node_patches) {
             ns.src_queue = patch.src_queue;
             ns.active = patch.active;
             ns.active_lane = patch.active_lane;
-            ns.lanes = patch.lanes;
-            ns.credits = patch.credits;
-            ns.lane_occ = patch.lane_occ;
-            ns.lane_rr = patch.lane_rr;
             ns.rng = patch.rng;
             ns.proc.restore_state_word(patch.proc_word);
         }
         self.packets = packets;
-        self.link_flits = link_flits;
         self.moves_this_cycle = 0;
         self.reply_buf.clear();
         self.fault_flips.clear();
         self.stall = None;
-
-        // Rebuild the derived structures: worklist membership is a pure
-        // function of the masks at a cycle boundary.
-        self.rebuild_worklists();
 
         // Transient fault schedules are pure functions of the cycle:
         // silently re-derive the outage state as it stood before this

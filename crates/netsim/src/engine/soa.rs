@@ -1,54 +1,57 @@
-//! Struct-of-arrays execution mode.
+//! The lane store and the phase kernel.
 //!
-//! The classic steppers keep each router's lanes, credits and masks in
-//! its own `RouterState`, so a phase walk hops between heap objects and
-//! re-derives the per-phase predicate from scattered fields. This mode
-//! moves the hot per-lane state into flat, contiguous banks
-//! ([`SoaBanks`]) indexed `router * lanes + lane` (and the per-router
-//! masks into dense `Vec<u64>` arrays), so arbitration becomes a
-//! two-level word scan: the phase's worklist bitmap (one `u64` covers
-//! 64 routers) selects busy routers, and each busy router's lane mask
-//! is walked with word-wide `u64` ops — no per-lane pointer chasing
-//! through `RouterState` heap objects, and the credit/occupancy updates
-//! of a move land in dense arrays instead of scattered structs.
+//! The unit of state in a wormhole router is the lane, and every lane
+//! of the network lives here, in flat struct-of-arrays banks
+//! ([`SoaBanks`]): per-lane arrays indexed `router * lanes + lane`
+//! (node-side: `node * vcs + vc`), per-router masks and cursors by
+//! router id, per-port cursors and counters by `router * ports + port`,
+//! and the four phase worklists as raw bitset words. Nothing else holds
+//! lane state; snapshots, state hashes and the invariant checks read
+//! the banks directly.
 //!
-//! **Bit-identity.** The per-lane handler bodies are line-for-line
-//! translations of the `MASKED = true` handlers in `engine.rs`, the
-//! scans visit routers and nodes in the same ascending order as the
-//! active-set worklists (see `active.rs`), and the worklists themselves
-//! are maintained by the banked handlers exactly as their AoS
-//! counterparts maintain them — so every observable (counters, packet
-//! tables, the shared selection RNG's consumption order, probe event
-//! streams, worklist evolution) is identical to [`Engine::step`].
+//! The link, crossbar and routing-preparation handlers exist once, as
+//! methods of a borrowed view ([`Lanes`]) over a contiguous router
+//! range and node range of the banks:
 //!
-//! The banks are entered lazily by the first [`Engine::step_soa`] (or
-//! [`Engine::step_wheel`]) call and written back by [`Engine::to_aos`],
-//! so the mode interleaves freely with the classic steppers, sharded
-//! stepping and snapshots.
+//! * the serial run steps the view of the whole network
+//!   ([`SoaBanks::view`]) with a [`Sink`] that applies every effect in
+//!   place ([`Direct`]);
+//! * a sharded run steps one view per shard ([`Lanes::split`] — shard
+//!   ranges are contiguous and 64-aligned, so every array splits with
+//!   `split_at_mut`) with a sink that hands cross-shard flits, credits,
+//!   probe events and counter deltas to the barrier (`shard.rs`).
+//!
+//! Each handler is also generic over a const `MASKED`: `true` walks the
+//! worklists and occupancy masks, `false` is the `reference` audit that
+//! visits every router, port and lane and inspects the queues directly.
+//! The mutations are the same code either way, and both visit in
+//! ascending id order — the order the shared selection RNG observes.
 
-use super::{Engine, Stall, DROP_ROUTE, NO_ROUTE};
+use super::{Counters, DROP_ROUTE, NO_ROUTE};
+use crate::active::{clear_bit, set_bit, ActiveSet};
 use crate::fault::FaultModel;
-use crate::flit::{Flit, PacketRec, HEAD, NEVER, TAIL};
-use crate::queue::FlitQueue;
-use crate::wiring::Peer;
+use crate::flit::{Flit, PacketRec, NEVER};
+use crate::wiring::{Peer, Wiring};
 use routing::{CandidateSet, RoutingAlgorithm};
 use telemetry::{LinkKind, Probe};
 use topology::{NodeId, RouterId};
 
+const NO_FLIT: Flit = Flit {
+    packet: 0,
+    moved: 0,
+    flags: 0,
+};
+
 /// A depth-packed bank of flit queues: one flat slot array strided by
-/// the *configured* lane depth (not [`crate::queue::MAX_DEPTH`]), with
-/// the head/length cursors of every lane packed into parallel byte
-/// arrays. A `FlitQueue` always reserves `MAX_DEPTH` slots, so at the
-/// experiments' depth-4 lanes half of every queue's footprint is dead
-/// padding; packing by the real depth doubles the number of lanes per
-/// cache line and keeps all cursors of a 64-lane router in one line.
+/// the configured lane depth, with the head/length cursors of every
+/// lane in parallel byte arrays. At the experiments' depth-4 lanes all
+/// cursors of a 64-lane router share one cache line.
 ///
-/// Queue order is preserved relative to `FlitQueue` (front to back),
-/// and nothing downstream observes the ring's internal head offset —
-/// snapshots and state hashes serialize queues as `len` followed by
-/// the flits in iteration order — so loading and restoring through
-/// this bank is invisible to the bit-identity contract.
-struct QueueBank {
+/// Nothing downstream observes a ring's internal head offset —
+/// snapshots and state hashes serialize a queue as `len` followed by
+/// the flits front to back.
+#[derive(Default)]
+pub(super) struct QueueBank {
     /// `lane * cap + i` for slot `i` of lane `lane`.
     slots: Vec<Flit>,
     /// Ring cursor of each lane's front flit, `0..cap`.
@@ -56,1160 +59,977 @@ struct QueueBank {
     /// Occupancy of each lane, `0..=cap`.
     len: Vec<u8>,
     /// The uniform lane depth.
-    cap: u8,
+    cap: usize,
 }
 
 impl QueueBank {
-    /// An empty bank with room for `lanes` queues of depth `cap`.
-    fn with_lanes(lanes: usize, cap: usize) -> Self {
+    fn new(lanes: usize, cap: usize) -> Self {
         QueueBank {
-            slots: vec![
-                Flit {
-                    packet: 0,
-                    moved: 0,
-                    flags: 0,
-                };
-                lanes * cap
-            ],
-            head: Vec::with_capacity(lanes),
-            len: Vec::with_capacity(lanes),
-            cap: cap as u8,
+            slots: vec![NO_FLIT; lanes * cap],
+            head: vec![0; lanes],
+            len: vec![0; lanes],
+            cap,
         }
     }
 
-    /// Append the contents of one `FlitQueue` as the next lane.
-    fn load_lane(&mut self, q: &FlitQueue) {
-        debug_assert!(q.capacity() == self.cap as usize);
-        let base = self.head.len() * self.cap as usize;
-        for (i, f) in q.iter().enumerate() {
-            self.slots[base + i] = *f;
+    fn view(&mut self) -> Queues<'_> {
+        Queues {
+            slots: &mut self.slots,
+            head: &mut self.head,
+            len: &mut self.len,
+            cap: self.cap,
         }
-        self.head.push(0);
-        self.len.push(q.len() as u8);
-    }
-
-    /// Lane `l` as a fresh `FlitQueue` (front-to-back order preserved).
-    fn restore_lane(&self, l: usize) -> FlitQueue {
-        let cap = self.cap as usize;
-        let mut q = FlitQueue::new(cap);
-        for i in 0..self.len[l] as usize {
-            let mut idx = self.head[l] as usize + i;
-            if idx >= cap {
-                idx -= cap;
-            }
-            q.push(self.slots[l * cap + idx]);
-        }
-        q
     }
 
     /// Depth of every lane in the bank.
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.cap as usize
+    pub(super) fn capacity(&self) -> usize {
+        self.cap
     }
 
-    /// Whether lane `l` holds no flits.
+    /// Occupancy of lane `l`.
+    pub(super) fn len(&self, l: usize) -> usize {
+        self.len[l] as usize
+    }
+
+    /// The flits of lane `l`, front to back.
+    pub(super) fn iter(&self, l: usize) -> impl Iterator<Item = &Flit> + '_ {
+        let (cap, h) = (self.cap, self.head[l] as usize);
+        (0..self.len(l)).map(move |i| &self.slots[l * cap + (h + i) % cap])
+    }
+
+    /// Flits buffered in the whole bank.
+    pub(super) fn total(&self) -> u64 {
+        self.len.iter().map(|&n| u64::from(n)).sum()
+    }
+
+    /// Append a flit to lane `l` (snapshot restore).
+    pub(super) fn push(&mut self, l: usize, f: Flit) {
+        self.view().push(l, f);
+    }
+}
+
+/// Split the first `n` elements off a borrowed slice, leaving the rest.
+fn cut<'a, T>(s: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(s).split_at_mut(n);
+    *s = tail;
+    head
+}
+
+/// A contiguous lane range of a [`QueueBank`], borrowed; the queue
+/// operations of the phase kernel live here.
+pub(super) struct Queues<'a> {
+    slots: &'a mut [Flit],
+    head: &'a mut [u8],
+    len: &'a mut [u8],
+    cap: usize,
+}
+
+impl<'a> Queues<'a> {
+    /// Split off the first `lanes` lanes as their own view.
+    fn take_front(&mut self, lanes: usize) -> Queues<'a> {
+        Queues {
+            slots: cut(&mut self.slots, lanes * self.cap),
+            head: cut(&mut self.head, lanes),
+            len: cut(&mut self.len, lanes),
+            cap: self.cap,
+        }
+    }
+
     #[inline]
-    fn is_empty(&self, l: usize) -> bool {
+    pub(super) fn is_empty(&self, l: usize) -> bool {
         self.len[l] == 0
     }
 
-    /// Whether lane `l` is at capacity.
     #[inline]
-    fn is_full(&self, l: usize) -> bool {
-        self.len[l] == self.cap
+    pub(super) fn is_full(&self, l: usize) -> bool {
+        self.len[l] as usize == self.cap
     }
 
     /// Free slots in lane `l`.
     #[inline]
-    fn free(&self, l: usize) -> usize {
-        (self.cap - self.len[l]) as usize
+    pub(super) fn free(&self, l: usize) -> usize {
+        self.cap - self.len[l] as usize
     }
 
     /// The front flit of lane `l`, if any.
     #[inline]
-    fn front(&self, l: usize) -> Option<&Flit> {
+    pub(super) fn front(&self, l: usize) -> Option<&Flit> {
         if self.len[l] == 0 {
             return None;
         }
-        Some(&self.slots[l * self.cap as usize + self.head[l] as usize])
+        Some(&self.slots[l * self.cap + self.head[l] as usize])
     }
 
     /// Remove and return the front flit of lane `l` (which must be
-    /// non-empty; every caller checks via [`QueueBank::front`] first).
+    /// non-empty; every caller checks via [`Queues::front`] first).
     #[inline]
     fn pop(&mut self, l: usize) -> Flit {
         debug_assert!(self.len[l] > 0, "pop from empty lane");
-        let cap = self.cap as usize;
         let h = self.head[l] as usize;
-        let f = self.slots[l * cap + h];
-        self.head[l] = if h + 1 == cap { 0 } else { (h + 1) as u8 };
+        self.head[l] = if h + 1 == self.cap { 0 } else { (h + 1) as u8 };
         self.len[l] -= 1;
-        f
+        self.slots[l * self.cap + h]
     }
 
-    /// Append a flit to the back of lane `l` (which must have space).
+    /// Append a flit to the back of lane `l`. A push into a full lane
+    /// is a flow-control bug, not a recoverable event.
     #[inline]
-    fn push(&mut self, l: usize, f: Flit) {
-        let cap = self.cap as usize;
-        debug_assert!((self.len[l] as usize) < cap, "push to full lane");
+    pub(super) fn push(&mut self, l: usize, f: Flit) {
+        assert!(
+            !self.is_full(l),
+            "flit queue overflow: flow control violated"
+        );
         let mut idx = self.head[l] as usize + self.len[l] as usize;
-        if idx >= cap {
-            idx -= cap;
+        if idx >= self.cap {
+            idx -= self.cap;
         }
-        self.slots[l * cap + idx] = f;
+        self.slots[l * self.cap + idx] = f;
         self.len[l] += 1;
     }
 }
 
-/// The flat lane banks of the SoA execution mode.
-///
-/// Layouts: per-lane arrays are indexed `router * lanes_per_router +
-/// lane` (node-side: `node * vcs + vc`), per-router mask/cursor arrays
-/// by router id, and the per-port link round-robin cursors by
-/// `router * ports + port`. The queue banks are depth-packed copies of
-/// the router/node `FlitQueue`s (see `QueueBank`); the structs keep
-/// their now-stale queues until [`Engine::to_aos`] overwrites them on
-/// write-back. Scalar state is copied in and copied back, so entering
-/// and leaving the mode is linear and allocation-light.
-pub struct SoaBanks {
-    // Router state, lane-indexed.
-    in_q: QueueBank,
-    in_route: Vec<u32>,
-    out_q: QueueBank,
-    out_credits: Vec<u8>,
-    // Router state, router-indexed.
-    out_bound: Vec<u64>,
-    network_lanes: Vec<u64>,
-    pending: Vec<u64>,
-    in_occ: Vec<u64>,
-    out_occ: Vec<u64>,
-    routed: Vec<u64>,
-    route_rr: Vec<u32>,
-    // Router state, port-indexed.
-    link_rr: Vec<u8>,
-    // Node state, lane- and node-indexed.
-    node_lanes: QueueBank,
-    node_credits: Vec<u8>,
-    node_lane_occ: Vec<u64>,
-    node_lane_rr: Vec<u8>,
-    // Local-lane decomposition tables (`ll -> (port, vc)`), shared by
-    // every router: the hot handlers replace the `ll / vcs` and
-    // `ll % vcs` divisions with two cache-resident byte loads.
+/// The engine's lane store (see the module docs for the layouts).
+#[derive(Default)]
+pub(super) struct SoaBanks {
+    // Geometry.
+    pub(super) lanes: usize,
+    pub(super) ports: usize,
+    pub(super) vcs: usize,
+    /// Local-lane decomposition tables (`lane -> port`, `lane -> vc`),
+    /// shared by every router: two cache-resident byte loads instead of
+    /// a division in the hot handlers.
     lane_port: Vec<u8>,
     lane_vc: Vec<u8>,
+    // Router state, lane-indexed.
+    /// Input lanes.
+    pub(super) in_q: QueueBank,
+    /// Assigned output lane of the packet at the head of each input
+    /// lane (`NO_ROUTE` if none, `DROP_ROUTE` while draining).
+    pub(super) in_route: Vec<u32>,
+    /// Output lanes.
+    pub(super) out_q: QueueBank,
+    /// Credits: free buffers in the downstream input lane.
+    pub(super) out_credits: Vec<u8>,
+    // Router state, router-indexed lane masks (bit = local lane).
+    /// Output lanes a crossbar path currently ends at.
+    pub(super) out_bound: Vec<u64>,
+    /// Input lanes holding an unrouted header at the front.
+    pub(super) pending: Vec<u64>,
+    /// Non-empty input lanes.
+    pub(super) in_occ: Vec<u64>,
+    /// Non-empty output lanes.
+    pub(super) out_occ: Vec<u64>,
+    /// Input lanes with an assigned route (`in_route != NO_ROUTE`).
+    pub(super) routed: Vec<u64>,
+    /// Round-robin cursor of the routing phase.
+    pub(super) route_rr: Vec<u32>,
+    // Router state, port-indexed.
+    /// Round-robin cursor of the link arbiter.
+    pub(super) link_rr: Vec<u8>,
+    /// Flits transmitted per directed channel (ejection included).
+    pub(super) link_flits: Vec<u64>,
+    // Node state: the injection lanes (one per VC), their credits
+    // towards the router's node port, occupancy mask and arbiter cursor.
+    pub(super) node_lanes: QueueBank,
+    pub(super) node_credits: Vec<u8>,
+    pub(super) node_lane_occ: Vec<u64>,
+    pub(super) node_lane_rr: Vec<u8>,
+    // Phase worklists — pure functions of the masks at a cycle
+    // boundary: routers with `out_occ != 0`, with `in_occ & routed !=
+    // 0`, with `pending != 0`, and nodes with `node_lane_occ != 0`.
+    pub(super) link_work: ActiveSet,
+    pub(super) xbar_work: ActiveSet,
+    pub(super) route_work: ActiveSet,
+    pub(super) inject_work: ActiveSet,
 }
 
-impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> {
-    /// Copy the hot lane state into freshly built [`SoaBanks`]. The
-    /// engine must currently be in AoS mode.
-    pub(super) fn enter_soa(&mut self) {
-        debug_assert!(self.soa.is_none(), "SoA banks already mounted");
-        let nr = self.w.num_routers;
-        let nn = self.w.num_nodes;
-        let lanes = self.lanes_per_router;
-        let ports = self.w.ports;
-        let vcs = self.vcs;
-        let depth = self.routers[0].in_q[0].capacity();
-        let mut b = Box::new(SoaBanks {
-            in_q: QueueBank::with_lanes(nr * lanes, depth),
-            in_route: Vec::with_capacity(nr * lanes),
-            out_q: QueueBank::with_lanes(nr * lanes, depth),
-            out_credits: Vec::with_capacity(nr * lanes),
-            out_bound: Vec::with_capacity(nr),
-            network_lanes: Vec::with_capacity(nr),
-            pending: Vec::with_capacity(nr),
-            in_occ: Vec::with_capacity(nr),
-            out_occ: Vec::with_capacity(nr),
-            routed: Vec::with_capacity(nr),
-            route_rr: Vec::with_capacity(nr),
-            link_rr: Vec::with_capacity(nr * ports),
-            node_lanes: QueueBank::with_lanes(nn * vcs, depth),
-            node_credits: Vec::with_capacity(nn * vcs),
-            node_lane_occ: Vec::with_capacity(nn),
-            node_lane_rr: Vec::with_capacity(nn),
+impl SoaBanks {
+    /// Empty banks for `w` with `vcs` lanes per port, `depth` flits
+    /// deep, every credit counter full.
+    pub(super) fn new(w: &Wiring, vcs: usize, depth: usize) -> Self {
+        let (nr, nn, lanes) = (w.num_routers, w.num_nodes, w.ports * vcs);
+        assert!(
+            lanes <= 64,
+            "lane masks support at most 64 lanes per router"
+        );
+        assert!(
+            (1..=u8::MAX as usize).contains(&depth),
+            "lane depth {depth} unsupported"
+        );
+        SoaBanks {
+            lanes,
+            ports: w.ports,
+            vcs,
             lane_port: (0..lanes).map(|ll| (ll / vcs) as u8).collect(),
             lane_vc: (0..lanes).map(|ll| (ll % vcs) as u8).collect(),
-        });
-        for rs in &self.routers {
-            for q in &rs.in_q {
-                b.in_q.load_lane(q);
-            }
-            for q in &rs.out_q {
-                b.out_q.load_lane(q);
-            }
-            b.in_route.extend_from_slice(&rs.in_route);
-            b.out_credits.extend_from_slice(&rs.out_credits);
-            b.out_bound.push(rs.out_bound);
-            b.network_lanes.push(rs.network_lanes);
-            b.pending.push(rs.pending);
-            b.in_occ.push(rs.in_occ);
-            b.out_occ.push(rs.out_occ);
-            b.routed.push(rs.routed);
-            b.route_rr.push(rs.route_rr);
-            b.link_rr.extend_from_slice(&rs.link_rr);
-        }
-        for ns in &self.nodes {
-            for q in &ns.lanes {
-                b.node_lanes.load_lane(q);
-            }
-            b.node_credits.extend_from_slice(&ns.credits);
-            b.node_lane_occ.push(ns.lane_occ);
-            b.node_lane_rr.push(ns.lane_rr);
-        }
-        self.soa = Some(b);
-    }
-
-    /// Write mounted banks back into the router/node structs (inverse
-    /// of [`Engine::enter_soa`]), overwriting the stale queues left
-    /// behind at mount time.
-    pub(super) fn soa_write_back(&mut self, banks: Box<SoaBanks>) {
-        let lanes = self.lanes_per_router;
-        let ports = self.w.ports;
-        let vcs = self.vcs;
-        let b = *banks;
-        for (r, rs) in self.routers.iter_mut().enumerate() {
-            for ll in 0..lanes {
-                rs.in_q[ll] = b.in_q.restore_lane(r * lanes + ll);
-                rs.out_q[ll] = b.out_q.restore_lane(r * lanes + ll);
-            }
-            rs.in_route
-                .copy_from_slice(&b.in_route[r * lanes..(r + 1) * lanes]);
-            rs.out_credits
-                .copy_from_slice(&b.out_credits[r * lanes..(r + 1) * lanes]);
-            rs.out_bound = b.out_bound[r];
-            rs.pending = b.pending[r];
-            rs.in_occ = b.in_occ[r];
-            rs.out_occ = b.out_occ[r];
-            rs.routed = b.routed[r];
-            rs.route_rr = b.route_rr[r];
-            rs.link_rr
-                .copy_from_slice(&b.link_rr[r * ports..(r + 1) * ports]);
-        }
-        for (n, ns) in self.nodes.iter_mut().enumerate() {
-            for v in 0..vcs {
-                ns.lanes[v] = b.node_lanes.restore_lane(n * vcs + v);
-            }
-            ns.credits
-                .copy_from_slice(&b.node_credits[n * vcs..(n + 1) * vcs]);
-            ns.lane_occ = b.node_lane_occ[n];
-            ns.lane_rr = b.node_lane_rr[n];
+            in_q: QueueBank::new(nr * lanes, depth),
+            in_route: vec![NO_ROUTE; nr * lanes],
+            out_q: QueueBank::new(nr * lanes, depth),
+            out_credits: vec![depth as u8; nr * lanes],
+            out_bound: vec![0; nr],
+            pending: vec![0; nr],
+            in_occ: vec![0; nr],
+            out_occ: vec![0; nr],
+            routed: vec![0; nr],
+            route_rr: vec![0; nr],
+            link_rr: vec![0; nr * w.ports],
+            link_flits: vec![0; nr * w.ports],
+            node_lanes: QueueBank::new(nn * vcs, depth),
+            node_credits: vec![depth as u8; nn * vcs],
+            node_lane_occ: vec![0; nn],
+            node_lane_rr: vec![0; nn],
+            link_work: ActiveSet::new(nr),
+            xbar_work: ActiveSet::new(nr),
+            route_work: ActiveSet::new(nr),
+            inject_work: ActiveSet::new(nn),
         }
     }
 
-    /// Execute one clock cycle in SoA mode, mounting the banks on first
-    /// use (and replaying away a mounted wheel: this stepper ticks
-    /// every injection process itself). Bit-identical to
-    /// [`Engine::step`].
-    pub fn step_soa(&mut self) {
-        if self.wheel.is_some() {
-            self.wheel_resync();
-        }
-        if self.soa.is_none() {
-            self.enter_soa();
-        }
-        let mut b = self.soa.take().expect("banks mounted above");
-        self.soa_step_inner(&mut b);
-        self.soa = Some(b);
-    }
-
-    /// Advance by `cycles` clocks with [`Engine::step_soa`].
-    pub fn run_soa(&mut self, cycles: u32) {
-        for _ in 0..cycles {
-            self.step_soa();
-        }
-    }
-
-    /// [`Engine::run_soa`] with the watchdog reporting a [`Stall`]
-    /// instead of panicking, mirroring [`Engine::run_checked`].
-    pub fn run_checked_soa(&mut self, cycles: u32) -> Result<(), Stall> {
-        self.report_stall = true;
-        for _ in 0..cycles {
-            self.step_soa();
-            if let Some(s) = self.stall {
-                return Err(s);
+    /// Rebuild the phase worklists from the occupancy masks (snapshot
+    /// restore).
+    pub(super) fn rebuild_worklists(&mut self) {
+        for (set, live) in [
+            (&mut self.link_work, &self.out_occ),
+            (&mut self.route_work, &self.pending),
+            (&mut self.inject_work, &self.node_lane_occ),
+        ] {
+            set.clear();
+            for (id, _) in live.iter().enumerate().filter(|(_, &m)| m != 0) {
+                set.insert(id);
             }
         }
-        Ok(())
-    }
-
-    /// One cycle over mounted banks: the same four phases as
-    /// [`Engine::step`], each driven by a chunked mask scan.
-    pub(super) fn soa_step_inner(&mut self, b: &mut SoaBanks) {
-        self.moves_this_cycle = 0;
-        if F::ACTIVE {
-            self.begin_fault_cycle();
+        self.xbar_work.clear();
+        for (r, (occ, routed)) in self.in_occ.iter().zip(&self.routed).enumerate() {
+            if occ & routed != 0 {
+                self.xbar_work.insert(r);
+            }
         }
-        self.soa_phase_link(b);
-        self.soa_phase_node_link(b);
-        self.spawn_replies();
-        self.soa_phase_xbar(b);
-        self.soa_phase_route(b);
-        self.soa_phase_injection(b);
-        self.end_cycle();
     }
 
-    /// Phase 1 (router half): link arbitration, driven by the same
-    /// `link_work` bitmap as [`Engine::step`] — a set summary bit
-    /// selects each word of busy routers (64 fully idle routers cost
-    /// nothing at all: the sparse-drain fast path), a wide scan over
-    /// the word's 64 `out_occ` condition words batch-retires members
-    /// whose buffered output already drained, and only the survivors
-    /// get the per-router lane scan on the banks.
-    ///
-    /// The batch retire is bit-identical to the one-by-one form: a
-    /// member whose condition word is zero would be visited as a
-    /// guarded no-op and then removed, and no link handler mutates
-    /// *another* router's `out_occ` during this phase, so the wide
-    /// snapshot can only go stale for the member being visited.
-    pub(super) fn soa_phase_link(&mut self, b: &mut SoaBanks) {
-        self.link_work.sync_summary();
-        let scalar = self.scalar_scan;
-        for si in 0..self.link_work.num_summary_words() {
-            let mut sbits = self.link_work.summary_word(si);
-            while sbits != 0 {
-                let wi = (si << 6) + sbits.trailing_zeros() as usize;
-                sbits &= sbits - 1;
-                let ww = self.link_work.word(wi);
-                if ww == 0 {
-                    continue;
+    /// The view of the whole network.
+    pub(super) fn view(&mut self) -> Lanes<'_> {
+        Lanes {
+            router_base: 0,
+            node_base: 0,
+            lanes: self.lanes,
+            ports: self.ports,
+            vcs: self.vcs,
+            lane_port: &self.lane_port,
+            lane_vc: &self.lane_vc,
+            in_q: self.in_q.view(),
+            in_route: &mut self.in_route,
+            out_q: self.out_q.view(),
+            out_credits: &mut self.out_credits,
+            out_bound: &mut self.out_bound,
+            pending: &mut self.pending,
+            in_occ: &mut self.in_occ,
+            out_occ: &mut self.out_occ,
+            routed: &mut self.routed,
+            route_rr: &mut self.route_rr,
+            link_rr: &mut self.link_rr,
+            link_flits: &mut self.link_flits,
+            node_lanes: self.node_lanes.view(),
+            node_credits: &mut self.node_credits,
+            node_lane_occ: &mut self.node_lane_occ,
+            node_lane_rr: &mut self.node_lane_rr,
+            link_words: self.link_work.words_mut(),
+            xbar_words: self.xbar_work.words_mut(),
+            route_words: self.route_work.words_mut(),
+            inject_words: self.inject_work.words_mut(),
+        }
+    }
+}
+
+/// Where the effects of a phase handler go when they leave the lanes it
+/// owns: telemetry, counters, the packet table, and — for a view that
+/// is not the whole network — flits and credits bound for another view.
+pub(super) trait Sink {
+    /// The view spans the whole network: every peer is owned, so the
+    /// ownership tests compile out and the `*_out` handoffs are dead.
+    const WHOLE: bool;
+
+    /// Aggregate counters (a shard accumulates wrapping deltas).
+    fn counters(&mut self) -> &mut Counters;
+    /// Flit movements executed this cycle.
+    fn moves(&mut self) -> &mut u64;
+    /// `Probe::link_flit`.
+    fn link_flit(
+        &mut self,
+        cycle: u32,
+        f: &Flit,
+        router: usize,
+        port: usize,
+        vc: usize,
+        kind: LinkKind,
+    );
+    /// A tail flit was ejected into `node`: stamp the delivery, queue
+    /// the reply (request-reply mode), count and report the packet.
+    fn tail_ejected(&mut self, cycle: u32, packet: u32, node: u32);
+    /// `Probe::injection_flit`.
+    fn injection_flit(&mut self, cycle: u32, f: &Flit, node: usize, vc: usize);
+    /// A flit crossed into input lane `lane` of unowned `router`.
+    fn flit_out(&mut self, router: usize, lane: usize, f: Flit);
+    /// A buffer freed downstream of output lane `lane` of unowned
+    /// `router`.
+    fn credit_out(&mut self, router: usize, lane: usize);
+    /// A buffer freed downstream of injection lane `vc` of unowned
+    /// `node`.
+    fn node_credit_out(&mut self, node: usize, vc: usize);
+}
+
+/// The serial run's sink: every effect is applied where it happens.
+pub(super) struct Direct<'a, P> {
+    pub(super) probe: &'a mut P,
+    pub(super) counters: &'a mut Counters,
+    pub(super) moves: &'a mut u64,
+    pub(super) packets: &'a mut [PacketRec],
+    pub(super) reply_buf: &'a mut Vec<u32>,
+    pub(super) request_reply: bool,
+}
+
+impl<P: Probe> Sink for Direct<'_, P> {
+    const WHOLE: bool = true;
+
+    #[inline]
+    fn counters(&mut self) -> &mut Counters {
+        self.counters
+    }
+    #[inline]
+    fn moves(&mut self) -> &mut u64 {
+        self.moves
+    }
+    #[inline]
+    fn link_flit(
+        &mut self,
+        cycle: u32,
+        f: &Flit,
+        router: usize,
+        port: usize,
+        vc: usize,
+        kind: LinkKind,
+    ) {
+        self.probe
+            .link_flit(cycle, f.packet, router as u32, port as u16, vc as u8, kind);
+    }
+    #[inline]
+    fn tail_ejected(&mut self, cycle: u32, packet: u32, node: u32) {
+        let rec = &mut self.packets[packet as usize];
+        debug_assert_eq!(rec.delivered, NEVER);
+        rec.delivered = cycle;
+        if self.request_reply && !rec.is_reply() {
+            self.reply_buf.push(packet);
+        }
+        self.counters.delivered_packets += 1;
+        self.probe.packet_delivered(cycle, packet, node);
+    }
+    #[inline]
+    fn injection_flit(&mut self, cycle: u32, f: &Flit, node: usize, vc: usize) {
+        self.probe
+            .injection_flit(cycle, f.packet, node as u32, vc as u8);
+    }
+    fn flit_out(&mut self, _: usize, _: usize, _: Flit) {
+        unreachable!("the whole network has no outside")
+    }
+    fn credit_out(&mut self, _: usize, _: usize) {
+        unreachable!("the whole network has no outside")
+    }
+    fn node_credit_out(&mut self, _: usize, _: usize) {
+        unreachable!("the whole network has no outside")
+    }
+}
+
+/// The read-only surroundings of the link and crossbar phases.
+pub(super) struct Env<'e, F> {
+    pub(super) w: &'e Wiring,
+    pub(super) faults: &'e F,
+    pub(super) cycle: u32,
+}
+
+/// What the routing phase settles for one router before the
+/// RNG-consuming output selection: which header gets this cycle's
+/// routing opportunity (its candidates are left in the caller's
+/// [`CandidateSet`]), and what the fault plane says about it.
+pub(super) struct Prepared {
+    /// The header's input lane, local to the router.
+    pub(super) lane: usize,
+    pub(super) packet: u32,
+    /// Fault-plane dead end: drop instead of selecting.
+    pub(super) unroutable: bool,
+    /// Some candidate direction is transiently down (reroute telemetry).
+    pub(super) degraded: bool,
+}
+
+/// The members of worklist word `wi` to visit: the word itself when
+/// `MASKED`, else every id below `n` the word could hold.
+#[inline]
+fn members<const MASKED: bool>(word: u64, wi: usize, n: usize) -> u64 {
+    if MASKED {
+        word
+    } else {
+        u64::MAX >> (64 - (n - (wi << 6)).min(64))
+    }
+}
+
+/// The lanes of routers `router_base..` and nodes `node_base..`,
+/// borrowed from the banks. All indices into the arrays are local to
+/// the view; `router_base`/`node_base` (multiples of 64, so worklist
+/// words split exactly) translate to and from global ids.
+pub(super) struct Lanes<'a> {
+    router_base: usize,
+    node_base: usize,
+    lanes: usize,
+    ports: usize,
+    vcs: usize,
+    lane_port: &'a [u8],
+    lane_vc: &'a [u8],
+    pub(super) in_q: Queues<'a>,
+    pub(super) in_route: &'a mut [u32],
+    pub(super) out_q: Queues<'a>,
+    pub(super) out_credits: &'a mut [u8],
+    pub(super) out_bound: &'a mut [u64],
+    pub(super) pending: &'a mut [u64],
+    pub(super) in_occ: &'a mut [u64],
+    out_occ: &'a mut [u64],
+    pub(super) routed: &'a mut [u64],
+    pub(super) route_rr: &'a mut [u32],
+    link_rr: &'a mut [u8],
+    link_flits: &'a mut [u64],
+    pub(super) node_lanes: Queues<'a>,
+    pub(super) node_credits: &'a mut [u8],
+    pub(super) node_lane_occ: &'a mut [u64],
+    pub(super) node_lane_rr: &'a mut [u8],
+    link_words: &'a mut [u64],
+    pub(super) xbar_words: &'a mut [u64],
+    pub(super) route_words: &'a mut [u64],
+    pub(super) inject_words: &'a mut [u64],
+}
+
+impl<'a> Lanes<'a> {
+    /// Split off the first `routers` routers and `nodes` nodes (both
+    /// multiples of 64 unless they exhaust the view) as their own view.
+    fn take_front(&mut self, routers: usize, nodes: usize) -> Lanes<'a> {
+        let (lanes, ports, vcs) = (self.lanes, self.ports, self.vcs);
+        let (rw, nw) = (routers.div_ceil(64), nodes.div_ceil(64));
+        let head = Lanes {
+            router_base: self.router_base,
+            node_base: self.node_base,
+            lanes,
+            ports,
+            vcs,
+            lane_port: self.lane_port,
+            lane_vc: self.lane_vc,
+            in_q: self.in_q.take_front(routers * lanes),
+            in_route: cut(&mut self.in_route, routers * lanes),
+            out_q: self.out_q.take_front(routers * lanes),
+            out_credits: cut(&mut self.out_credits, routers * lanes),
+            out_bound: cut(&mut self.out_bound, routers),
+            pending: cut(&mut self.pending, routers),
+            in_occ: cut(&mut self.in_occ, routers),
+            out_occ: cut(&mut self.out_occ, routers),
+            routed: cut(&mut self.routed, routers),
+            route_rr: cut(&mut self.route_rr, routers),
+            link_rr: cut(&mut self.link_rr, routers * ports),
+            link_flits: cut(&mut self.link_flits, routers * ports),
+            node_lanes: self.node_lanes.take_front(nodes * vcs),
+            node_credits: cut(&mut self.node_credits, nodes * vcs),
+            node_lane_occ: cut(&mut self.node_lane_occ, nodes),
+            node_lane_rr: cut(&mut self.node_lane_rr, nodes),
+            link_words: cut(&mut self.link_words, rw),
+            xbar_words: cut(&mut self.xbar_words, rw),
+            route_words: cut(&mut self.route_words, rw),
+            inject_words: cut(&mut self.inject_words, nw),
+        };
+        self.router_base += routers;
+        self.node_base += nodes;
+        head
+    }
+
+    /// One view per shard: shard `i` owns routers
+    /// `router_starts[i]..router_starts[i + 1]` and the node range
+    /// likewise (boundary tables as built by `Engine::shard_plan`).
+    pub(super) fn split(mut self, router_starts: &[usize], node_starts: &[usize]) -> Vec<Self> {
+        (router_starts.windows(2).zip(node_starts.windows(2)))
+            .map(|(rs, ns)| self.take_front(rs[1] - rs[0], ns[1] - ns[0]))
+            .collect()
+    }
+
+    /// Routers owned by this view.
+    pub(super) fn num_routers(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.node_lane_occ.len()
+    }
+
+    /// The first router owned by this view.
+    pub(super) fn router_base(&self) -> usize {
+        self.router_base
+    }
+
+    /// Phase 1: link arbitration for the owned routers, then for the
+    /// owned nodes' injection channels.
+    pub(super) fn phase_link<const MASKED: bool, F: FaultModel, S: Sink>(
+        &mut self,
+        env: &Env<'_, F>,
+        sink: &mut S,
+    ) {
+        // The worklists shrink only while their own phase runs (a
+        // drained member is dropped right after its visit), so a
+        // per-word snapshot is exact; see `active.rs`.
+        for wi in 0..self.link_words.len() {
+            let mut bits = members::<MASKED>(self.link_words[wi], wi, self.num_routers());
+            while bits != 0 {
+                let lr = (wi << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.link_router::<MASKED, F, S>(env, sink, lr);
+                if self.out_occ[lr] == 0 {
+                    clear_bit(self.link_words, lr);
                 }
-                let base = wi << 6;
-                let cond = &b.out_occ[base..(base + 64).min(self.w.num_routers)];
-                let live = if scalar {
-                    super::simd::nonzero_mask_scalar(cond)
-                } else {
-                    super::simd::nonzero_mask(cond)
-                };
-                self.link_work.remove_word_bits(wi, ww & !live);
-                let mut bits = ww & live;
-                while bits != 0 {
-                    let r = base + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.soa_link_router(b, r);
-                    if b.out_occ[r] == 0 {
-                        self.link_work.remove(r);
-                    }
+            }
+        }
+        for wi in 0..self.inject_words.len() {
+            let mut bits = members::<MASKED>(self.inject_words[wi], wi, self.num_nodes());
+            while bits != 0 {
+                let ln = (wi << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.link_node::<MASKED, F, S>(env, sink, ln);
+                if self.node_lane_occ[ln] == 0 {
+                    clear_bit(self.inject_words, ln);
                 }
             }
         }
     }
 
-    /// Phase 1 (node half): the injection channels of every node on the
-    /// `inject_work` bitmap with a non-empty node-side lane, with the
-    /// same summary skip + wide condition scan as
-    /// [`Engine::soa_phase_link`] (condition word: `node_lane_occ`).
-    pub(super) fn soa_phase_node_link(&mut self, b: &mut SoaBanks) {
-        self.inject_work.sync_summary();
-        let scalar = self.scalar_scan;
-        for si in 0..self.inject_work.num_summary_words() {
-            let mut sbits = self.inject_work.summary_word(si);
-            while sbits != 0 {
-                let wi = (si << 6) + sbits.trailing_zeros() as usize;
-                sbits &= sbits - 1;
-                let ww = self.inject_work.word(wi);
-                if ww == 0 {
-                    continue;
-                }
-                let base = wi << 6;
-                let cond = &b.node_lane_occ[base..(base + 64).min(self.w.num_nodes)];
-                let live = if scalar {
-                    super::simd::nonzero_mask_scalar(cond)
-                } else {
-                    super::simd::nonzero_mask(cond)
-                };
-                self.inject_work.remove_word_bits(wi, ww & !live);
-                let mut bits = ww & live;
-                while bits != 0 {
-                    let n = base + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.soa_link_node(b, n);
-                    if b.node_lane_occ[n] == 0 {
-                        self.inject_work.remove(n);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Phase 2: crossbar forwarding for every router on the `xbar_work`
-    /// bitmap with a routed, occupied input lane. The wide scan ANDs
-    /// `in_occ` and `routed` lanewise ([`super::simd::and_nonzero_mask`])
-    /// — the phase condition needs a lane that is both occupied *and*
-    /// owns a crossbar path.
-    pub(super) fn soa_phase_xbar(&mut self, b: &mut SoaBanks) {
-        self.xbar_work.sync_summary();
-        let scalar = self.scalar_scan;
-        for si in 0..self.xbar_work.num_summary_words() {
-            let mut sbits = self.xbar_work.summary_word(si);
-            while sbits != 0 {
-                let wi = (si << 6) + sbits.trailing_zeros() as usize;
-                sbits &= sbits - 1;
-                let ww = self.xbar_work.word(wi);
-                if ww == 0 {
-                    continue;
-                }
-                let base = wi << 6;
-                let lim = (base + 64).min(self.w.num_routers);
-                let live = if scalar {
-                    super::simd::and_nonzero_mask_scalar(&b.in_occ[base..lim], &b.routed[base..lim])
-                } else {
-                    super::simd::and_nonzero_mask(&b.in_occ[base..lim], &b.routed[base..lim])
-                };
-                self.xbar_work.remove_word_bits(wi, ww & !live);
-                let mut bits = ww & live;
-                while bits != 0 {
-                    let r = base + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    // Snapshot: lanes of this router cannot become
-                    // forwardable during the phase (routes are only
-                    // assigned in the routing phase, arrivals only in
-                    // the link phase).
-                    let mut mask = b.in_occ[r] & b.routed[r];
-                    while mask != 0 {
-                        let l = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        self.soa_xbar_lane(b, r, l);
-                    }
-                    if b.in_occ[r] & b.routed[r] == 0 {
-                        self.xbar_work.remove(r);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Phase 3: at most one routing decision per router on the
-    /// `route_work` bitmap with a pending header (condition word:
-    /// `pending`).
-    pub(super) fn soa_phase_route(&mut self, b: &mut SoaBanks) {
-        self.route_work.sync_summary();
-        let scalar = self.scalar_scan;
-        for si in 0..self.route_work.num_summary_words() {
-            let mut sbits = self.route_work.summary_word(si);
-            while sbits != 0 {
-                let wi = (si << 6) + sbits.trailing_zeros() as usize;
-                sbits &= sbits - 1;
-                let ww = self.route_work.word(wi);
-                if ww == 0 {
-                    continue;
-                }
-                let base = wi << 6;
-                let cond = &b.pending[base..(base + 64).min(self.w.num_routers)];
-                let live = if scalar {
-                    super::simd::nonzero_mask_scalar(cond)
-                } else {
-                    super::simd::nonzero_mask(cond)
-                };
-                self.route_work.remove_word_bits(wi, ww & !live);
-                let mut bits = ww & live;
-                while bits != 0 {
-                    let r = base + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.soa_route_router(b, r);
-                    if b.pending[r] == 0 {
-                        self.route_work.remove(r);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Link phase, one router (translation of the `MASKED = true` body
-    /// of `link_router`): move at most one flit per physical channel
-    /// direction, walking only the occupied directions of `out_occ`.
-    fn soa_link_router(&mut self, b: &mut SoaBanks, r: usize) {
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        let ports = self.w.ports;
-        let base = r * self.lanes_per_router;
+    /// Link phase, one router: a fair round-robin arbiter moves at most
+    /// one flit per physical channel direction — into the peer router's
+    /// input lane (costing a credit), or into the attached node, which
+    /// always sinks.
+    fn link_router<const MASKED: bool, F: FaultModel, S: Sink>(
+        &mut self,
+        env: &Env<'_, F>,
+        sink: &mut S,
+        lr: usize,
+    ) {
+        let (cycle, vcs, ports) = (env.cycle, self.vcs, self.ports);
+        let r = self.router_base + lr;
+        let base = lr * self.lanes;
         let port_lanes = (1u64 << vcs) - 1;
-        // Walk the occupied directions straight off the occupancy word
-        // (ascending lane order is ascending port order, so the visit
-        // order matches the plain `0..ports` loop); handlers only ever
-        // clear bits of the port being served, so the local copy stays
-        // exact for the ports not yet visited.
-        let mut occ = b.out_occ[r];
-        while occ != 0 {
-            let p = b.lane_port[occ.trailing_zeros() as usize] as usize;
-            occ &= !(port_lanes << (p * vcs));
-            if F::ACTIVE && self.faults.channel_down(r, p) {
+        // Walk the directions straight off a lane mask: ascending lane
+        // order is ascending port order. The handler only ever clears
+        // `out_occ` bits of the port being served, so the local copy
+        // stays exact for the ports not yet visited.
+        let mut dirs = if MASKED {
+            self.out_occ[lr]
+        } else {
+            u64::MAX >> (64 - self.lanes)
+        };
+        while dirs != 0 {
+            let p = self.lane_port[dirs.trailing_zeros() as usize] as usize;
+            dirs &= !(port_lanes << (p * vcs));
+            if F::ACTIVE && env.faults.channel_down(r, p) {
                 continue; // channel down: nothing crosses this cycle
             }
-            match self.w.peer(r, p) {
-                Peer::None => {
-                    // A flit is never routed towards an uncabled port,
-                    // so an occupied lane on one cannot exist.
-                    unreachable!("flit buffered on an uncabled port")
+            let peer = env.w.peer(r, p);
+            if peer == Peer::None {
+                // Flits are never routed towards an uncabled port.
+                debug_assert!(!MASKED, "flit buffered on an uncabled port");
+                continue;
+            }
+            let mut v = self.link_rr[lr * ports + p] as usize;
+            for _ in 0..vcs {
+                let next = if v + 1 == vcs { 0 } else { v + 1 };
+                let ll = p * vcs + v;
+                let l = base + ll;
+                let ready = (!MASKED || self.out_occ[lr] & (1u64 << ll) != 0)
+                    && (matches!(peer, Peer::Node(_)) || self.out_credits[l] > 0)
+                    && matches!(self.out_q.front(l), Some(f) if f.moved < cycle);
+                if !ready {
+                    v = next;
+                    continue;
                 }
-                Peer::Node(node) => {
-                    // Ejection: the node always sinks (no credits).
-                    let mut v = b.link_rr[r * ports + p] as usize;
-                    for _ in 0..vcs {
-                        // Round-robin without `%`: `v` wraps manually.
-                        let next = if v + 1 == vcs { 0 } else { v + 1 };
-                        let ll = p * vcs + v;
-                        if b.out_occ[r] & (1u64 << ll) == 0 {
-                            v = next;
-                            continue;
+                let mut f = self.out_q.pop(l);
+                if self.out_q.is_empty(l) {
+                    self.out_occ[lr] &= !(1u64 << ll);
+                }
+                self.link_rr[lr * ports + p] = next as u8;
+                self.link_flits[lr * ports + p] += 1;
+                *sink.moves() += 1;
+                match peer {
+                    Peer::Node(node) => {
+                        let c = sink.counters();
+                        c.delivered_flits += 1;
+                        c.in_flight_flits = c.in_flight_flits.wrapping_sub(1);
+                        sink.link_flit(cycle, &f, r, p, v, LinkKind::Ejection);
+                        if f.is_tail() {
+                            sink.tail_ejected(cycle, f.packet, node);
                         }
-                        let l = base + ll;
-                        let ready = matches!(b.out_q.front(l),
-                            Some(f) if f.moved < cycle);
-                        if ready {
-                            let f = b.out_q.pop(l);
-                            if b.out_q.is_empty(l) {
-                                b.out_occ[r] &= !(1u64 << ll);
-                            }
-                            b.link_rr[r * ports + p] = next as u8;
-                            self.link_flits[r * ports + p] += 1;
-                            self.counters.delivered_flits += 1;
-                            self.counters.in_flight_flits -= 1;
-                            self.moves_this_cycle += 1;
-                            self.probe.link_flit(
-                                cycle,
-                                f.packet,
-                                r as u32,
-                                p as u16,
-                                v as u8,
-                                LinkKind::Ejection,
-                            );
-                            if f.is_tail() {
-                                let rec = &mut self.packets[f.packet as usize];
-                                debug_assert_eq!(rec.delivered, NEVER);
-                                rec.delivered = cycle;
-                                let reply = self.request_reply && !rec.is_reply();
-                                self.counters.delivered_packets += 1;
-                                if reply {
-                                    self.reply_buf.push(f.packet);
-                                }
-                                self.probe.packet_delivered(cycle, f.packet, node);
-                            }
-                            break;
-                        }
-                        v = next;
                     }
-                }
-                Peer::Router {
-                    router: r2,
-                    port: p2,
-                } => {
-                    let (r2, p2) = (r2 as usize, p2 as usize);
-                    debug_assert_ne!(r, r2);
-                    let base2 = r2 * self.lanes_per_router;
-                    let mut v = b.link_rr[r * ports + p] as usize;
-                    for _ in 0..vcs {
-                        let next = if v + 1 == vcs { 0 } else { v + 1 };
-                        let ll = p * vcs + v;
-                        if b.out_occ[r] & (1u64 << ll) == 0 {
-                            v = next;
-                            continue;
-                        }
-                        let l = base + ll;
-                        let ready = b.out_credits[l] > 0
-                            && matches!(b.out_q.front(l), Some(f) if f.moved < cycle);
-                        if ready {
-                            let mut f = b.out_q.pop(l);
-                            if b.out_q.is_empty(l) {
-                                b.out_occ[r] &= !(1u64 << ll);
-                            }
-                            b.out_credits[l] -= 1;
-                            b.link_rr[r * ports + p] = next as u8;
-                            self.link_flits[r * ports + p] += 1;
-                            f.moved = cycle;
-                            let dll = p2 * vcs + v;
-                            let dl = base2 + dll;
-                            let was_empty = b.in_q.is_empty(dl);
-                            b.in_q.push(dl, f);
-                            b.in_occ[r2] |= 1u64 << dll;
-                            if was_empty && f.is_head() {
-                                debug_assert_eq!(b.in_route[dl], NO_ROUTE);
-                                b.pending[r2] |= 1 << dll;
-                                self.route_work.insert(r2);
-                            }
-                            if b.routed[r2] & (1u64 << dll) != 0 {
-                                // Body/tail arriving on a lane whose
-                                // head already holds a crossbar path.
-                                self.xbar_work.insert(r2);
-                            }
-                            self.moves_this_cycle += 1;
-                            self.probe.link_flit(
-                                cycle,
-                                f.packet,
-                                r as u32,
-                                p as u16,
-                                v as u8,
-                                LinkKind::Network,
-                            );
-                            break;
-                        }
-                        v = next;
+                    Peer::Router { router, port } => {
+                        self.out_credits[l] -= 1;
+                        f.moved = cycle;
+                        sink.link_flit(cycle, &f, r, p, v, LinkKind::Network);
+                        self.send(sink, router as usize, port as usize * vcs + v, f);
                     }
+                    Peer::None => unreachable!("skipped above"),
                 }
+                break;
             }
         }
     }
 
-    /// Link phase, one node-side injection channel (translation of the
-    /// `MASKED = true` body of `link_node`).
-    fn soa_link_node(&mut self, b: &mut SoaBanks, n: usize) {
-        if F::ACTIVE && self.faults.node_dead(n) {
+    /// Link phase, one node-side injection channel (node -> router).
+    fn link_node<const MASKED: bool, F: FaultModel, S: Sink>(
+        &mut self,
+        env: &Env<'_, F>,
+        sink: &mut S,
+        ln: usize,
+    ) {
+        let n = self.node_base + ln;
+        if F::ACTIVE && env.faults.node_dead(n) {
             return; // dead node: its injection channel carries nothing
         }
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        let (r, p) = self.w.node_ports[n];
-        let (r, p) = (r as usize, p as usize);
-        let nb = n * vcs;
-        let mut v = b.node_lane_rr[n] as usize;
+        let (cycle, vcs) = (env.cycle, self.vcs);
+        let (r, p) = env.w.node_ports[n];
+        let nb = ln * vcs;
+        let mut v = self.node_lane_rr[ln] as usize;
         for _ in 0..vcs {
             let next = if v + 1 == vcs { 0 } else { v + 1 };
-            if b.node_lane_occ[n] & (1u64 << v) == 0 {
+            let ready = (!MASKED || self.node_lane_occ[ln] & (1u64 << v) != 0)
+                && self.node_credits[nb + v] > 0
+                && matches!(self.node_lanes.front(nb + v), Some(f) if f.moved < cycle);
+            if !ready {
                 v = next;
                 continue;
             }
-            let ready = b.node_credits[nb + v] > 0
-                && matches!(b.node_lanes.front(nb + v), Some(f) if f.moved < cycle);
-            if ready {
-                let mut f = b.node_lanes.pop(nb + v);
-                if b.node_lanes.is_empty(nb + v) {
-                    b.node_lane_occ[n] &= !(1u64 << v);
-                }
-                b.node_credits[nb + v] -= 1;
-                b.node_lane_rr[n] = next as u8;
-                f.moved = cycle;
-                let dll = p * vcs + v;
-                let dl = r * self.lanes_per_router + dll;
-                let was_empty = b.in_q.is_empty(dl);
-                b.in_q.push(dl, f);
-                b.in_occ[r] |= 1u64 << dll;
-                if was_empty && f.is_head() {
-                    b.pending[r] |= 1 << dll;
-                    self.route_work.insert(r);
-                }
-                if b.routed[r] & (1u64 << dll) != 0 {
-                    self.xbar_work.insert(r);
-                }
-                self.moves_this_cycle += 1;
-                self.probe
-                    .injection_flit(cycle, f.packet, n as u32, v as u8);
-                break;
+            let mut f = self.node_lanes.pop(nb + v);
+            if self.node_lanes.is_empty(nb + v) {
+                self.node_lane_occ[ln] &= !(1u64 << v);
             }
-            v = next;
+            self.node_credits[nb + v] -= 1;
+            self.node_lane_rr[ln] = next as u8;
+            f.moved = cycle;
+            *sink.moves() += 1;
+            sink.injection_flit(cycle, &f, n, v);
+            self.send(sink, r as usize, p as usize * vcs + v, f);
+            break;
         }
     }
 
-    /// One crossbar lane holding a path (translation of `xbar_lane`).
-    /// `ll` is the lane index local to router `r`.
-    fn soa_xbar_lane(&mut self, b: &mut SoaBanks, r: usize, ll: usize) {
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        let base = r * self.lanes_per_router;
-        let l = base + ll;
-        if F::ACTIVE && b.in_route[l] == DROP_ROUTE {
-            self.soa_drain_lane(b, r, ll);
-            return;
-        }
-        let route = b.in_route[l];
-        debug_assert_ne!(route, NO_ROUTE);
-        let route = route as usize;
-        let movable =
-            matches!(b.in_q.front(l), Some(f) if f.moved < cycle) && !b.out_q.is_full(base + route);
-        if !movable {
-            return;
-        }
-        let mut f = b.in_q.pop(l);
-        if b.in_q.is_empty(l) {
-            b.in_occ[r] &= !(1u64 << ll);
-        }
-        f.moved = cycle;
-        b.out_q.push(base + route, f);
-        b.out_occ[r] |= 1u64 << route;
-        self.link_work.insert(r);
-        self.moves_this_cycle += 1;
-        if f.is_tail() {
-            b.in_route[l] = NO_ROUTE;
-            b.routed[r] &= !(1u64 << ll);
-            b.out_bound[r] &= !(1u64 << route);
-            if matches!(b.in_q.front(l), Some(nf) if nf.is_head()) {
-                b.pending[r] |= 1 << ll;
-                self.route_work.insert(r);
-            }
-        }
-        // Acknowledgment: one buffer freed in this input lane.
-        let (p, v) = (b.lane_port[ll] as usize, b.lane_vc[ll] as usize);
-        match self.w.peer(r, p) {
-            Peer::Router {
-                router: r2,
-                port: p2,
-            } => {
-                let ul = r2 as usize * self.lanes_per_router + p2 as usize * vcs + v;
-                b.out_credits[ul] += 1;
-                debug_assert!(b.out_credits[ul] as usize <= b.out_q.capacity());
-            }
-            Peer::Node(nn) => {
-                let ni = nn as usize * vcs + v;
-                b.node_credits[ni] += 1;
-                debug_assert!(b.node_credits[ni] as usize <= b.node_lanes.capacity());
-            }
-            Peer::None => unreachable!("flit arrived through an uncabled port"),
+    /// A flit crosses a link into input lane `dll` of router `r2`.
+    #[inline]
+    fn send<S: Sink>(&mut self, sink: &mut S, r2: usize, dll: usize, f: Flit) {
+        let lr2 = r2.wrapping_sub(self.router_base);
+        if S::WHOLE || lr2 < self.num_routers() {
+            self.arrive(lr2, dll, f);
+        } else {
+            sink.flit_out(r2, dll, f);
         }
     }
 
-    /// Crossbar-phase drain of a lane whose head-of-line packet was
-    /// dropped by the fault plane (translation of `drain_lane`).
-    fn soa_drain_lane(&mut self, b: &mut SoaBanks, r: usize, ll: usize) {
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        let l = r * self.lanes_per_router + ll;
-        let movable = matches!(b.in_q.front(l), Some(f) if f.moved < cycle);
-        if !movable {
-            return;
+    /// Buffer an arriving flit on input lane `dll` of owned router
+    /// `lr`, and wake the phases it enables. Each input lane has one
+    /// upstream source, so at most one flit arrives per lane per cycle
+    /// and arrivals commute.
+    #[inline]
+    pub(super) fn arrive(&mut self, lr: usize, dll: usize, f: Flit) {
+        let dl = lr * self.lanes + dll;
+        let was_empty = self.in_q.is_empty(dl);
+        self.in_q.push(dl, f);
+        self.in_occ[lr] |= 1u64 << dll;
+        if was_empty && f.is_head() {
+            debug_assert_eq!(self.in_route[dl], NO_ROUTE);
+            self.pending[lr] |= 1u64 << dll;
+            set_bit(self.route_words, lr);
         }
-        let f = b.in_q.pop(l);
-        if b.in_q.is_empty(l) {
-            b.in_occ[r] &= !(1u64 << ll);
-        }
-        self.counters.in_flight_flits -= 1;
-        self.counters.dropped_flits += 1;
-        self.moves_this_cycle += 1;
-        if f.is_tail() {
-            b.in_route[l] = NO_ROUTE;
-            b.routed[r] &= !(1u64 << ll);
-            if matches!(b.in_q.front(l), Some(nf) if nf.is_head()) {
-                b.pending[r] |= 1 << ll;
-                self.route_work.insert(r);
-            }
-        }
-        // Acknowledgment upstream: the buffer slot is free again.
-        let (p, v) = (b.lane_port[ll] as usize, b.lane_vc[ll] as usize);
-        match self.w.peer(r, p) {
-            Peer::Router {
-                router: r2,
-                port: p2,
-            } => {
-                let ul = r2 as usize * self.lanes_per_router + p2 as usize * vcs + v;
-                b.out_credits[ul] += 1;
-                debug_assert!(b.out_credits[ul] as usize <= b.out_q.capacity());
-            }
-            Peer::Node(nn) => {
-                let ni = nn as usize * vcs + v;
-                b.node_credits[ni] += 1;
-                debug_assert!(b.node_credits[ni] as usize <= b.node_lanes.capacity());
-            }
-            Peer::None => unreachable!("flit arrived through an uncabled port"),
+        if self.routed[lr] & (1u64 << dll) != 0 {
+            // Body/tail arriving on a lane whose head holds a path.
+            set_bit(self.xbar_words, lr);
         }
     }
 
-    /// Routing phase, one router (translation of the `MASKED = true`
-    /// body of `route_router`): walk the set bits of `pending` in
-    /// round-robin order until one decision is made.
-    fn soa_route_router(&mut self, b: &mut SoaBanks, r: usize) {
-        let pending = b.pending[r];
-        debug_assert_ne!(pending, 0, "router scanned without pending header");
-        let start = b.route_rr[r] as usize;
-        debug_assert!(start < self.lanes_per_router);
-        let below_start = (1u64 << start) - 1;
-        'scan: for part in [pending & !below_start, pending & below_start] {
-            let mut bits = part;
-            while bits != 0 {
-                let ll = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.soa_route_lane(b, r, ll) {
-                    break 'scan;
-                }
-            }
-        }
-    }
-
-    /// One pending lane (translation of `route_lane`): attempt the
-    /// routing decision; returns whether the router's one routing
-    /// opportunity this cycle was spent.
-    fn soa_route_lane(&mut self, b: &mut SoaBanks, r: usize, ll: usize) -> bool {
-        let cycle = self.cycle;
-        let lanes = self.lanes_per_router;
-        let l = r * lanes + ll;
-        let front = *b.in_q.front(l).expect("pending lane must hold a flit");
-        debug_assert!(front.is_head(), "pending lane front must be a header");
-        if front.moved >= cycle {
-            // Arrived this very cycle; visible to the routing logic
-            // from the next cycle on.
-            return false;
-        }
-        let dest = self.packets[front.packet as usize].dest;
-        let in_port = b.lane_port[ll] as usize;
-        // Take the candidate buffer out to appease the borrow checker;
-        // it is returned below.
-        let mut cand = std::mem::take(&mut self.cand);
-        self.algo
-            .route(RouterId(r as u32), Some(in_port), NodeId(dest), &mut cand);
-        debug_assert!(!cand.is_empty(), "routing function returned no candidate");
-        if F::ACTIVE && self.fault_unroutable(r, &cand) {
-            self.cand = cand;
-            self.soa_start_drop(b, r, ll, front.packet);
-            b.route_rr[r] = ((ll + 1) % lanes) as u32;
-            return true;
-        }
-        // Degraded-mode reroute: at least one candidate direction is
-        // down, so whatever lane wins below is a detour.
-        let degraded = F::ACTIVE
-            && cand
-                .preferred
-                .iter()
-                .chain(cand.fallback.iter())
-                .any(|c| self.faults.channel_down(r, c.port as usize));
-        let choice = self.soa_select_output(b, r, &cand);
-        self.cand = cand;
-        match choice {
-            Some((ol, used_fallback)) => {
-                b.in_route[l] = ol as u32;
-                b.routed[r] |= 1u64 << ll;
-                b.out_bound[r] |= 1u64 << ol;
-                b.pending[r] &= !(1 << ll);
-                // The header is at the front and has not moved this
-                // cycle, so the lane is forwardable.
-                debug_assert_ne!(b.in_occ[r] & (1u64 << ll), 0);
-                self.xbar_work.insert(r);
-                self.counters.routed_headers += 1;
-                self.packets[front.packet as usize].hops += 1;
-                if used_fallback {
-                    self.counters.escape_routings += 1;
-                }
-                self.probe.header_routed(
-                    cycle,
-                    front.packet,
-                    r as u32,
-                    ll as u16,
-                    ol as u16,
-                    used_fallback,
-                );
-                if degraded {
-                    self.probe
-                        .header_rerouted(cycle, front.packet, r as u32, ol as u16);
-                }
-            }
-            None => {
-                self.counters.routing_blocked += 1;
-                self.probe
-                    .routing_blocked(cycle, front.packet, r as u32, ll as u16);
-            }
-        }
-        // One routing decision per router per cycle, successful or
-        // not; advance the cursor for fairness either way.
-        b.route_rr[r] = ((ll + 1) % lanes) as u32;
-        true
-    }
-
-    /// Declare the head-of-line packet of a lane dropped (translation
-    /// of `start_drop`).
-    fn soa_start_drop(&mut self, b: &mut SoaBanks, r: usize, ll: usize, packet: u32) {
-        let l = r * self.lanes_per_router + ll;
-        b.in_route[l] = DROP_ROUTE;
-        b.routed[r] |= 1u64 << ll;
-        b.pending[r] &= !(1 << ll);
-        self.xbar_work.insert(r);
-        self.counters.dropped_packets += 1;
-        self.probe.packet_dropped(self.cycle, packet, r as u32);
-    }
-
-    /// The selection policy over banked lanes (translation of
-    /// `select_output`): identical scoring, tie-breaking (and shared-RNG
-    /// consumption) as the AoS version.
-    fn soa_select_output(
+    /// Phase 2: crossbar forwarding for the owned routers.
+    pub(super) fn phase_xbar<const MASKED: bool, F: FaultModel, S: Sink>(
         &mut self,
-        b: &SoaBanks,
-        r: usize,
-        cand: &CandidateSet,
-    ) -> Option<(usize, bool)> {
-        let vcs = self.vcs;
-        let base = r * self.lanes_per_router;
-        let out_bound = b.out_bound[r];
-        let faults = &self.faults;
-        let out_q = &b.out_q;
-        let admissible = |lane: usize| {
-            out_bound & (1u64 << lane) == 0
-                && !out_q.is_full(base + lane)
-                && !(F::ACTIVE && faults.channel_down(r, lane / vcs))
-        };
-
-        // Pass 1: best port among preferred candidates.
-        let mut best_port: Option<usize> = None;
-        let mut best_score = 0usize;
-        let mut ties = 0u64;
-        let mut last_port = usize::MAX;
-        for c in &cand.preferred {
-            let port = c.port as usize;
-            if port == last_port {
-                continue; // candidates are grouped by port
-            }
-            last_port = port;
-            let has_admissible = (0..vcs).any(|v| {
-                cand.preferred
-                    .iter()
-                    .any(|cc| cc.port as usize == port && cc.vc as usize == v)
-                    && admissible(port * vcs + v)
-            });
-            if !has_admissible {
-                continue;
-            }
-            let port_mask = ((1u64 << vcs) - 1) << (port * vcs);
-            let free_vcs = vcs - (out_bound & port_mask).count_ones() as usize;
-            if best_port.is_none() || free_vcs > best_score {
-                best_port = Some(port);
-                best_score = free_vcs;
-                ties = 1;
-            } else if free_vcs == best_score {
-                // Reservoir sampling for a fair tie-break.
-                ties += 1;
-                if self.rng.below(ties) == 0 {
-                    best_port = Some(port);
-                }
-            }
-        }
-
-        if let Some(port) = best_port {
-            // Pass 2: best lane on the chosen port.
-            let mut best_lane = None;
-            let mut best_headroom = 0usize;
-            for c in &cand.preferred {
-                if c.port as usize != port {
-                    continue;
-                }
-                let lane = port * vcs + c.vc as usize;
-                if !admissible(lane) {
-                    continue;
-                }
-                let headroom = b.out_credits[base + lane] as usize + b.out_q.free(base + lane);
-                if best_lane.is_none() || headroom > best_headroom {
-                    best_lane = Some(lane);
-                    best_headroom = headroom;
-                }
-            }
-            return best_lane.map(|l| (l, false));
-        }
-
-        // Fallback (escape) class, in the order the algorithm listed.
-        for c in &cand.fallback {
-            let lane = c.port as usize * vcs + c.vc as usize;
-            if admissible(lane) {
-                return Some((lane, true));
-            }
-        }
-        None
-    }
-
-    /// Phase 4 (translation of `phase_injection`): tick every node's
-    /// creation process, then run the shared per-node injection body.
-    fn soa_phase_injection(&mut self, b: &mut SoaBanks) {
-        for n in 0..self.w.num_nodes {
-            let ns = &mut self.nodes[n];
-            let created = if ns.proc.tick(&mut ns.rng) {
-                self.pattern
-                    .dest(NodeId(n as u32), &mut ns.rng)
-                    .map(|d| d.0)
-            } else {
-                None
-            };
-            self.soa_inject_node(b, n, created);
-        }
-    }
-
-    /// The per-node injection body shared by the SoA and wheel
-    /// steppers: packet creation (when the caller's tick produced
-    /// `created`), the fault-plane source purge, throttled packet
-    /// start, and streaming one flit of the active packet. Mirrors the
-    /// non-tick part of `phase_injection` exactly.
-    pub(super) fn soa_inject_node(&mut self, b: &mut SoaBanks, n: usize, created: Option<u32>) {
-        let cycle = self.cycle;
-        let flits = self.flits_per_packet;
-        let ns = &mut self.nodes[n];
-        if let Some(dest) = created {
-            let id = self.packets.len() as u32;
-            self.packets.push(PacketRec {
-                src: n as u32,
-                dest,
-                created: cycle,
-                injected: NEVER,
-                delivered: NEVER,
-                flits,
-                hops: 0,
-                in_reply_to: u32::MAX,
-            });
-            ns.src_queue.push_back(id);
-            self.counters.created_packets += 1;
-            self.probe.packet_created(cycle, id, n as u32, dest, flits);
-        }
-
-        // Fault plane: abandon doomed packets at the source (see
-        // `phase_injection`).
-        if F::ACTIVE {
-            while let Some(&pkt) = ns.src_queue.front() {
-                let dest = self.packets[pkt as usize].dest as usize;
-                if !self.faults.node_dead(n) && !self.faults.node_dead(dest) {
-                    break;
-                }
-                ns.src_queue.pop_front();
-                self.counters.unroutable_packets += 1;
-                self.probe.packet_unroutable(cycle, pkt, n as u32);
-            }
-        }
-
-        // Start the next packet (single injection channel; limited
-        // injection may hold it back).
-        let vcs = self.vcs;
-        let nb = n * vcs;
-        if ns.active.is_none() {
-            let throttled = match self.injection_limit {
-                None => false,
-                Some(limit) => {
-                    let (r, _) = self.w.node_ports[n];
-                    let r = r as usize;
-                    (b.out_bound[r] & b.network_lanes[r]).count_ones() >= limit
-                }
-            };
-            if !throttled {
-                if let Some(&pkt) = ns.src_queue.front() {
-                    // Choose the lane with the most headroom; rotate on
-                    // ties for fairness.
-                    let mut v = b.node_lane_rr[n] as usize;
-                    let mut best: Option<(usize, usize)> = None;
-                    for _ in 0..vcs {
-                        if !b.node_lanes.is_full(nb + v) {
-                            let headroom =
-                                b.node_lanes.free(nb + v) + b.node_credits[nb + v] as usize;
-                            if best.is_none_or(|(_, h)| headroom > h) {
-                                best = Some((v, headroom));
-                            }
-                        }
-                        v += 1;
-                        if v == vcs {
-                            v = 0;
-                        }
-                    }
-                    if let Some((v, _)) = best {
-                        ns.src_queue.pop_front();
-                        ns.active = Some((pkt, flits));
-                        ns.active_lane = v as u8;
-                    }
-                }
-            }
-        }
-
-        // Stream one flit of the active packet.
-        if let Some((pkt, remaining)) = ns.active {
-            let lane = ns.active_lane as usize;
-            if !b.node_lanes.is_full(nb + lane) {
-                let mut flags = 0u8;
-                if remaining == flits {
-                    flags |= HEAD;
-                    self.packets[pkt as usize].injected = cycle;
-                    self.probe.packet_injected(cycle, pkt, n as u32, lane as u8);
-                }
-                if remaining == 1 {
-                    flags |= TAIL;
-                }
-                b.node_lanes.push(
-                    nb + lane,
-                    Flit {
-                        packet: pkt,
-                        moved: cycle,
-                        flags,
-                    },
-                );
-                b.node_lane_occ[n] |= 1u64 << lane;
-                self.inject_work.insert(n);
-                self.counters.in_flight_flits += 1;
-                self.moves_this_cycle += 1;
-                ns.active = if remaining == 1 {
-                    None
+        env: &Env<'_, F>,
+        sink: &mut S,
+    ) {
+        for wi in 0..self.xbar_words.len() {
+            let mut bits = members::<MASKED>(self.xbar_words[wi], wi, self.num_routers());
+            while bits != 0 {
+                let lr = (wi << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // Snapshot: lanes of this router cannot become
+                // forwardable during the phase (routes are assigned in
+                // the routing phase, arrivals happen in the link phase).
+                let mut mask = if MASKED {
+                    self.in_occ[lr] & self.routed[lr]
                 } else {
-                    Some((pkt, remaining - 1))
+                    u64::MAX >> (64 - self.lanes)
                 };
+                while mask != 0 {
+                    let ll = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    if MASKED || self.in_route[lr * self.lanes + ll] != NO_ROUTE {
+                        self.xbar_lane::<F, S>(env, sink, lr, ll);
+                    }
+                }
+                if self.in_occ[lr] & self.routed[lr] == 0 {
+                    clear_bit(self.xbar_words, lr);
+                }
             }
         }
+    }
+
+    /// One input lane holding a crossbar path: forward a flit if the
+    /// head is movable and the output lane has room, tear the path down
+    /// behind a tail, and acknowledge the freed buffer upstream. A lane
+    /// whose head-of-line packet the fault plane dropped (`DROP_ROUTE`)
+    /// sinks the flit instead — the drain counts as movement, so a
+    /// draining network never trips the watchdog.
+    fn xbar_lane<F: FaultModel, S: Sink>(
+        &mut self,
+        env: &Env<'_, F>,
+        sink: &mut S,
+        lr: usize,
+        ll: usize,
+    ) {
+        let cycle = env.cycle;
+        let base = lr * self.lanes;
+        let l = base + ll;
+        let route = self.in_route[l];
+        debug_assert_ne!(route, NO_ROUTE);
+        let draining = F::ACTIVE && route == DROP_ROUTE;
+        let route = route as usize;
+        let movable = matches!(self.in_q.front(l), Some(f) if f.moved < cycle)
+            && (draining || !self.out_q.is_full(base + route));
+        if !movable {
+            return;
+        }
+        let mut f = self.in_q.pop(l);
+        if self.in_q.is_empty(l) {
+            self.in_occ[lr] &= !(1u64 << ll);
+        }
+        *sink.moves() += 1;
+        if draining {
+            let c = sink.counters();
+            c.in_flight_flits = c.in_flight_flits.wrapping_sub(1);
+            c.dropped_flits += 1;
+        } else {
+            f.moved = cycle;
+            self.out_q.push(base + route, f);
+            self.out_occ[lr] |= 1u64 << route;
+            set_bit(self.link_words, lr);
+        }
+        if f.is_tail() {
+            self.in_route[l] = NO_ROUTE;
+            self.routed[lr] &= !(1u64 << ll);
+            if !draining {
+                self.out_bound[lr] &= !(1u64 << route);
+            }
+            if matches!(self.in_q.front(l), Some(nf) if nf.is_head()) {
+                self.pending[lr] |= 1u64 << ll;
+                set_bit(self.route_words, lr);
+            }
+        }
+        // Acknowledgment: one buffer freed in this input lane. Nothing
+        // in the phase reads a credit count, so a deferred one (another
+        // shard's) is unobservable.
+        let (p, v) = (self.lane_port[ll] as usize, self.lane_vc[ll] as usize);
+        match env.w.peer(self.router_base + lr, p) {
+            Peer::Router { router, port } => {
+                let ul = port as usize * self.vcs + v;
+                let lr2 = (router as usize).wrapping_sub(self.router_base);
+                if S::WHOLE || lr2 < self.num_routers() {
+                    self.out_credits[lr2 * self.lanes + ul] += 1;
+                    debug_assert!(
+                        self.out_credits[lr2 * self.lanes + ul] as usize <= self.in_q.cap
+                    );
+                } else {
+                    sink.credit_out(router as usize, ul);
+                }
+            }
+            Peer::Node(nn) => {
+                let ln = (nn as usize).wrapping_sub(self.node_base);
+                if S::WHOLE || ln < self.num_nodes() {
+                    self.node_credits[ln * self.vcs + v] += 1;
+                    debug_assert!(self.node_credits[ln * self.vcs + v] as usize <= self.in_q.cap);
+                } else {
+                    sink.node_credit_out(nn as usize, v);
+                }
+            }
+            Peer::None => unreachable!("flit arrived through an uncabled port"),
+        }
+    }
+
+    /// The owned routers the routing phase visits, ascending: those on
+    /// the routing worklist, or (unmasked) every one with a pending
+    /// header. `f` may retire the router it is visiting.
+    pub(super) fn for_each_routable<const MASKED: bool>(
+        &mut self,
+        mut f: impl FnMut(&mut Self, usize),
+    ) {
+        for wi in 0..self.route_words.len() {
+            let mut bits = members::<MASKED>(self.route_words[wi], wi, self.num_routers());
+            while bits != 0 {
+                let lr = (wi << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if MASKED || self.pending[lr] != 0 {
+                    f(self, lr);
+                }
+            }
+        }
+    }
+
+    /// Routing phase, first half, one owned router with a pending
+    /// header: scan the pending lanes in round-robin order for the
+    /// first header visible this cycle and ask the routing function for
+    /// its candidates. Reads pre-phase state of this router only, so
+    /// routers prepare independently of each other — and of the
+    /// selections applied to lower-numbered routers this cycle.
+    pub(super) fn prepare_route<const MASKED: bool, A: RoutingAlgorithm + ?Sized, F: FaultModel>(
+        &self,
+        env: &Env<'_, F>,
+        algo: &A,
+        packets: &[PacketRec],
+        lr: usize,
+        cand: &mut CandidateSet,
+    ) -> Option<Prepared> {
+        let pending = self.pending[lr];
+        debug_assert_ne!(pending, 0, "routing a router without a pending header");
+        let start = self.route_rr[lr] as usize;
+        debug_assert!(start < self.lanes);
+        let r = self.router_base + lr;
+        let mut try_lane = |ll: usize| -> Option<Prepared> {
+            let front =
+                *(self.in_q.front(lr * self.lanes + ll)).expect("pending lane must hold a flit");
+            debug_assert!(front.is_head(), "pending lane front must be a header");
+            if front.moved >= env.cycle {
+                return None; // arrived this very cycle; visible from the next
+            }
+            let dest = packets[front.packet as usize].dest;
+            let in_port = self.lane_port[ll] as usize;
+            algo.route(RouterId(r as u32), Some(in_port), NodeId(dest), cand);
+            debug_assert!(!cand.is_empty(), "routing function returned no candidate");
+            let unroutable = F::ACTIVE && fault_unroutable(env.faults, r, cand);
+            let degraded = F::ACTIVE
+                && !unroutable
+                && (cand.preferred.iter().chain(&cand.fallback))
+                    .any(|c| env.faults.channel_down(r, c.port as usize));
+            Some(Prepared {
+                lane: ll,
+                packet: front.packet,
+                unroutable,
+                degraded,
+            })
+        };
+        if MASKED {
+            // Set bits at and above the cursor, then the wrap-around.
+            let below = (1u64 << start) - 1;
+            for mut bits in [pending & !below, pending & below] {
+                while bits != 0 {
+                    let ll = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if let Some(d) = try_lane(ll) {
+                        return Some(d);
+                    }
+                }
+            }
+            None
+        } else {
+            (0..self.lanes)
+                .map(|i| (start + i) % self.lanes)
+                .filter(|ll| pending & (1u64 << ll) != 0)
+                .find_map(try_lane)
+        }
+    }
+}
+
+/// Fault-plane dead-end detection at routing time: whether a header at
+/// router `r` with candidates `cand` can never be routed to completion.
+///
+/// * With a non-empty fallback (escape) class — the algorithms whose
+///   deadlock freedom rests on the escape network — the packet is
+///   unroutable as soon as **every escape direction is permanently
+///   dead**: routing on only adaptive lanes would void the
+///   deadlock-freedom argument, so escape-channel loss is reported as a
+///   structured drop rather than risked as a hang.
+/// * Without a fallback class (fat-tree ascent/descent, where every
+///   candidate class is safe), only when every candidate direction is
+///   dead.
+///
+/// Transiently-down channels never make a packet unroutable; they only
+/// block it until the repair.
+fn fault_unroutable<F: FaultModel>(faults: &F, r: usize, cand: &CandidateSet) -> bool {
+    let dead = |c: &routing::Candidate| faults.channel_dead(r, c.port as usize);
+    if !cand.fallback.is_empty() {
+        cand.fallback.iter().all(dead)
+    } else {
+        cand.preferred.iter().all(dead)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use routing::{CubeDuato, RoutingAlgorithm, TreeAdaptive};
-    use topology::{KAryNCube, KAryNTree};
-    use traffic::{Bernoulli, InjectionProcess, Pattern, TrafficGen};
+    use super::*;
 
-    use super::super::Engine;
-
-    fn engine_pair<Algo: RoutingAlgorithm>(
-        algo: &Algo,
-        rate: f64,
-        seed: u64,
-    ) -> (Engine<'_, Algo>, Engine<'_, Algo>) {
-        let n = algo.topology().num_nodes();
-        let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(rate)) };
-        let a = Engine::new(algo, 4, 8, TrafficGen::new(Pattern::Uniform, n), &mk, seed);
-        let b = Engine::new(algo, 4, 8, TrafficGen::new(Pattern::Uniform, n), &mk, seed);
-        (a, b)
+    fn flit(packet: u32) -> Flit {
+        Flit {
+            packet,
+            moved: 0,
+            flags: 0,
+        }
     }
 
     #[test]
-    fn soa_step_matches_active_step_exactly() {
-        let cube = CubeDuato::new(KAryNCube::new(4, 2));
-        let tree = TreeAdaptive::new(KAryNTree::new(2, 3), 2);
-        fn check<Algo: RoutingAlgorithm>(algo: &Algo, rate: f64) {
-            let (mut active, mut soa) = engine_pair(algo, rate, 77);
-            for cycle in 0..1500 {
-                active.step();
-                soa.step_soa();
-                if cycle % 128 == 0 {
-                    assert_eq!(active.counters(), soa.counters(), "cycle {cycle}");
-                    assert_eq!(active.packets(), soa.packets(), "cycle {cycle}");
-                }
-            }
-            assert_eq!(active.counters(), soa.counters());
-            assert_eq!(active.packets(), soa.packets());
-            assert_eq!(active.state_hash(), soa.state_hash());
-        }
-        check(&cube, 0.01);
-        check(&cube, 0.08); // saturating
-        check(&tree, 0.02);
+    fn queue_bank_is_a_ring_per_lane() {
+        let mut bank = QueueBank::new(3, 2);
+        let mut q = bank.view();
+        assert!(q.is_empty(1) && q.front(1).is_none());
+        q.push(1, flit(7));
+        q.push(1, flit(8));
+        assert!(q.is_full(1) && q.free(1) == 0 && q.is_empty(0) && q.is_empty(2));
+        assert_eq!(q.pop(1).packet, 7);
+        q.push(1, flit(9)); // wraps
+        assert_eq!(bank.len(1), 2);
+        assert_eq!(bank.iter(1).map(|f| f.packet).collect::<Vec<_>>(), [8, 9]);
+        assert_eq!(bank.total(), 2);
     }
 
     #[test]
-    fn soa_interleaves_with_active_and_reference() {
-        // Mode transitions (enter/write-back) at arbitrary cycle
-        // boundaries must be invisible.
-        let algo = CubeDuato::new(KAryNCube::new(4, 2));
-        let (mut pure, mut mixed) = engine_pair(&algo, 0.03, 5);
-        for cycle in 0..1200 {
-            pure.step();
-            match cycle % 5 {
-                0 | 3 => mixed.step_soa(),
-                1 => mixed.step(),
-                2 => mixed.step_reference(),
-                _ => mixed.step_soa(),
-            }
-            if cycle % 97 == 0 {
-                assert_eq!(mixed.check_worklist_invariant(), Ok(()), "cycle {cycle}");
-                assert_eq!(mixed.check_credit_invariant(), Ok(()), "cycle {cycle}");
-            }
-        }
-        assert_eq!(pure.counters(), mixed.counters());
-        assert_eq!(pure.packets(), mixed.packets());
-        assert_eq!(pure.state_hash(), mixed.state_hash());
+    fn views_split_at_shard_boundaries() {
+        let topo = topology::KAryNCube::new(16, 2); // 256 routers, 5 ports
+        let w = Wiring::from_topology(&topo);
+        let mut banks = SoaBanks::new(&w, 2, 4);
+        banks.pending[64] = 1;
+        banks.link_work.insert(130);
+        let parts = banks.view().split(&[0, 64, 192, 256], &[0, 128, 128, 256]);
+        assert_eq!(parts.len(), 3);
+        assert_eq!(
+            parts
+                .iter()
+                .map(|v| (v.router_base, v.num_routers()))
+                .collect::<Vec<_>>(),
+            [(0, 64), (64, 128), (192, 64)]
+        );
+        assert_eq!(
+            parts
+                .iter()
+                .map(|v| (v.node_base, v.num_nodes()))
+                .collect::<Vec<_>>(),
+            [(0, 128), (128, 0), (128, 128)]
+        );
+        assert_eq!(parts[1].pending[0], 1);
+        assert_eq!(parts[1].link_words, [0, 1 << 2]);
+        assert_eq!(parts[1].in_route.len(), 128 * 10);
+        assert_eq!(parts[2].link_flits.len(), 64 * 5);
     }
 
     #[test]
-    fn soa_honours_throttle_and_request_reply() {
-        let algo = CubeDuato::new(KAryNCube::new(4, 2));
-        let (mut active, mut soa) = engine_pair(&algo, 0.04, 21);
-        for eng in [&mut active, &mut soa] {
-            eng.set_request_reply(true);
-            eng.set_injection_limit(Some(4));
-        }
-        active.run(1000);
-        soa.run_soa(1000);
-        assert!(active.counters().delivered_packets > 0);
-        assert_eq!(active.counters(), soa.counters());
-        assert_eq!(active.packets(), soa.packets());
-        assert_eq!(active.state_hash(), soa.state_hash());
+    fn members_cover_exactly_the_valid_ids() {
+        assert_eq!(members::<true>(0b101, 0, 3), 0b101);
+        assert_eq!(members::<false>(0, 0, 3), 0b111);
+        assert_eq!(members::<false>(0, 0, 64), u64::MAX);
+        assert_eq!(members::<false>(0, 1, 70), 0b11_1111);
     }
 }

@@ -1,16 +1,16 @@
-//! Event-wheel (calendar-queue) execution mode.
+//! The wheel schedule: a calendar queue over the injection processes.
 //!
-//! The injection phase is the one phase whose cost the active-set and
-//! SoA steppers cannot compress: every node's creation process must
-//! tick its RNG every cycle, even on a completely idle network. This
-//! mode removes that floor. Each node's *next firing cycle* is computed
-//! in advance ([`traffic::InjectionProcess::next_fire`] batches the
-//! Bernoulli/periodic tick draws) and filed in a calendar queue —
-//! [`SLOTS`] buckets indexed by `cycle mod SLOTS` — so the per-cycle
-//! injection phase touches only the nodes that actually fire this cycle
-//! plus the nodes with backlogged traffic, and a fully idle network
-//! fast-forwards over cycles whose wheel slot is empty without
-//! executing them at all ([`Engine::run_wheel`]).
+//! The injection phase is the one phase whose cost the worklists cannot
+//! compress: on the every-cycle schedule each node's creation process
+//! ticks its RNG every cycle, even on a completely idle network. The
+//! wheel schedule — the one `netperf` runs on — removes that floor.
+//! Each node's *next firing cycle* is computed in advance
+//! ([`traffic::InjectionProcess::next_fire`] batches the tick draws)
+//! and filed in a calendar queue of [`SLOTS`] buckets indexed by
+//! `cycle mod SLOTS`, so the injection phase touches only the nodes
+//! that fire this cycle plus the nodes with backlogged traffic, and a
+//! fully idle network fast-forwards over cycles whose slot is empty
+//! without executing them at all.
 //!
 //! **Bit-identity.** The scheme is a per-node RNG *time shift*, not a
 //! semantic change: `next_fire` consumes exactly the tick draws the
@@ -19,16 +19,15 @@
 //! ascending node order, and the shared selection RNG is untouched (it
 //! only runs in the routing phase). Each node's canonical pre-scan
 //! stream state is kept in `WheelState::synced`, and
-//! `Engine::wheel_resync` replays it forward to the current cycle
-//! whenever the engine must leave wheel mode (classic steppers,
-//! snapshots, invariant checks), so the mode is invisible from outside.
+//! [`Engine::to_aos`] replays it forward to the current cycle whenever
+//! the engine must leave the wheel schedule (every-cycle entry points,
+//! snapshots), so the schedule is invisible from outside.
 //!
-//! **Requirement**: wheel mode needs injection processes whose
+//! **Requirement**: the wheel needs injection processes whose
 //! `state_word`/`restore_state_word` round-trip faithfully captures
-//! their state (true for every process in `traffic`: Bernoulli is
-//! memoryless, `Periodic` and `OnOffBursty` override the hooks). A
-//! custom process with hidden state outside the state word would
-//! resync incorrectly — keep such processes on the other steppers.
+//! their state (true for every process in `traffic`). A custom process
+//! with hidden state outside the state word would resync incorrectly —
+//! keep such processes on the every-cycle schedule ([`Engine::run`]).
 //!
 //! Fault plans stay exact: idle fast-forward stops at
 //! [`crate::fault::FaultModel::next_transition`] so every transient
@@ -36,9 +35,8 @@
 //! probe), and cycles with in-flight flits or backlog are always
 //! stepped in full.
 
-use super::shard::ShardPlan;
-use super::soa::SoaBanks;
-use super::{Engine, Stall};
+use super::soa::Lanes;
+use super::Engine;
 use crate::active::ActiveSet;
 use crate::fault::FaultModel;
 use routing::RoutingAlgorithm;
@@ -51,9 +49,9 @@ pub const SLOTS: usize = 1024;
 
 /// Scan horizon in cycles: `next_fire` looks this far ahead. Must be
 /// at most `SLOTS - 1` so a filed event is never a full wheel
-/// revolution away (no slot ambiguity), and must not divide `SLOTS`
-/// evenly into 0 — i.e. a rescan filed `HORIZON` ahead never lands in
-/// the slot currently being drained.
+/// revolution away (no slot ambiguity), and must not be 0 mod `SLOTS` —
+/// a rescan filed `HORIZON` ahead never lands in the slot being
+/// drained.
 pub const HORIZON: u32 = 512;
 
 /// Event tag bit: the node's process produced no firing within
@@ -73,25 +71,11 @@ struct NodeSync {
     synced_at: u32,
 }
 
-/// The calendar queue and per-node sync state of wheel mode.
-///
-/// The calendar is *partitioned*: part `k` holds the events of the
-/// nodes in `starts[k]..starts[k+1]`. Serial wheel mode mounts a
-/// single part covering every node; the wheel-sharded stepper
-/// ([`Engine::step_wheel_sharded`]) partitions along the shard plan's
-/// node ranges, so each shard's future firings live in their own slot
-/// vectors and the global idle skip is "every part's current slot is
-/// empty" — the minimum next-fire across shards decides how far the
-/// network may fast-forward. The partition is an execution detail:
-/// event membership is a pure function of node id, so re-partitioning
-/// (via resync + remount) never changes what fires when.
+/// The calendar queue and per-node sync state of the wheel schedule.
 pub struct WheelState {
-    /// `parts[k][c mod SLOTS]` holds part `k`'s events due at cycle
-    /// `c`: a node id, optionally tagged [`RESCAN`].
-    parts: Vec<Vec<Vec<u32>>>,
-    /// Node partition: part `k` owns nodes `starts[k]..starts[k+1]`
-    /// (`starts[0] == 0`, last entry == node count).
-    starts: Vec<usize>,
+    /// `slots[c mod SLOTS]` holds the events due at cycle `c`: a node
+    /// id, optionally tagged [`RESCAN`].
+    slots: Vec<Vec<u32>>,
     /// Canonical stream state per node (see [`NodeSync`]).
     synced: Vec<NodeSync>,
     /// Nodes with queued or actively-streaming packets — exactly the
@@ -101,51 +85,16 @@ pub struct WheelState {
     fired: ActiveSet,
 }
 
-impl WheelState {
-    /// The part owning node `n`.
-    fn part_of(&self, n: usize) -> usize {
-        self.starts.partition_point(|&s| s <= n) - 1
-    }
-
-    fn push(&mut self, cycle: u32, event: u32) {
-        let n = (event & !RESCAN) as usize;
-        let k = self.part_of(n);
-        self.parts[k][cycle as usize & (SLOTS - 1)].push(event);
-    }
-
-    /// Whether no part has an event due at `cycle`.
-    fn slot_empty(&self, cycle: u32) -> bool {
-        let si = cycle as usize & (SLOTS - 1);
-        self.parts.iter().all(|p| p[si].is_empty())
-    }
-
-    /// Whether the mounted partition matches `starts`.
-    pub(super) fn partitioned_as(&self, starts: &[usize]) -> bool {
-        self.starts == starts
-    }
-}
-
 impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> {
-    /// Mount a wheel over the nodes' current stream state, with the
-    /// calendar partitioned at `starts` (serial callers pass the
-    /// trivial `[0, num_nodes]` partition; the wheel-sharded stepper
-    /// passes the shard plan's node ranges). Works over either lane
-    /// layout: the wheel only touches per-node stream state (`rng`,
-    /// `proc`, source queues), which the SoA banks never carry.
-    fn enter_wheel(&mut self, starts: &[usize]) {
-        debug_assert!(self.wheel.is_none(), "wheel already mounted");
-        debug_assert_eq!(starts.first(), Some(&0), "partition must start at 0");
-        debug_assert_eq!(
-            starts.last(),
-            Some(&self.w.num_nodes),
-            "partition must cover every node"
-        );
+    /// Mount the wheel over the nodes' current stream state (no-op when
+    /// already mounted).
+    pub(super) fn mount_wheel(&mut self) {
+        if self.wheel.is_some() {
+            return;
+        }
         let nn = self.w.num_nodes;
         let mut w = Box::new(WheelState {
-            parts: (0..starts.len() - 1)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            starts: starts.to_vec(),
+            slots: vec![Vec::new(); SLOTS],
             synced: vec![
                 NodeSync {
                     rng: [0; 4],
@@ -168,12 +117,6 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         self.wheel = Some(w);
     }
 
-    /// The trivial one-part partition used by the serial wheel
-    /// steppers.
-    fn serial_partition(&self) -> [usize; 2] {
-        [0, self.w.num_nodes]
-    }
-
     /// Record node `n`'s canonical stream state as of cycle `from`
     /// (every tick below `from` consumed), then scan its process ahead
     /// and file the next firing — or a [`RESCAN`] at the horizon — in
@@ -185,130 +128,78 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
             proc_word: ns.proc.state_word(),
             synced_at: from,
         };
-        match ns.proc.next_fire(&mut ns.rng, HORIZON) {
-            Some(offset) => w.push(from + offset, n as u32),
-            None => w.push(from + HORIZON, n as u32 | RESCAN),
-        }
+        let (at, event) = match ns.proc.next_fire(&mut ns.rng, HORIZON) {
+            Some(offset) => (from + offset, n as u32),
+            None => (from + HORIZON, n as u32 | RESCAN),
+        };
+        w.slots[at as usize & (SLOTS - 1)].push(event);
     }
 
-    /// Leave wheel mode: replace every node's scanned-ahead RNG and
-    /// process state with the canonical stream state replayed tick by
-    /// tick up to the current cycle. Replays at most
-    /// [`HORIZON`]` + 1` non-firing ticks per node.
-    pub(super) fn wheel_resync(&mut self) {
-        let w = self.wheel.take().expect("wheel_resync without a wheel");
+    /// Leave the wheel schedule: replace every node's scanned-ahead RNG
+    /// and process state with the canonical stream state replayed tick
+    /// by tick up to the current cycle (at most [`HORIZON`]` + 1`
+    /// non-firing ticks per node). Idempotent and free when no wheel is
+    /// mounted. The every-cycle entry points and snapshots call this
+    /// first, which is what lets the schedules interleave freely while
+    /// staying bit-identical. (The name dates from when lane state also
+    /// had a second layout to leave.)
+    pub fn to_aos(&mut self) {
+        let Some(w) = self.wheel.take() else {
+            return;
+        };
         let cycle = self.cycle;
-        for (n, sync) in w.synced.iter().enumerate() {
-            let ns = &mut self.nodes[n];
+        for (ns, sync) in self.nodes.iter_mut().zip(&w.synced) {
             ns.rng = Rng64::from_state(sync.rng);
             ns.proc.restore_state_word(sync.proc_word);
             for _ in sync.synced_at..cycle {
-                // Every scheduled firing at a cycle below the current
-                // one was already processed, so the replayed draws are
-                // all non-firing.
+                // Every scheduled firing below the current cycle was
+                // already processed: the replayed draws are non-firing.
                 let fired = ns.proc.tick(&mut ns.rng);
-                debug_assert!(!fired, "wheel missed a firing for node {n}");
-                let _ = fired;
+                debug_assert!(!fired, "wheel missed a firing");
             }
         }
     }
 
-    /// Execute one clock cycle in wheel mode, mounting banks and wheel
-    /// on first use. Bit-identical to [`Engine::step`].
-    pub fn step_wheel(&mut self) {
-        if self.soa.is_none() {
-            self.enter_soa();
-        }
-        if self.wheel.is_none() {
-            // Any mounted partition is equally correct under any
-            // stepper, so a wheel left behind by a sharded run is kept
-            // as-is; only a missing wheel mounts the trivial partition.
-            self.enter_wheel(&self.serial_partition());
-        }
-        let mut b = self.soa.take().expect("banks mounted above");
-        let mut w = self.wheel.take().expect("wheel mounted above");
-        self.wheel_step_inner(&mut b, &mut w);
-        self.soa = Some(b);
-        self.wheel = Some(w);
-    }
-
-    /// One cycle over mounted banks and wheel: the SoA phases 1–3 plus
-    /// the wheel-driven injection phase.
-    fn wheel_step_inner(&mut self, b: &mut SoaBanks, w: &mut WheelState) {
-        self.moves_this_cycle = 0;
-        if F::ACTIVE {
-            self.begin_fault_cycle();
-        }
-        self.soa_phase_link(b);
-        self.soa_phase_node_link(b);
-        // Replies enter the receiving node's source queue this cycle;
-        // the injection phase below must visit those nodes.
-        for &req in &self.reply_buf {
-            w.backlog.insert(self.packets[req as usize].dest as usize);
-        }
-        self.spawn_replies();
-        self.soa_phase_xbar(b);
-        self.soa_phase_route(b);
-        self.wheel_phase_injection(Some(b), w);
-        self.end_cycle();
-    }
-
-    /// Drain the current cycle's wheel slot — every part's — into the
-    /// `fired` set, resolving [`RESCAN`] events (which may file fresh
-    /// events — even offset-0 firings into this very slot). Leaves the
-    /// slots empty with their allocations returned.
-    ///
-    /// Part order is unobservable: a rescan only consumes the scanned
-    /// node's *own* RNG and only files into that node's own part, and
-    /// `fired` is a bitset, so no cross-node ordering leaks out.
-    fn wheel_drain_slot(&mut self, w: &mut WheelState, cycle: u32, fired: bool) {
+    /// Drain the current cycle's wheel slot into the `fired` set,
+    /// resolving [`RESCAN`] events (which may file fresh events — even
+    /// offset-0 firings into this very slot). With `fire` unset the
+    /// surviving events stay in the slot (the idle-skip probe).
+    fn wheel_drain_slot(&mut self, w: &mut WheelState, cycle: u32, fire: bool) {
         let si = cycle as usize & (SLOTS - 1);
-        for k in 0..w.parts.len() {
-            let mut events = std::mem::take(&mut w.parts[k][si]);
-            let mut i = 0;
-            while i < events.len() {
-                if events[i] & RESCAN != 0 {
-                    let n = (events[i] & !RESCAN) as usize;
-                    events.swap_remove(i);
-                    // The rescan may push an offset-0 firing into
-                    // `parts[k][si]` itself (node `n` belongs to part
-                    // `k` by construction); a rescan-to-rescan loop is
-                    // impossible because HORIZON is not 0 mod SLOTS.
-                    self.wheel_scan_node(w, n, cycle);
-                } else {
-                    i += 1;
-                }
+        let mut events = std::mem::take(&mut w.slots[si]);
+        let mut i = 0;
+        while i < events.len() {
+            if events[i] & RESCAN != 0 {
+                let n = (events[i] & !RESCAN) as usize;
+                events.swap_remove(i);
+                // A rescan-to-rescan loop is impossible because HORIZON
+                // is not 0 mod SLOTS.
+                self.wheel_scan_node(w, n, cycle);
+            } else {
+                i += 1;
             }
-            events.append(&mut w.parts[k][si]);
-            if fired {
-                for &ev in &events {
-                    debug_assert_eq!(ev & RESCAN, 0);
-                    w.fired.insert(ev as usize);
-                }
-                events.clear();
-            }
-            w.parts[k][si] = events; // return the allocation (or live events)
         }
+        events.append(&mut w.slots[si]);
+        if fire {
+            for &ev in &events {
+                w.fired.insert(ev as usize);
+            }
+            events.clear();
+        }
+        w.slots[si] = events; // return the allocation (or live events)
     }
 
-    /// Phase 4, wheel-driven: visit — in ascending node order, exactly
-    /// like the full scan — the union of this cycle's firing nodes and
-    /// the backlog, running the shared injection body on each. Runs
-    /// over mounted SoA banks (`Some`) or the array-of-structs layout
-    /// (`None`, the wheel-sharded stepper) — the two injection bodies
-    /// are line-for-line twins.
-    pub(super) fn wheel_phase_injection(
-        &mut self,
-        mut b: Option<&mut SoaBanks>,
-        w: &mut WheelState,
-    ) {
+    /// Phase 4 on the wheel schedule: visit — in ascending node order,
+    /// exactly like the full scan — the union of this cycle's firing
+    /// nodes and the backlog, running the injection body on each.
+    pub(super) fn wheel_phase_injection(&mut self, v: &mut Lanes<'_>) {
+        let mut w = self.wheel.take().expect("wheel schedule without a wheel");
         let cycle = self.cycle;
-        self.wheel_drain_slot(w, cycle, true);
-        debug_assert_eq!(w.backlog.num_words(), w.fired.num_words());
-        for wi in 0..w.backlog.num_words() {
-            // Word snapshot: the handlers below only edit the visited
-            // node's own membership, so later bits stay valid.
-            let mut bits = w.backlog.word(wi) | w.fired.word(wi);
+        self.wheel_drain_slot(&mut w, cycle, true);
+        for wi in 0..w.backlog.words().len() {
+            // Word snapshot: the body only edits the visited node's own
+            // membership, so later bits stay valid.
+            let mut bits = w.backlog.words()[wi] | w.fired.words()[wi];
             while bits != 0 {
                 let n = (wi << 6) + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -316,21 +207,14 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                     // The firing tick was consumed by the scan; draw
                     // the destination now (same per-node draw order as
                     // the full scan) and file the next firing.
-                    let dest = {
-                        let ns = &mut self.nodes[n];
-                        self.pattern
-                            .dest(NodeId(n as u32), &mut ns.rng)
-                            .map(|d| d.0)
-                    };
-                    self.wheel_scan_node(w, n, cycle + 1);
-                    dest
+                    let ns = &mut self.nodes[n];
+                    let dest = self.pattern.dest(NodeId(n as u32), &mut ns.rng);
+                    self.wheel_scan_node(&mut w, n, cycle + 1);
+                    dest.map(|d| d.0)
                 } else {
                     None
                 };
-                match b.as_mut() {
-                    Some(banks) => self.soa_inject_node(banks, n, created),
-                    None => self.inject_node(n, created),
-                }
+                self.inject_node(v, n, created);
                 let ns = &self.nodes[n];
                 if !ns.src_queue.is_empty() || ns.active.is_some() {
                     w.backlog.insert(n);
@@ -340,27 +224,20 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
             }
         }
         w.fired.clear();
-    }
-
-    /// Whether the network state permits skipping cycles outright:
-    /// nothing in flight (so the link/crossbar/routing phases are
-    /// no-ops), no backlogged sources and no pending replies (so the
-    /// injection phase only ticks processes — which the wheel has
-    /// pre-consumed). None of these can change during skipped cycles.
-    fn wheel_skippable(&self, w: &WheelState) -> bool {
-        self.counters.in_flight_flits == 0 && w.backlog.is_empty() && self.reply_buf.is_empty()
+        self.wheel = Some(w);
     }
 
     /// Fast-forward over empty cycles up to (exclusive) `target`,
     /// stopping at the first cycle with a wheel event or fault
-    /// transition. Each skipped cycle performs exactly the observable
-    /// work of an empty stepped cycle: the probe's `cycle_end` and the
-    /// cycle increment.
-    fn wheel_skip_idle(&mut self, target: u32) {
-        let Some(mut w) = self.wheel.take() else {
-            return;
-        };
-        if self.wheel_skippable(&w) {
+    /// transition. Skipping needs nothing in flight (the link, crossbar
+    /// and routing phases are no-ops) and no backlogged source (the
+    /// injection phase would only tick processes — which the wheel has
+    /// pre-consumed); neither can change during skipped cycles. Each
+    /// skipped cycle performs exactly the observable work of an empty
+    /// stepped cycle: the probe's `cycle_end` and the cycle increment.
+    pub(super) fn wheel_skip_idle(&mut self, target: u32) {
+        let mut w = self.wheel.take().expect("wheel schedule without a wheel");
+        if self.counters.in_flight_flits == 0 && w.backlog.is_empty() {
             // Transient fault flips are scheduled; never skip past one
             // (the flip must be applied and reported on its cycle).
             let fault_bound = if F::ACTIVE {
@@ -371,8 +248,8 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
             while self.cycle < target && self.cycle != fault_bound {
                 let cycle = self.cycle;
                 self.wheel_drain_slot(&mut w, cycle, false);
-                if !w.slot_empty(cycle) {
-                    break; // a node fires somewhere: step for real
+                if !w.slots[cycle as usize & (SLOTS - 1)].is_empty() {
+                    break; // a node fires: step for real
                 }
                 self.probe.cycle_end(cycle);
                 self.idle_cycles = 0;
@@ -380,151 +257,6 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
             }
         }
         self.wheel = Some(w);
-    }
-
-    /// Advance by `cycles` clocks with [`Engine::step_wheel`],
-    /// fast-forwarding over idle stretches (skipped cycles count
-    /// against the budget, exactly as if they had been stepped).
-    pub fn run_wheel(&mut self, cycles: u32) {
-        if self.soa.is_none() {
-            self.enter_soa();
-        }
-        if self.wheel.is_none() {
-            self.enter_wheel(&self.serial_partition());
-        }
-        let target = self.cycle + cycles;
-        while self.cycle < target {
-            self.wheel_skip_idle(target);
-            if self.cycle >= target {
-                break;
-            }
-            self.step_wheel();
-        }
-    }
-
-    /// [`Engine::run_wheel`] with the watchdog reporting a [`Stall`]
-    /// instead of panicking, mirroring [`Engine::run_checked`].
-    pub fn run_checked_wheel(&mut self, cycles: u32) -> Result<(), Stall> {
-        self.report_stall = true;
-        if self.soa.is_none() {
-            self.enter_soa();
-        }
-        if self.wheel.is_none() {
-            self.enter_wheel(&self.serial_partition());
-        }
-        let target = self.cycle + cycles;
-        while self.cycle < target {
-            self.wheel_skip_idle(target);
-            if self.cycle >= target {
-                break;
-            }
-            self.step_wheel();
-            if let Some(s) = self.stall {
-                return Err(s);
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute one clock cycle with the wheel×shards composition: the
-    /// sharded stepper's parallel phases 1–3 over the canonical
-    /// array-of-structs layout, with the injection phase driven by a
-    /// calendar wheel partitioned along the plan's node ranges.
-    /// Bit-identical to [`Engine::step`] (and hence to every other
-    /// stepper) for any shard/thread count; `shards <= 1` *is*
-    /// [`Engine::step_wheel`].
-    pub fn step_wheel_sharded(&mut self, plan: &mut ShardPlan)
-    where
-        F: Sync,
-    {
-        if plan.shards() <= 1 {
-            self.step_wheel();
-            return;
-        }
-        // The sharded phases walk the per-router structs: write any
-        // mounted SoA banks back, but — unlike `to_aos` — KEEP the
-        // wheel. The wheel only carries per-node stream state, which
-        // is layout-independent, and resyncing it every cycle would
-        // cost a full rescan.
-        if let Some(banks) = self.soa.take() {
-            self.soa_write_back(banks);
-        }
-        // (Re)mount the wheel on the plan's node partition. A mounted
-        // wheel with a different partition is replayed away first; the
-        // resync-and-remount round-trip is bit-identical because the
-        // wheel is a pure per-node RNG time shift.
-        let mounted = self
-            .wheel
-            .as_ref()
-            .is_some_and(|w| w.partitioned_as(plan.node_starts()));
-        if !mounted {
-            if self.wheel.is_some() {
-                self.wheel_resync();
-            }
-            self.enter_wheel(plan.node_starts());
-        }
-
-        self.moves_this_cycle = 0;
-        if F::ACTIVE {
-            self.begin_fault_cycle();
-        }
-
-        self.shard_phase_link(plan);
-        self.link_barrier(plan); // feeds the wheel backlog with replies
-        self.shard_phase_xbar(plan);
-        self.xbar_barrier(plan);
-        self.shard_phase_route_prepare(plan);
-        self.apply_route_decisions(plan);
-        // Injection: wheel-driven and serial (it already touches only
-        // the firing and backlogged nodes), over the AoS layout.
-        let mut w = self.wheel.take().expect("wheel mounted above");
-        self.wheel_phase_injection(None, &mut w);
-        self.wheel = Some(w);
-
-        self.end_cycle();
-    }
-
-    /// Advance by `cycles` clocks with [`Engine::step_wheel_sharded`],
-    /// fast-forwarding over idle stretches exactly like
-    /// [`Engine::run_wheel`] (the skip predicate spans every wheel
-    /// part, so the minimum next-fire across shards bounds the jump).
-    pub fn run_wheel_sharded(&mut self, cycles: u32, plan: &mut ShardPlan)
-    where
-        F: Sync,
-    {
-        let target = self.cycle + cycles;
-        while self.cycle < target {
-            self.wheel_skip_idle(target);
-            if self.cycle >= target {
-                break;
-            }
-            self.step_wheel_sharded(plan);
-        }
-    }
-
-    /// [`Engine::run_wheel_sharded`] with the watchdog reporting a
-    /// [`Stall`] instead of panicking.
-    pub fn run_checked_wheel_sharded(
-        &mut self,
-        cycles: u32,
-        plan: &mut ShardPlan,
-    ) -> Result<(), Stall>
-    where
-        F: Sync,
-    {
-        self.report_stall = true;
-        let target = self.cycle + cycles;
-        while self.cycle < target {
-            self.wheel_skip_idle(target);
-            if self.cycle >= target {
-                break;
-            }
-            self.step_wheel_sharded(plan);
-            if let Some(s) = self.stall {
-                return Err(s);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -547,47 +279,28 @@ mod tests {
         (a, b)
     }
 
-    #[test]
-    fn wheel_step_matches_active_step_exactly() {
-        let cube = CubeDuato::new(KAryNCube::new(4, 2));
-        let tree = TreeAdaptive::new(KAryNTree::new(2, 3), 2);
-        fn check<Algo: RoutingAlgorithm>(algo: &Algo, rate: f64) {
-            let mk = move |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(rate)) };
-            let (mut active, mut wheel) = engine_pair(algo, &mk, 77);
-            for cycle in 0..1500 {
-                active.step();
-                wheel.step_wheel();
-                if cycle % 128 == 0 {
-                    assert_eq!(active.counters(), wheel.counters(), "cycle {cycle}");
-                    assert_eq!(active.packets(), wheel.packets(), "cycle {cycle}");
-                }
-            }
-            assert_eq!(active.counters(), wheel.counters());
-            assert_eq!(active.packets(), wheel.packets());
-            assert_eq!(active.state_hash(), wheel.state_hash());
-        }
-        check(&cube, 0.01);
-        check(&cube, 0.08); // saturating
-        check(&tree, 0.02);
+    fn assert_same<Algo: RoutingAlgorithm>(a: &mut Engine<'_, Algo>, b: &mut Engine<'_, Algo>) {
+        assert_eq!(a.cycle(), b.cycle());
+        assert_eq!(a.counters(), b.counters());
+        assert_eq!(a.packets(), b.packets());
+        assert_eq!(a.state_hash(), b.state_hash());
     }
 
     #[test]
     fn wheel_run_skips_idle_cycles_invisibly() {
         // Very low Bernoulli load: long empty stretches between
         // packets. run_wheel fast-forwards them; every observable must
-        // still match the stepped run, including mid-run hashes.
+        // still match the stepped run, including mid-run hashes (each
+        // of which also resyncs and remounts the wheel).
         let algo = CubeDuato::new(KAryNCube::new(4, 2));
         let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(0.0005)) };
-        let (mut active, mut wheel) = engine_pair(&algo, &mk, 9);
+        let (mut every, mut wheel) = engine_pair(&algo, &mk, 9);
         for _ in 0..8 {
-            active.run(2500);
+            every.run(2500);
             wheel.run_wheel(2500);
-            assert_eq!(active.cycle(), wheel.cycle());
-            assert_eq!(active.counters(), wheel.counters());
-            assert_eq!(active.state_hash(), wheel.state_hash());
+            assert_same(&mut every, &mut wheel);
         }
-        assert!(active.counters().delivered_packets > 0, "want traffic");
-        assert_eq!(active.packets(), wheel.packets());
+        assert!(every.counters().delivered_packets > 0, "want traffic");
     }
 
     #[test]
@@ -604,52 +317,45 @@ mod tests {
                 _ => Box::new(Bernoulli::new(0.0)),  // forever idle
             }
         };
-        let (mut active, mut wheel) = engine_pair(&algo, &mk, 15);
-        active.run(6000);
+        let (mut every, mut wheel) = engine_pair(&algo, &mk, 15);
+        every.run(6000);
         wheel.run_wheel(6000);
-        assert_eq!(active.counters(), wheel.counters());
-        assert_eq!(active.packets(), wheel.packets());
-        assert_eq!(active.state_hash(), wheel.state_hash());
+        assert_same(&mut every, &mut wheel);
     }
 
     #[test]
-    fn wheel_interleaves_with_every_other_stepper() {
+    fn schedules_interleave() {
+        // Leaving and re-entering the wheel at arbitrary cycle
+        // boundaries (resync + remount) must be invisible.
         let algo = CubeDuato::new(KAryNCube::new(4, 2));
         let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(0.03)) };
-        let (mut pure, mut mixed) = engine_pair(&algo, &mk, 5);
-        for cycle in 0..1200 {
-            pure.step();
-            match cycle % 4 {
-                0 => mixed.step_wheel(),
-                1 => mixed.step_soa(),
-                2 => mixed.step(),
-                _ => mixed.step_reference(),
+        let (mut every, mut mixed) = engine_pair(&algo, &mk, 5);
+        for chunk in 0..100 {
+            match chunk % 3 {
+                0 => mixed.run_wheel(17),
+                1 => mixed.run(3),
+                _ => mixed.run_reference(4),
             }
-            if cycle % 203 == 0 {
-                assert_eq!(mixed.check_worklist_invariant(), Ok(()), "cycle {cycle}");
-                assert_eq!(mixed.check_credit_invariant(), Ok(()), "cycle {cycle}");
-            }
+            assert_eq!(mixed.check_worklist_invariant(), Ok(()), "chunk {chunk}");
+            assert_eq!(mixed.check_credit_invariant(), Ok(()), "chunk {chunk}");
         }
-        assert_eq!(pure.counters(), mixed.counters());
-        assert_eq!(pure.packets(), mixed.packets());
-        assert_eq!(pure.state_hash(), mixed.state_hash());
+        every.run(mixed.cycle());
+        assert_same(&mut every, &mut mixed);
     }
 
     #[test]
     fn wheel_handles_request_reply_and_throttle() {
         let algo = CubeDuato::new(KAryNCube::new(4, 2));
         let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(0.04)) };
-        let (mut active, mut wheel) = engine_pair(&algo, &mk, 21);
-        for eng in [&mut active, &mut wheel] {
+        let (mut every, mut wheel) = engine_pair(&algo, &mk, 21);
+        for eng in [&mut every, &mut wheel] {
             eng.set_request_reply(true);
             eng.set_injection_limit(Some(4));
         }
-        active.run(1000);
+        every.run(1000);
         wheel.run_wheel(1000);
-        assert!(active.counters().delivered_packets > 0);
-        assert_eq!(active.counters(), wheel.counters());
-        assert_eq!(active.packets(), wheel.packets());
-        assert_eq!(active.state_hash(), wheel.state_hash());
+        assert!(every.counters().delivered_packets > 0);
+        assert_same(&mut every, &mut wheel);
     }
 
     #[test]
@@ -665,13 +371,11 @@ mod tests {
                 Box::new(Bernoulli::new(0.0))
             }
         };
-        let (mut active, mut wheel) = engine_pair(&algo, &mk, 33);
-        active.run(3700);
+        let (mut every, mut wheel) = engine_pair(&algo, &mk, 33);
+        every.run(3700);
         wheel.run_wheel(3700);
-        assert!(active.counters().delivered_packets > 0);
-        assert_eq!(active.counters().in_flight_flits, 0, "network drained");
-        assert_eq!(active.counters(), wheel.counters());
-        assert_eq!(active.packets(), wheel.packets());
-        assert_eq!(active.state_hash(), wheel.state_hash());
+        assert!(every.counters().delivered_packets > 0);
+        assert_eq!(every.counters().in_flight_flits, 0, "network drained");
+        assert_same(&mut every, &mut wheel);
     }
 }

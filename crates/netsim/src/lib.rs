@@ -72,7 +72,6 @@ pub mod active;
 pub mod engine;
 pub mod fault;
 pub mod flit;
-pub mod queue;
 pub mod request;
 pub mod scenario;
 pub mod sim;
@@ -87,14 +86,14 @@ pub use scenario::{
     Throttle, TopologySpec,
 };
 pub use sim::{
-    run_simulation_controlled, run_simulation_faulted_stepped, run_simulation_probed, ResumeError,
+    run_simulation_controlled, run_simulation_faulted, run_simulation_probed, ResumeError,
     RunControl, RunSnapshot, SimConfig, SimError, SimOutcome, Stepper,
 };
 pub use telemetry;
 
 /// Engine build-configuration flags, for run manifests: feature name →
 /// enabled. Currently the only engine-affecting feature is
-/// `reference-engine` (the pre-active-set cycle loop).
+/// `reference-engine` (the `reference` audit of the kernel).
 pub fn engine_features() -> Vec<(&'static str, bool)> {
     vec![("reference-engine", cfg!(feature = "reference-engine"))]
 }

@@ -41,6 +41,8 @@ use costmodel::DesignBudget;
 use netstats::cache::{CacheEntry, CacheError, KeyDigest, ResultCache};
 use netstats::export::format_num;
 use netstats::{Cell, Manifest, ManifestValue, Table};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::time::Instant;
 use telemetry::{trace, FlightRecorder, TelemetryConfig};
 use traffic::Pattern;
@@ -532,13 +534,6 @@ impl RunRequest {
         }
         if let Some(v) = f.get("stepper") {
             let st: Stepper = v.parse().map_err(invalid::<String>)?;
-            if scenario.shards() > 1 && !matches!(st, Stepper::Active | Stepper::Wheel) {
-                return Err(invalid(format!(
-                    "sharded runs compose with the active or wheel stepper only \
-                     (got --stepper {st} with {} shards)",
-                    scenario.shards()
-                )));
-            }
             scenario = scenario.with_stepper(st);
         }
 
@@ -971,11 +966,14 @@ fn simulate(
         // Write-then-rename so a crash mid-checkpoint leaves the
         // previous checkpoint intact, never a torn file.
         let tmp = format!("{path}.tmp");
-        let written = std::fs::write(&tmp, snap.to_bytes())
-            .map_err(io_error("write checkpoint", &tmp))
-            .and_then(|()| {
-                std::fs::rename(&tmp, path).map_err(io_error("rename checkpoint into", path))
-            });
+        let bytes = snap.to_bytes();
+        let written = write_bounded(&tmp, &|out| {
+            bytes.chunks(WRITE_CHUNK).try_for_each(|c| out.write_all(c))
+        })
+        .map_err(io_error("write checkpoint", &tmp))
+        .and_then(|()| {
+            std::fs::rename(&tmp, path).map_err(io_error("rename checkpoint into", path))
+        });
         match written {
             Ok(()) => notes.push(format!("checkpoint: cycle {} -> {path}", snap.cycle())),
             Err(e) => failed = Some(e),
@@ -997,6 +995,25 @@ fn simulate(
     }
 }
 
+/// Largest single `write(2)` the artifact path issues. Traced runs
+/// export tens of megabytes; on ext4 one multi-megabyte `write` into a
+/// file another process just truncated turns slow every other time
+/// (docs/PERFORMANCE.md, "Large writes"), bounded writes never do.
+const WRITE_CHUNK: usize = 128 << 10;
+
+/// Create (or truncate) `path` and stream `fill` into it through a
+/// [`WRITE_CHUNK`]-sized buffer, reporting flush errors. `fill` must
+/// not hand the writer a slice larger than the buffer (it would pass
+/// through as one `write`).
+fn write_bounded(
+    path: &str,
+    fill: &dyn Fn(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut out = BufWriter::with_capacity(WRITE_CHUNK, File::create(path)?);
+    fill(&mut out)?;
+    out.flush()
+}
+
 /// Write the four telemetry artifacts of one traced load point: JSONL
 /// event log, Chrome trace, latency-decomposition CSV and
 /// channel-utilization CSV. Multi-load runs tag each file with the load
@@ -1013,21 +1030,29 @@ fn write_trace_artifacts(
     } else {
         String::new()
     };
-    let mut write = |suffix: &str, contents: String| -> Result<(), RequestError> {
+    let mut write = |suffix: &str,
+                     fill: &dyn Fn(&mut BufWriter<File>) -> io::Result<()>|
+     -> Result<(), RequestError> {
         let path = format!("{stem}{tag}{suffix}");
         if let Some(parent) = std::path::Path::new(&path).parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent).map_err(io_error("create directory for", &path))?;
             }
         }
-        std::fs::write(&path, contents).map_err(io_error("write", &path))?;
+        write_bounded(&path, fill).map_err(io_error("write", &path))?;
         report.wrote(path);
         Ok(())
     };
-    write(".trace.jsonl", trace::events_jsonl(rec.events()))?;
-    write(".trace.json", trace::chrome_trace(rec))?;
-    write(".breakdown.csv", rec.breakdown_table().to_csv())?;
-    write(".util.csv", rec.utilization_series_table(8).to_csv())?;
+    write(".trace.jsonl", &|out| {
+        trace::write_events_jsonl(rec.events(), out)
+    })?;
+    write(".trace.json", &|out| trace::write_chrome_trace(rec, out))?;
+    write(".breakdown.csv", &|out| {
+        rec.breakdown_table().write_csv(out)
+    })?;
+    write(".util.csv", &|out| {
+        rec.utilization_series_table(8).write_csv(out)
+    })?;
     if let Some(sum) = rec.breakdown_summary() {
         report.stdout.push(format!(
             "load {:>5.2}: latency decomposition (mean cycles over {} packets): \

@@ -45,8 +45,8 @@
 
 use crate::fault::{FaultModel, FaultPlan, NoFaults};
 use crate::sim::{
-    run_simulation_controlled, run_simulation_faulted_sharded, run_simulation_faulted_stepped,
-    InjectionSpec, ResumeError, RunControl, SimConfig, SimError, SimOutcome, Stepper,
+    run_simulation_controlled, InjectionSpec, ResumeError, RunControl, SimConfig, SimError,
+    SimOutcome, Stepper,
 };
 use crate::wiring::Wiring;
 use costmodel::chien::RouterClass;
@@ -580,7 +580,7 @@ impl ScenarioBuilder {
     /// Sharding is an execution detail, not an experiment axis: every
     /// shard count produces bit-identical outcomes, manifests, and
     /// traces, so it is deliberately absent from [`Scenario::manifest`].
-    /// Default: 1 (the serial stepper). A request beyond the router
+    /// Default: 1 (serial). A request beyond the router
     /// count is clamped at run time with a warning; 0 is rejected at
     /// build time.
     pub fn shards(mut self, n: usize) -> Self {
@@ -588,15 +588,13 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Choose the engine stepper serial runs execute on. Like the shard
-    /// count, the stepper is an execution detail, not an experiment
-    /// axis: every choice produces bit-identical outcomes, manifests,
-    /// and traces (gated by the `engine_equivalence` tests), so it is
-    /// deliberately absent from [`Scenario::manifest`] and
-    /// [`Scenario::state_ident`]. Default: [`Stepper::Active`].
-    /// `shards > 1` composes with the active and wheel steppers;
-    /// combining it with the SoA or reference stepper is rejected at
-    /// build time (neither has a sharded composition).
+    /// Choose how the engine scans for work: the production kernel, or
+    /// the `reference` audit of it. Like the shard count, the stepper
+    /// is an execution detail, not an experiment axis: either choice
+    /// produces bit-identical outcomes, manifests, and traces (gated by
+    /// the `engine_equivalence` tests), so it is deliberately absent
+    /// from [`Scenario::manifest`] and [`Scenario::state_ident`], and
+    /// it composes with any shard count. Default: [`Stepper::Default`].
     pub fn stepper(mut self, s: Stepper) -> Self {
         self.stepper = Some(s);
         self
@@ -750,13 +748,6 @@ impl ScenarioBuilder {
                 "shard count must be >= 1".into(),
             ));
         }
-        let stepper = self.stepper.unwrap_or_default();
-        if shards > 1 && !matches!(stepper, Stepper::Active | Stepper::Wheel) {
-            return Err(ScenarioError::BadParameter(format!(
-                "sharded runs compose with the active or wheel stepper only \
-                 (got stepper {stepper} with {shards} shards)"
-            )));
-        }
         if let Some(plan) = &self.faults {
             // Compile once against the real wiring so an impossible
             // plan (too many routers, zero-link shape, …) is rejected
@@ -794,7 +785,7 @@ impl ScenarioBuilder {
             telemetry: self.telemetry,
             faults: self.faults,
             shards,
-            stepper,
+            stepper: self.stepper.unwrap_or_default(),
         })
     }
 }
@@ -882,37 +873,20 @@ impl Scenario {
     /// validates before calling).
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "shard count must be >= 1");
-        assert!(
-            shards <= 1 || matches!(self.stepper, Stepper::Active | Stepper::Wheel),
-            "sharded runs compose with the active or wheel stepper only \
-             (got stepper {} with {shards} shards)",
-            self.stepper
-        );
         self.shards = shards;
         self
     }
 
-    /// The engine stepper serial runs execute on (execution detail,
-    /// never part of the manifest or state ident).
+    /// How the engine scans for work (execution detail, never part of
+    /// the manifest or state ident).
     pub fn stepper(&self) -> Stepper {
         self.stepper
     }
 
-    /// Same scenario stepped on a different engine stepper — a pure
-    /// execution choice, bit-identical for every value (see
+    /// Same scenario under a different [`Stepper`] — a pure execution
+    /// choice, bit-identical either way (see
     /// [`ScenarioBuilder::stepper`]).
-    ///
-    /// # Panics
-    /// Panics when combined with `shards > 1` and a stepper with no
-    /// sharded composition — SoA or reference (the builder rejects
-    /// those combinations too).
     pub fn with_stepper(mut self, stepper: Stepper) -> Self {
-        assert!(
-            self.shards <= 1 || matches!(stepper, Stepper::Active | Stepper::Wheel),
-            "sharded runs compose with the active or wheel stepper only \
-             (got stepper {stepper} with {} shards)",
-            self.shards
-        );
         self.stepper = stepper;
         self
     }
@@ -1171,7 +1145,7 @@ impl Scenario {
     /// [`Scenario::try_simulate`] with the shard and worker-thread
     /// counts given explicitly (overriding the scenario's own setting
     /// and `NETPERF_THREADS`). Bit-identical for every combination;
-    /// `shards <= 1` is the serial stepper.
+    /// `shards <= 1` is the serial run.
     pub fn try_simulate_sharded(
         &self,
         fraction: f64,
@@ -1211,18 +1185,16 @@ impl Scenario {
                 faults: F,
             ) -> Result<(SimOutcome, M::Probe), ResumeError> {
                 let (cfg, probe) = (self.cfg, self.probe.make(algo));
-                let (shards, threads, stepper) = (self.shards, self.threads, self.stepper);
-                match self.ctl {
-                    Some(ctl) => run_simulation_controlled(
-                        algo, cfg, probe, faults, shards, threads, stepper, ctl,
-                    ),
-                    None if shards > 1 => Ok(run_simulation_faulted_sharded(
-                        algo, cfg, probe, faults, shards, threads, stepper,
-                    )?),
-                    None => Ok(run_simulation_faulted_stepped(
-                        algo, cfg, probe, faults, stepper,
-                    )?),
-                }
+                run_simulation_controlled(
+                    algo,
+                    cfg,
+                    probe,
+                    faults,
+                    self.shards,
+                    self.threads,
+                    self.stepper,
+                    self.ctl,
+                )
             }
         }
         impl<M: MakeProbe> SpecVisitor for Run<'_, '_, '_, M> {
@@ -1255,7 +1227,7 @@ impl Scenario {
     /// config (seed included), the fault plan, and the telemetry
     /// settings. Shard and thread counts are deliberately absent —
     /// sharding is an execution detail and snapshots restore under
-    /// either stepper. Stamped into every checkpoint
+    /// any partition. Stamped into every checkpoint
     /// ([`RunControl::ident`]) and verified on resume, so a checkpoint
     /// can never silently continue a *different* experiment.
     pub fn state_ident(&self, fraction: f64) -> u64 {
@@ -1963,69 +1935,36 @@ mod tests {
 
     #[test]
     fn stepper_is_an_execution_detail() {
-        // Default active, carried by the builder and with_stepper, and
+        // Default kernel, carried by the builder and with_stepper,
         // deliberately absent from the manifest and the state ident
-        // (bit-identical runs must share checkpoints and manifests).
+        // (bit-identical runs must share checkpoints and manifests),
+        // and composing with any shard count.
         let base = named("cube-duato-tiny").unwrap();
-        assert_eq!(base.stepper(), Stepper::Active);
-        let wheeled = base.clone().with_stepper(Stepper::Wheel);
-        assert_eq!(wheeled.stepper(), Stepper::Wheel);
+        assert_eq!(base.stepper(), Stepper::Default);
+        let audited = base.clone().with_stepper(Stepper::Reference);
+        assert_eq!(audited.stepper(), Stepper::Reference);
         assert_eq!(
             format!("{:?}", base.manifest()),
-            format!("{:?}", wheeled.manifest())
+            format!("{:?}", audited.manifest())
         );
-        assert_eq!(base.state_ident(0.3), wheeled.state_ident(0.3));
+        assert_eq!(base.state_ident(0.3), audited.state_ident(0.3));
         let built = must(
             Scenario::builder()
                 .topology(TopologySpec::cube(4, 2))
-                .stepper(Stepper::Soa),
-        );
-        assert_eq!(built.stepper(), Stepper::Soa);
-        // Every stepper agrees on the outcome, bit for bit.
-        let active = base.simulate(0.3);
-        for s in [Stepper::Soa, Stepper::Wheel] {
-            let alt = base.clone().with_stepper(s).simulate(0.3);
-            assert_eq!(active.delivered_packets, alt.delivered_packets);
-            assert_eq!(active.created_packets, alt.created_packets);
-            assert_eq!(
-                active.accepted_fraction.to_bits(),
-                alt.accepted_fraction.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn wheel_composes_with_shards() {
-        // The wheel×shards composition builds and runs, and its
-        // outcome is bit-identical to the serial default.
-        let sharded_wheel = must(
-            Scenario::builder()
-                .topology(TopologySpec::cube(4, 2))
                 .shards(2)
-                .stepper(Stepper::Wheel),
+                .stepper(Stepper::Reference),
         );
-        assert_eq!(sharded_wheel.shards(), 2);
-        assert_eq!(sharded_wheel.stepper(), Stepper::Wheel);
-        let serial = must(Scenario::builder().topology(TopologySpec::cube(4, 2))).simulate(0.3);
-        let composed = sharded_wheel.try_simulate_sharded(0.3, 2, 1).unwrap();
-        assert_eq!(serial.delivered_packets, composed.delivered_packets);
-        assert_eq!(serial.created_packets, composed.created_packets);
-        assert_eq!(
-            serial.accepted_fraction.to_bits(),
-            composed.accepted_fraction.to_bits()
-        );
-    }
-
-    #[test]
-    fn soa_and_reference_do_not_compose_with_shards() {
-        for stepper in [Stepper::Soa, Stepper::Reference] {
-            let err = Scenario::builder()
-                .topology(TopologySpec::cube(4, 2))
-                .shards(2)
-                .stepper(stepper)
-                .build()
-                .unwrap_err();
-            assert!(matches!(err, ScenarioError::BadParameter(_)), "{err}");
+        assert_eq!((built.stepper(), built.shards()), (Stepper::Reference, 2));
+        // Every combination agrees on the outcome, bit for bit.
+        let default = format!("{:?}", base.simulate(0.3));
+        for (stepper, shards) in [
+            (Stepper::Reference, 1),
+            (Stepper::Reference, 2),
+            (Stepper::Default, 2),
+        ] {
+            let alt = base.clone().with_stepper(stepper);
+            let alt = alt.try_simulate_sharded(0.3, shards, 1).unwrap();
+            assert_eq!(default, format!("{alt:?}"), "{stepper} x {shards}");
         }
     }
 

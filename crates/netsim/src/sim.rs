@@ -26,12 +26,25 @@ pub enum SimError {
     /// routing functions this indicates a wedged fault configuration
     /// (or an engine bug), reported as data instead of a panic.
     Deadlock(Stall),
+    /// Stepping `requested` more cycles from `cycle` would overflow the
+    /// engine's 32-bit clock.
+    CycleOverflow {
+        /// The engine clock when the segment was requested.
+        cycle: u32,
+        /// The segment length requested.
+        requested: u32,
+    },
 }
 
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimError::Deadlock(s) => write!(f, "{s}"),
+            SimError::CycleOverflow { cycle, requested } => write!(
+                f,
+                "cycle counter overflow: {requested} more cycles from cycle {cycle} \
+                 exceeds the engine's 32-bit clock"
+            ),
         }
     }
 }
@@ -470,53 +483,42 @@ pub fn run_simulation_faulted<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultMo
     probe: P,
     faults: F,
 ) -> Result<(SimOutcome, P), SimError> {
-    measure(algo, cfg, probe, faults, |eng, cycles| {
-        eng.run_checked(cycles)
+    let run = |eng: &mut Engine<'_, A, P, F>, cycles| eng.run_checked_wheel(cycles);
+    measure(algo, cfg, probe, faults, run, None).map_err(|e| match e {
+        ResumeError::Sim(e) => e,
+        ResumeError::Snapshot(_) => unreachable!("no checkpoint i/o without a RunControl"),
     })
 }
 
-/// Which engine stepper executes a run.
+/// How the engine scans for work.
 ///
-/// Every stepper produces bit-identical results — the same counters,
-/// packet tables, shared-RNG consumption order, and telemetry streams
-/// (the contract is gated by the `engine_equivalence` integration
-/// tests) — and differs only in how fast it gets there. The stepper is
-/// therefore an execution detail like the shard count: deliberately
-/// absent from manifests and state idents, and snapshots restore under
-/// any stepper.
+/// Either way the run produces bit-identical results — the same
+/// counters, packet tables, shared-RNG consumption order, and telemetry
+/// streams (the contract is gated by the `engine_equivalence`
+/// integration tests). The stepper is therefore an execution detail
+/// like the shard count: deliberately absent from manifests and state
+/// idents, and snapshots restore under either.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Stepper {
-    /// The worklist-driven stepper ([`Engine::step`]) — the default.
+    /// The production kernel: worklist and occupancy-mask scans on the
+    /// wheel schedule ([`Engine::run_checked_wheel`]).
     #[default]
-    Active,
-    /// Struct-of-arrays lane banks ([`Engine::step_soa`]): the same
-    /// worklist walk, but over flat depth-packed banks.
-    Soa,
-    /// Event-wheel injection scheduling over the SoA banks
-    /// ([`Engine::step_wheel`]): additionally fast-forwards across
-    /// cycles in which nothing can happen.
-    Wheel,
-    /// The naive scan-everything oracle ([`Engine::step_reference`]);
-    /// outside test builds it needs the `reference-engine` feature (the
-    /// workspace root and the bench crate enable it).
+    Default,
+    /// The audit: the same handlers with every mask- and worklist-based
+    /// early-out compiled out, on the every-cycle schedule
+    /// ([`Engine::run_checked_reference`]). Exists only in builds with
+    /// the `reference-engine` feature (the bench crate and the
+    /// workspace root's tests enable it).
+    #[cfg(any(test, feature = "reference-engine"))]
     Reference,
 }
 
 impl Stepper {
-    /// Every stepper, in documentation order.
-    pub const ALL: [Stepper; 4] = [
-        Stepper::Active,
-        Stepper::Soa,
-        Stepper::Wheel,
-        Stepper::Reference,
-    ];
-
-    /// The CLI / display name (`active`, `soa`, `wheel`, `reference`).
+    /// The CLI / display name (`default`, `reference`).
     pub fn name(self) -> &'static str {
         match self {
-            Stepper::Active => "active",
-            Stepper::Soa => "soa",
-            Stepper::Wheel => "wheel",
+            Stepper::Default => "default",
+            #[cfg(any(test, feature = "reference-engine"))]
             Stepper::Reference => "reference",
         }
     }
@@ -532,121 +534,32 @@ impl std::str::FromStr for Stepper {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Stepper::ALL
-            .into_iter()
-            .find(|st| st.name() == s)
-            .ok_or_else(|| {
-                format!("unknown stepper {s:?} (expected active, soa, wheel, or reference)")
-            })
-    }
-}
-
-/// One measurement segment under the chosen stepper.
-///
-/// # Panics
-/// Panics for [`Stepper::Reference`] in builds without the
-/// `reference-engine` feature, where the oracle is not compiled.
-fn run_stepped<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
-    eng: &mut Engine<'_, A, P, F>,
-    stepper: Stepper,
-    cycles: u32,
-) -> Result<(), Stall> {
-    match stepper {
-        Stepper::Active => eng.run_checked(cycles),
-        Stepper::Soa => eng.run_checked_soa(cycles),
-        Stepper::Wheel => eng.run_checked_wheel(cycles),
-        #[cfg(any(test, feature = "reference-engine"))]
-        Stepper::Reference => eng.run_checked_reference(cycles),
-        #[cfg(not(any(test, feature = "reference-engine")))]
-        Stepper::Reference => {
-            panic!("the reference stepper requires the `reference-engine` feature")
+        match s {
+            "default" => Ok(Stepper::Default),
+            #[cfg(any(test, feature = "reference-engine"))]
+            "reference" => Ok(Stepper::Reference),
+            #[cfg(not(any(test, feature = "reference-engine")))]
+            "reference" => Err(
+                "the reference stepper needs a build with the `reference-engine` feature \
+                 (cargo build --workspace enables it)"
+                    .to_string(),
+            ),
+            _ => Err(format!(
+                "unknown stepper {s:?} (expected default or reference)"
+            )),
         }
     }
 }
 
-/// [`run_simulation_faulted`] under an explicit [`Stepper`]. The
-/// outcome is bit-identical for every choice; only the wall-clock
-/// differs.
-pub fn run_simulation_faulted_stepped<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
-    algo: &A,
-    cfg: &SimConfig,
-    probe: P,
-    faults: F,
-    stepper: Stepper,
-) -> Result<(SimOutcome, P), SimError> {
-    measure(algo, cfg, probe, faults, |eng, cycles| {
-        run_stepped(eng, stepper, cycles)
-    })
-}
-
-/// One sharded measurement segment under the chosen stepper: the
-/// active-set stepper runs [`Engine::run_checked_sharded`], the wheel
-/// the composed [`Engine::run_checked_wheel_sharded`].
-///
-/// # Panics
-/// Panics for [`Stepper::Soa`] and [`Stepper::Reference`], which have
-/// no sharded composition (the SoA banks are one flat layout; the
-/// reference oracle is deliberately naive).
-fn run_stepped_sharded<A: RoutingAlgorithm + ?Sized, P: Probe, F>(
-    eng: &mut Engine<'_, A, P, F>,
-    stepper: Stepper,
-    cycles: u32,
-    plan: &mut ShardPlan,
-) -> Result<(), Stall>
-where
-    F: FaultModel + Sync,
-{
-    match stepper {
-        Stepper::Active => eng.run_checked_sharded(cycles, plan),
-        Stepper::Wheel => eng.run_checked_wheel_sharded(cycles, plan),
-        Stepper::Soa | Stepper::Reference => {
-            panic!("sharded runs compose with the active or wheel stepper only (got {stepper})")
-        }
-    }
-}
-
-/// [`run_simulation_faulted`] on the sharded stepper: the run is
-/// decomposed into `shards` domains stepped by `threads` worker threads
-/// (see [`Engine::shard_plan`]), under [`Stepper::Active`] or — the
-/// wheel×shards composition — [`Stepper::Wheel`]. Bit-identical to the
-/// serial run for every shard/thread/stepper combination; `shards <= 1`
-/// *is* the serial run.
-///
-/// # Panics
-/// Panics for [`Stepper::Soa`] and [`Stepper::Reference`], which do
-/// not compose with domain decomposition.
-pub fn run_simulation_faulted_sharded<A: RoutingAlgorithm + ?Sized, P: Probe, F>(
-    algo: &A,
-    cfg: &SimConfig,
-    probe: P,
-    faults: F,
-    shards: usize,
-    threads: usize,
-    stepper: Stepper,
-) -> Result<(SimOutcome, P), SimError>
-where
-    F: FaultModel + Sync,
-{
-    let mut plan = None;
-    measure(algo, cfg, probe, faults, |eng, cycles| {
-        let plan = plan.get_or_insert_with(|| eng.shard_plan(shards, threads));
-        run_stepped_sharded(eng, stepper, cycles, plan)
-    })
-}
-
-/// [`run_simulation_faulted_sharded`] with checkpoint/resume control —
-/// the serving plane's run-level entry point. `shards <= 1` runs the
-/// chosen serial [`Stepper`], larger values the sharded composition of
-/// that stepper (bit-identical every way). With `RunControl::new(ident)`
-/// this *is* the plain run; resuming from a mid-run [`RunSnapshot`] and
-/// finishing is bit-identical to the uninterrupted run — under any
-/// stepper, since snapshots capture canonical state and the wheel/SoA
-/// banks are rebuilt lazily after restore.
-///
-/// # Panics
-/// Panics if `shards > 1` is combined with [`Stepper::Soa`] or
-/// [`Stepper::Reference`] — only the active-set and wheel steppers
-/// compose with domain decomposition.
+/// [`run_simulation_faulted`] with everything about *how* the run
+/// executes chosen by the caller — the serving plane's run-level entry
+/// point. `shards <= 1` runs serial, larger values decompose the run
+/// into that many domains stepped by `threads` worker threads (see
+/// [`Engine::shard_plan`]); `stepper` picks the scan; `ctl` adds
+/// checkpoint/resume control. None of it can change the outcome:
+/// every combination is bit-identical, and resuming from a mid-run
+/// [`RunSnapshot`] and finishing is bit-identical to the uninterrupted
+/// run under any combination, since snapshots capture canonical state.
 #[allow(clippy::too_many_arguments)]
 pub fn run_simulation_controlled<A: RoutingAlgorithm + ?Sized, P: Probe, F>(
     algo: &A,
@@ -656,39 +569,26 @@ pub fn run_simulation_controlled<A: RoutingAlgorithm + ?Sized, P: Probe, F>(
     shards: usize,
     threads: usize,
     stepper: Stepper,
-    ctl: &mut RunControl<'_>,
+    ctl: Option<&mut RunControl<'_>>,
 ) -> Result<(SimOutcome, P), ResumeError>
 where
     F: FaultModel + Sync,
 {
-    assert!(
-        shards <= 1 || matches!(stepper, Stepper::Active | Stepper::Wheel),
-        "sharded runs compose with the active or wheel stepper only \
-         (got --stepper {stepper} with {shards} shards)"
-    );
-    if shards <= 1 {
-        measure_ctl(
-            algo,
-            cfg,
-            probe,
-            faults,
-            |eng, cycles| run_stepped(eng, stepper, cycles),
-            Some(ctl),
-        )
-    } else {
-        let mut plan = None;
-        measure_ctl(
-            algo,
-            cfg,
-            probe,
-            faults,
-            |eng, cycles| {
-                let plan = plan.get_or_insert_with(|| eng.shard_plan(shards, threads));
-                run_stepped_sharded(eng, stepper, cycles, plan)
-            },
-            Some(ctl),
-        )
-    }
+    let mut plan: Option<ShardPlan> = None;
+    let run = |eng: &mut Engine<'_, A, P, F>, cycles| {
+        if shards > 1 && plan.is_none() {
+            plan = Some(eng.shard_plan(shards, threads));
+        }
+        match (stepper, plan.as_mut()) {
+            (Stepper::Default, None) => eng.run_checked_wheel(cycles),
+            (Stepper::Default, Some(plan)) => eng.run_checked_wheel_sharded(cycles, plan),
+            #[cfg(any(test, feature = "reference-engine"))]
+            (Stepper::Reference, None) => eng.run_checked_reference(cycles),
+            #[cfg(any(test, feature = "reference-engine"))]
+            (Stepper::Reference, Some(plan)) => eng.run_checked_reference_sharded(cycles, plan),
+        }
+    };
+    measure(algo, cfg, probe, faults, run, ctl)
 }
 
 /// The number of contiguous batches the measurement window is split
@@ -736,30 +636,33 @@ fn emit_checkpoint<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
     sink(&snap);
 }
 
-/// The shared measurement protocol: build the engine, run the warm-up,
-/// run the measurement window in batches through `run` (which chooses
-/// the stepper), and assemble the outcome.
-fn measure<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
-    algo: &A,
-    cfg: &SimConfig,
-    probe: P,
-    faults: F,
-    run: impl FnMut(&mut Engine<'_, A, P, F>, u32) -> Result<(), Stall>,
-) -> Result<(SimOutcome, P), SimError> {
-    measure_ctl(algo, cfg, probe, faults, run, None).map_err(|e| match e {
-        ResumeError::Sim(e) => e,
-        ResumeError::Snapshot(_) => unreachable!("no checkpoint i/o without a RunControl"),
-    })
+/// Step `eng` by `cycles` through `run`, with the clock arithmetic the
+/// engine would otherwise panic on checked here and reported as data.
+fn step_checked<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
+    eng: &mut Engine<'_, A, P, F>,
+    cycles: u32,
+    run: &mut impl FnMut(&mut Engine<'_, A, P, F>, u32) -> Result<(), Stall>,
+) -> Result<(), SimError> {
+    let cycle = eng.cycle();
+    if cycle.checked_add(cycles).is_none() {
+        return Err(SimError::CycleOverflow {
+            cycle,
+            requested: cycles,
+        });
+    }
+    run(eng, cycles).map_err(SimError::Deadlock)
 }
 
-/// [`measure`] with optional checkpoint/resume control. The protocol is
-/// a deterministic segment schedule — warm-up, then [`NUM_BATCHES`]
-/// batches of `remaining / (NUM_BATCHES - b)` cycles — so a resumed run
-/// rejoins the schedule purely from the engine cycle and the recorded
-/// boundary state, and chunking `run` calls at checkpoint cadence
-/// cannot perturb the simulation (the engine depends only on total
-/// cycles stepped).
-fn measure_ctl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
+/// The shared measurement protocol: build the engine, run the warm-up,
+/// run the measurement window in batches through `run` (which chooses
+/// schedule, partition and scan), and assemble the outcome — with
+/// optional checkpoint/resume control. The protocol is a deterministic
+/// segment schedule — warm-up, then [`NUM_BATCHES`] batches of
+/// `remaining / (NUM_BATCHES - b)` cycles — so a resumed run rejoins
+/// the schedule purely from the engine cycle and the recorded boundary
+/// state, and chunking `run` calls at checkpoint cadence cannot perturb
+/// the simulation (the engine depends only on total cycles stepped).
+fn measure<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
     algo: &A,
     cfg: &SimConfig,
     probe: P,
@@ -843,10 +746,12 @@ fn measure_ctl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
         while eng.cycle() < end {
             let cur = eng.cycle();
             let target = match ctl.as_ref().and_then(|c| c.checkpoint_every) {
-                Some(every) if every > 0 => ((cur / every + 1) * every).min(end),
+                Some(every) if every > 0 => (cur / every + 1)
+                    .checked_mul(every)
+                    .map_or(end, |t| t.min(end)),
                 _ => end,
             };
-            run(&mut eng, target - cur).map_err(|s| ResumeError::Sim(SimError::Deadlock(s)))?;
+            step_checked(&mut eng, target - cur, &mut run)?;
             if eng.cycle() < end {
                 emit_checkpoint(
                     &mut ctl,
@@ -1051,8 +956,8 @@ mod tests {
             NoFaults,
             1,
             1,
-            Stepper::Active,
-            &mut ctl,
+            Stepper::Default,
+            Some(&mut ctl),
         )
         .unwrap();
         assert_eq!(format!("{plain:?}"), format!("{controlled:?}"));
@@ -1078,8 +983,8 @@ mod tests {
             NoFaults,
             1,
             1,
-            Stepper::Active,
-            &mut ctl,
+            Stepper::Default,
+            Some(&mut ctl),
         )
         .unwrap();
         assert_eq!(format!("{baseline:?}"), format!("{full:?}"));
@@ -1099,8 +1004,8 @@ mod tests {
                 NoFaults,
                 1,
                 1,
-                Stepper::Active,
-                &mut ctl,
+                Stepper::Default,
+                Some(&mut ctl),
             )
             .unwrap();
             assert_eq!(
@@ -1128,8 +1033,8 @@ mod tests {
             NoFaults,
             1,
             1,
-            Stepper::Active,
-            &mut ctl,
+            Stepper::Default,
+            Some(&mut ctl),
         )
         .unwrap();
         let snap = taken.pop().expect("at least one checkpoint");
@@ -1144,8 +1049,8 @@ mod tests {
             NoFaults,
             1,
             1,
-            Stepper::Active,
-            &mut ctl,
+            Stepper::Default,
+            Some(&mut ctl),
         )
         .unwrap_err();
         assert!(matches!(

@@ -66,16 +66,17 @@ impl Table {
 
     /// Render as CSV (header + rows).
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .columns
-                .iter()
-                .map(|c| csv_escape(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
+        let mut buf = Vec::new();
+        self.write_csv(&mut buf)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(buf).expect("cells and columns are UTF-8")
+    }
+
+    /// Stream the bytes of [`Table::to_csv`] into `out`, one write per
+    /// row (hand it a buffered writer for large tables).
+    pub fn write_csv(&self, out: &mut impl io::Write) -> io::Result<()> {
+        let header: Vec<String> = self.columns.iter().map(|c| csv_escape(c)).collect();
+        writeln!(out, "{}", header.join(","))?;
         for row in &self.rows {
             let line = row
                 .iter()
@@ -85,10 +86,9 @@ impl Table {
                 })
                 .collect::<Vec<_>>()
                 .join(",");
-            out.push_str(&line);
-            out.push('\n');
+            writeln!(out, "{line}")?;
         }
-        out
+        Ok(())
     }
 
     /// Render as a JSON array of objects keyed by column name.

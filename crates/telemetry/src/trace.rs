@@ -7,16 +7,30 @@
 
 use crate::record::{Event, FlightRecorder};
 use crate::NEVER;
-use std::fmt::Write as _;
+use std::io::{self, Write};
 
 /// Cap on `blocked` instant events emitted into a Chrome trace so a
 /// saturated run cannot produce a file the viewer chokes on. The drop
 /// count is recorded in a trailing metadata event.
 pub const CHROME_MAX_INSTANTS: usize = 100_000;
 
+/// Run a streaming exporter into memory. The exporters emit UTF-8
+/// only and writing to a `Vec` cannot fail.
+fn rendered(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut buf = Vec::new();
+    write(&mut buf).expect("writing to a Vec cannot fail");
+    String::from_utf8(buf).expect("exporters emit UTF-8")
+}
+
 /// Render one lifecycle event as a single-line JSON object (no
 /// trailing newline).
 pub fn event_jsonl_line(e: &Event) -> String {
+    rendered(|out| write_event_jsonl(e, out))
+}
+
+/// Write one lifecycle event as a single-line JSON object (no trailing
+/// newline) into `out`.
+fn write_event_jsonl(e: &Event, out: &mut impl Write) -> io::Result<()> {
     match *e {
         Event::Created {
             cycle,
@@ -24,7 +38,8 @@ pub fn event_jsonl_line(e: &Event) -> String {
             src,
             dest,
             flits,
-        } => format!(
+        } => write!(
+            out,
             "{{\"cycle\":{cycle},\"ev\":\"created\",\"packet\":{packet},\
              \"src\":{src},\"dest\":{dest},\"flits\":{flits}}}"
         ),
@@ -33,7 +48,8 @@ pub fn event_jsonl_line(e: &Event) -> String {
             packet,
             node,
             vc,
-        } => format!(
+        } => write!(
+            out,
             "{{\"cycle\":{cycle},\"ev\":\"injected\",\"packet\":{packet},\
              \"node\":{node},\"vc\":{vc}}}"
         ),
@@ -44,7 +60,8 @@ pub fn event_jsonl_line(e: &Event) -> String {
             in_lane,
             out_lane,
             escape,
-        } => format!(
+        } => write!(
+            out,
             "{{\"cycle\":{cycle},\"ev\":\"routed\",\"packet\":{packet},\
              \"router\":{router},\"in_lane\":{in_lane},\"out_lane\":{out_lane},\
              \"escape\":{escape}}}"
@@ -54,7 +71,8 @@ pub fn event_jsonl_line(e: &Event) -> String {
             packet,
             router,
             in_lane,
-        } => format!(
+        } => write!(
+            out,
             "{{\"cycle\":{cycle},\"ev\":\"blocked\",\"packet\":{packet},\
              \"router\":{router},\"in_lane\":{in_lane}}}"
         ),
@@ -62,7 +80,8 @@ pub fn event_jsonl_line(e: &Event) -> String {
             cycle,
             packet,
             node,
-        } => format!(
+        } => write!(
+            out,
             "{{\"cycle\":{cycle},\"ev\":\"delivered\",\"packet\":{packet},\
              \"node\":{node}}}"
         ),
@@ -71,7 +90,8 @@ pub fn event_jsonl_line(e: &Event) -> String {
             router,
             port,
             down,
-        } => format!(
+        } => write!(
+            out,
             "{{\"cycle\":{cycle},\"ev\":\"fault\",\"router\":{router},\
              \"port\":{port},\"down\":{down}}}"
         ),
@@ -79,7 +99,8 @@ pub fn event_jsonl_line(e: &Event) -> String {
             cycle,
             packet,
             router,
-        } => format!(
+        } => write!(
+            out,
             "{{\"cycle\":{cycle},\"ev\":\"dropped\",\"packet\":{packet},\
              \"router\":{router}}}"
         ),
@@ -87,7 +108,8 @@ pub fn event_jsonl_line(e: &Event) -> String {
             cycle,
             packet,
             node,
-        } => format!(
+        } => write!(
+            out,
             "{{\"cycle\":{cycle},\"ev\":\"unroutable\",\"packet\":{packet},\
              \"node\":{node}}}"
         ),
@@ -96,7 +118,8 @@ pub fn event_jsonl_line(e: &Event) -> String {
             packet,
             router,
             out_lane,
-        } => format!(
+        } => write!(
+            out,
             "{{\"cycle\":{cycle},\"ev\":\"rerouted\",\"packet\":{packet},\
              \"router\":{router},\"out_lane\":{out_lane}}}"
         ),
@@ -106,12 +129,18 @@ pub fn event_jsonl_line(e: &Event) -> String {
 /// Render the whole event stream as JSONL (one event per line,
 /// trailing newline; empty string for an empty stream).
 pub fn events_jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
+    rendered(|out| write_events_jsonl(events, out))
+}
+
+/// Stream the whole event stream as JSONL into `out` — the bytes of
+/// [`events_jsonl`] without holding them in memory. Hand it a buffered
+/// writer: it issues one small write per event.
+pub fn write_events_jsonl(events: &[Event], out: &mut impl Write) -> io::Result<()> {
     for e in events {
-        out.push_str(&event_jsonl_line(e));
-        out.push('\n');
+        write_event_jsonl(e, out)?;
+        out.write_all(b"\n")?;
     }
-    out
+    Ok(())
 }
 
 /// Render a recording as Chrome `trace_event` JSON.
@@ -124,30 +153,37 @@ pub fn events_jsonl(events: &[Event]) -> String {
 /// instants (capped at [`CHROME_MAX_INSTANTS`]). Cycle stamps map to
 /// microseconds, the viewer's native unit.
 pub fn chrome_trace(rec: &FlightRecorder) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\
-         \"args\":{\"name\":\"packets (row = source node)\"}}",
-    );
+    rendered(|out| write_chrome_trace(rec, out))
+}
+
+/// Stream a recording as Chrome `trace_event` JSON into `out` — the
+/// bytes of [`chrome_trace`] without holding them in memory. Hand it a
+/// buffered writer: it issues one small write per event.
+pub fn write_chrome_trace(rec: &FlightRecorder, out: &mut impl Write) -> io::Result<()> {
+    out.write_all(
+        b"{\"traceEvents\":[\n\
+          {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\
+          \"args\":{\"name\":\"packets (row = source node)\"}}",
+    )?;
     if rec.config().record_events {
-        out.push_str(
-            ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\
-             \"args\":{\"name\":\"routers (blocked headers)\"}}",
-        );
+        out.write_all(
+            b",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\
+              \"args\":{\"name\":\"routers (blocked headers)\"}}",
+        )?;
     }
     for (id, t) in rec.packet_traces().iter().enumerate() {
         if t.injected == NEVER || t.delivered == NEVER {
             continue;
         }
         let b = t.breakdown(id as u32).expect("delivered packet decomposes");
-        let _ = write!(
+        write!(
             out,
             ",\n{{\"name\":\"queued\",\"cat\":\"queue\",\"ph\":\"X\",\
              \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\
              \"args\":{{\"packet\":{id},\"dest\":{}}}}}",
             t.created, b.src_queue, t.src, t.dest
-        );
-        let _ = write!(
+        )?;
+        write!(
             out,
             ",\n{{\"name\":\"p{id} \\u2192 n{}\",\"cat\":\"network\",\"ph\":\"X\",\
              \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\
@@ -162,7 +198,7 @@ pub fn chrome_trace(rec: &FlightRecorder) -> String {
             t.flits,
             b.blocked,
             t.escape_hops
-        );
+        )?;
     }
     let mut instants = 0usize;
     let mut dropped = 0usize;
@@ -191,21 +227,20 @@ pub fn chrome_trace(rec: &FlightRecorder) -> String {
             continue;
         }
         instants += 1;
-        let _ = write!(
+        write!(
             out,
             ",\n{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\
              \"s\":\"t\",\"ts\":{cycle},\"pid\":1,\"tid\":{router}}}"
-        );
+        )?;
     }
     if dropped > 0 {
-        let _ = write!(
+        write!(
             out,
             ",\n{{\"name\":\"blocked_instants_dropped\",\"ph\":\"M\",\"pid\":1,\
              \"args\":{{\"dropped\":{dropped}}}}}"
-        );
+        )?;
     }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
 }
 
 #[cfg(test)]

@@ -17,11 +17,6 @@ echo "==> benchmark harness builds against the library + its unit tests"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo build --release -p netsim --features scalar-scan"
-# The portable fallback build: SIMD scans forced to their scalar twins
-# at compile time. Must always build so the wide path can't rot it.
-cargo build --release -p netsim --features scalar-scan
-
 echo "==> cargo test -q"
 cargo test -q
 
@@ -503,84 +498,76 @@ print("serving smoke: resume byte-identical, warm cache all hits, "
 EOF
 
 echo "==> stepper-equivalence smoke"
-# Steppers are execution details behind the bit-identity contract: the
-# CSV from --stepper wheel / soa must be byte-identical to the default
-# active-set run's, and the manifest identical up to wall-clock time.
+# The stepper and the shard count are execution details behind the
+# bit-identity contract: the CSV from the `reference` audit and from a
+# 4-shard run must be byte-identical to the default run's, and the
+# manifest identical up to wall-clock time. The audit needs the
+# reference-engine feature, which only the --workspace build enables
+# (the `cargo run --bin netperf` smokes above relink netperf without).
+cargo build --release --workspace -q
 STEP_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$TRACE_DIR" "$FAULT_DIR" "$SHARD_DIR" "$DESIGN_DIR" "$SERVE_DIR" "$STEP_DIR"' EXIT
-for mode in active soa wheel; do
-  mkdir -p "$STEP_DIR/$mode"
-  ( cd "$STEP_DIR/$mode" && "$NP" run cube-duato-tiny --load 0.4 --quick \
-      --stepper "$mode" --csv run.csv > stdout.txt )
-done
-for mode in soa wheel; do
-  cmp "$STEP_DIR/active/run.csv" "$STEP_DIR/$mode/run.csv" \
-    || { echo "stepper smoke: --stepper $mode CSV differs from active" >&2; exit 1; }
-  diff <(grep -v '"wall_clock_secs"' "$STEP_DIR/active/run.manifest.json") \
+step_run() { # <dir> [extra flags...]
+  local dir="$STEP_DIR/$1"; shift
+  mkdir -p "$dir"
+  ( cd "$dir" && "$NP" run cube-duato-tiny --load 0.4 --quick "$@" --csv run.csv > stdout.txt )
+}
+step_run default
+step_run reference --stepper reference
+step_run sharded --shards 4
+step_run reference-sharded --stepper reference --shards 4
+for mode in reference sharded reference-sharded; do
+  cmp "$STEP_DIR/default/run.csv" "$STEP_DIR/$mode/run.csv" \
+    || { echo "stepper smoke: $mode CSV differs from default" >&2; exit 1; }
+  diff <(grep -v '"wall_clock_secs"' "$STEP_DIR/default/run.manifest.json") \
        <(grep -v '"wall_clock_secs"' "$STEP_DIR/$mode/run.manifest.json") \
-    || { echo "stepper smoke: --stepper $mode manifest differs from active" >&2; exit 1; }
+    || { echo "stepper smoke: $mode manifest differs from default" >&2; exit 1; }
 done
-# The wheel stepper composes with sharding: --stepper wheel --shards 4
-# must produce the exact serial artifacts too.
-mkdir -p "$STEP_DIR/wheel-sharded"
-( cd "$STEP_DIR/wheel-sharded" && "$NP" run cube-duato-tiny --load 0.4 --quick \
-    --stepper wheel --shards 4 --csv run.csv > stdout.txt )
-cmp "$STEP_DIR/active/run.csv" "$STEP_DIR/wheel-sharded/run.csv" \
-  || { echo "stepper smoke: --stepper wheel --shards 4 CSV differs from serial" >&2; exit 1; }
-diff <(grep -v '"wall_clock_secs"' "$STEP_DIR/active/run.manifest.json") \
-     <(grep -v '"wall_clock_secs"' "$STEP_DIR/wheel-sharded/run.manifest.json") \
-  || { echo "stepper smoke: --stepper wheel --shards 4 manifest differs from serial" >&2; exit 1; }
-# A bogus stepper name and the soa/reference x shards conflict must
-# both fail structured: exit 2, one "error:" line.
-if "$NP" run cube-duato-tiny --quick --stepper bogus 2> "$STEP_DIR/err.txt" > /dev/null; then
-  echo "stepper smoke: --stepper bogus was accepted" >&2; exit 1
-fi
-grep -q '^error:' "$STEP_DIR/err.txt" \
-  || { echo "stepper smoke: unstructured error output" >&2; cat "$STEP_DIR/err.txt" >&2; exit 1; }
-if "$NP" run cube-duato-tiny --quick --shards 2 --stepper soa \
-    2> "$STEP_DIR/err2.txt" > /dev/null; then
-  echo "stepper smoke: --shards 2 --stepper soa was accepted" >&2; exit 1
-fi
-grep -q '^error:' "$STEP_DIR/err2.txt" \
-  || { echo "stepper smoke: unstructured error output" >&2; cat "$STEP_DIR/err2.txt" >&2; exit 1; }
-echo "stepper smoke: active, soa, wheel and wheel+4-shard artifacts are byte-identical"
+# A bogus stepper name (a retired kernel's included) must fail
+# structured: exit 2, one "error:" line.
+for name in bogus soa; do
+  if "$NP" run cube-duato-tiny --quick --stepper "$name" 2> "$STEP_DIR/err.txt" > /dev/null; then
+    echo "stepper smoke: --stepper $name was accepted" >&2; exit 1
+  fi
+  grep -q '^error:' "$STEP_DIR/err.txt" \
+    || { echo "stepper smoke: unstructured error output" >&2; cat "$STEP_DIR/err.txt" >&2; exit 1; }
+done
+echo "stepper smoke: default, reference, 4-shard and reference+4-shard artifacts are byte-identical"
 
 echo "==> bench_engine --quick schema smoke"
 # Quick mode exists for exactly this: assert the BENCH_engine.json
-# schema (including the wheel/soa legs) without the full timing run.
-# Never writes the committed BENCH_engine.json.
+# schema without the full timing run. Never writes the committed
+# BENCH_engine.json.
 cargo run --release -p bench --bin bench_engine -- --quick \
   --out "$STEP_DIR/bench.json" > "$STEP_DIR/bench_stdout.txt"
 python3 - "$STEP_DIR/bench.json" <<'EOF'
 import json, sys
 b = json.load(open(sys.argv[1]))
-assert b["benchmark"].startswith("engine steppers"), b.get("benchmark")
+assert b["benchmark"].startswith("engine kernel"), b.get("benchmark")
 assert b["quick"] is True, "verify must use --quick, not the committed protocol"
 for key in ("protocol", "seed_salt", "mean_low_load_speedup", "mean_probe_overhead",
             "wheel_low_load_speedup", "wheel_saturation_speedup",
-            "wheel_drain_tail_speedup", "soa_low_load_speedup",
-            "soa_saturation_speedup", "soa_drain_tail_speedup",
-            "simd_scan_low_load_speedup", "simd_scan_saturation_speedup",
-            "wheel_sharded_low_load_speedup", "wheel_sharded_saturation_speedup",
-            "wheel_sharded_drain_tail_speedup"):
+            "wheel_drain_tail_speedup", "sharded_low_load_speedup",
+            "sharded_saturation_speedup", "sharded_drain_tail_speedup"):
     assert key in b, f"missing summary key {key}"
 runs = b["runs"]
 assert runs, "no bench runs recorded"
 for r in runs:
-    for leg in ("optimized", "soa", "wheel", "baseline", "traced"):
+    for leg in ("default", "every_cycle", "sharded", "baseline", "traced"):
         assert r[leg]["seconds"] > 0, (r["config"], leg)
         assert r[leg]["cycles_per_sec"] > 0, (r["config"], leg)
-    for leg in ("soa", "wheel", "wheel_sharded"):
-        assert r[leg]["speedup_vs_active"] > 0, (r["config"], leg)
-    assert r["soa_scalar"]["simd_speedup"] > 0, r["config"]
+    for ratio in ("speedup", "wheel_speedup", "sharded_speedup"):
+        assert r[ratio] > 0, (r["config"], ratio)
     assert r["probe_overhead"] >= 0, (r["config"], "probe_overhead must be floored at 0")
 drains = b["drain_tail"]["runs"]
 assert drains, "no drain-tail runs recorded"
 for d in drains:
-    for leg in ("soa", "wheel", "wheel_sharded"):
-        assert d[leg]["speedup_vs_active"] > 0, (d["config"], leg)
+    for leg in ("default", "every_cycle", "sharded"):
+        assert d[leg]["seconds"] > 0, (d["config"], leg)
+    for ratio in ("wheel_speedup", "sharded_speedup"):
+        assert d[ratio] > 0, (d["config"], ratio)
 print(f"bench smoke: {len(runs)} quick runs + {len(drains)} drain-tail runs, "
-      "schema holds (soa/wheel/wheel_sharded/scalar legs present)")
+      "schema holds (default/every_cycle/sharded/baseline/traced legs present)")
 EOF
 
 echo "verify: OK"

@@ -135,11 +135,11 @@ fn usage() -> ! {
          --shards <int>              domain-decompose each run into this many shards\n\
                                      (default 1 = serial; results are bit-identical\n\
                                      for every value; clamped to the router count)\n\
-         --stepper <name>            engine stepper: active|soa|wheel|reference\n\
-                                     (default active; results are bit-identical for\n\
-                                     every choice; see docs/PERFORMANCE.md for\n\
-                                     which to pick; active and wheel compose with\n\
-                                     --shards > 1, soa and reference do not)\n\
+         --stepper <name>            default|reference: the production kernel, or the\n\
+                                     full-scan audit of it (needs a build with the\n\
+                                     reference-engine feature, e.g. cargo build\n\
+                                     --workspace; results are bit-identical either\n\
+                                     way and with any --shards; docs/PERFORMANCE.md)\n\
          --csv <path>                write results as CSV (+ JSON manifest)\n\
          --trace <stem>              record telemetry (alias --probe): writes\n\
                                      <stem>[.lNNN].trace.jsonl (event log),\n\

@@ -231,7 +231,14 @@ fn cross_flag_rules_are_errors_not_panics() {
     assert!(err(Op::Run, tiny, &[("probe-stride", "5")]).contains("requires --trace"));
     assert!(err(Op::Sweep, tiny, &[("resume", "ck.bin")]).contains("apply to `run`"));
     assert!(err(Op::Run, tiny, &[("cache", "c"), ("trace", "t")]).contains("traced runs"));
-    assert!(err(Op::Run, tiny, &[("shards", "2"), ("stepper", "soa")]).contains("--stepper soa"));
+    assert!(err(Op::Run, tiny, &[("stepper", "soa")]).contains("expected default or reference"));
+    // The audit composes with sharding; nothing about it is refused.
+    RunRequest::from_pairs(
+        Op::Run,
+        tiny,
+        &pairs(&[("shards", "2"), ("stepper", "reference")]),
+    )
+    .expect("reference x shards is a valid request");
     assert!(err(Op::Run, tiny, &[("nodes", "64")]).contains("unknown flag --nodes"));
     assert!(err(Op::Design, None, &[("load", "0.5")]).contains("unknown flag --load"));
     assert!(err(Op::Run, tiny, &[("warmup", "100"), ("cycles", "50")]).contains("warm-up (100)"));

@@ -126,3 +126,38 @@ fn utilization_sampling_respects_the_stride() {
     assert!(!series.points.is_empty());
     assert!(series.max_y().unwrap() <= 1.0 + 1e-9);
 }
+
+#[test]
+fn streamed_artifacts_equal_the_string_exports() {
+    // `netperf run --trace` streams its four artifacts through a
+    // bounded buffer; each must be byte-for-byte what the in-memory
+    // exporters render for the same (deterministic) recording.
+    use netperf::netsim::request::Op;
+    let dir = std::env::temp_dir().join(format!("netperf-streamed-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let stem = dir.join("t").to_string_lossy().into_owned();
+    let pairs = [("quick", "true"), ("load", "0.5"), ("trace", stem.as_str())]
+        .map(|(k, v)| (k.to_string(), v.to_string()));
+    let req = RunRequest::from_pairs(Op::Run, Some("cube-duato-tiny"), &pairs).unwrap();
+    let written = execute(&req).unwrap().written;
+
+    let s = traced_scenario("cube-duato-tiny").with_telemetry(TelemetryConfig {
+        stride: 100,
+        record_events: true,
+    });
+    let (_, rec) = s.simulate_traced(0.5);
+    let expected = [
+        (".trace.jsonl", trace::events_jsonl(rec.events())),
+        (".trace.json", trace::chrome_trace(&rec)),
+        (".breakdown.csv", rec.breakdown_table().to_csv()),
+        (".util.csv", rec.utilization_series_table(8).to_csv()),
+    ];
+    for (suffix, want) in expected {
+        let path = format!("{stem}{suffix}");
+        assert!(written.contains(&path), "{path} not reported as written");
+        assert!(want.len() > 100, "{suffix}: nothing to compare");
+        let got = std::fs::read(&path).unwrap();
+        assert!(got == want.as_bytes(), "{suffix}: streamed bytes differ");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
