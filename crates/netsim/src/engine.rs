@@ -68,7 +68,7 @@ pub mod wheel;
 
 use crate::active::{clear_bit, set_bit};
 use crate::fault::{FaultModel, LinkFlip, NoFaults};
-use crate::flit::{Flit, PacketRec, HEAD, NEVER, TAIL};
+use crate::flit::{Flit, PacketRec, HEAD, MAX_PACKET, NEVER, TAIL};
 use crate::wiring::{Peer, Wiring};
 use routing::{CandidateSet, RoutingAlgorithm};
 use shard::ShardPlan;
@@ -78,20 +78,27 @@ use telemetry::{NullProbe, Probe};
 use topology::NodeId;
 use traffic::{InjectionProcess, Rng64, TrafficGen};
 
-/// Sentinel for "no route assigned".
-const NO_ROUTE: u32 = u32::MAX;
+/// Sentinel for "no route assigned" (routes are lane indices below 64,
+/// so a byte holds them and both sentinels).
+const NO_ROUTE: u8 = u8::MAX;
 
 /// Sentinel route for a lane whose head-of-line packet was declared
 /// undeliverable by the fault plane: the crossbar phase drains such a
 /// lane (one flit per cycle, credits returned upstream) instead of
 /// forwarding it. Distinct from `NO_ROUTE`, so the `routed` mask
 /// invariant (`routed` bit ⟺ `in_route[l] != NO_ROUTE`) still holds.
-const DROP_ROUTE: u32 = u32::MAX - 1;
+const DROP_ROUTE: u8 = u8::MAX - 1;
 
 /// How many consecutive all-idle cycles (with flits in flight) before
 /// the watchdog declares a deadlock. Generous: a legal configuration can
 /// stall for at most a few round-trips of credit propagation.
 const WATCHDOG_CYCLES: u32 = 50_000;
+
+/// The id of the next packet when `created` packets exist, or `None`
+/// once it would not fit a flit's packet field (ids are table indices).
+fn next_packet_id(created: usize) -> Option<u32> {
+    u32::try_from(created).ok().filter(|&id| id <= MAX_PACKET)
+}
 
 /// The source side of one node (its injection lanes are in the banks).
 struct NodeState {
@@ -203,6 +210,9 @@ pub struct Engine<
     fault_flips: Vec<LinkFlip>,
     /// Stall captured by the watchdog.
     stall: Option<Stall>,
+    /// Cycle at which a packet could not be created because every id
+    /// a flit can carry was taken (see [`Engine::packet_ids_exhausted`]).
+    ids_exhausted: Option<u32>,
     /// The calendar queue of the wheel schedule (see [`wheel`]),
     /// mounted while the engine runs on it. The nodes' `rng`/`proc`
     /// state is scanned ahead of the clock while it is;
@@ -355,6 +365,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             faults,
             fault_flips: Vec::new(),
             stall: None,
+            ids_exhausted: None,
             wheel: None,
         }
     }
@@ -419,13 +430,23 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         self.stall
     }
 
+    /// The cycle at which the run ran out of packet ids, if it did: a
+    /// flit carries at most [`MAX_PACKET`]` + 1` distinct ids, and a
+    /// packet that would need another is not created. The run methods
+    /// stop at the end of that cycle (`sim` reports it as
+    /// `SimError::PacketIdsExhausted`; the unchecked ones panic).
+    pub fn packet_ids_exhausted(&self) -> Option<u32> {
+        self.ids_exhausted
+    }
+
     // -----------------------------------------------------------------
     // Running: schedule × partition × scan.
     // -----------------------------------------------------------------
 
     /// Advance by `cycles` clocks on the chosen schedule, `cycle`
     /// executing one clock. A watchdog trip ends the run with the
-    /// [`Stall`] as a structured error.
+    /// [`Stall`] as a structured error; running out of packet ids ends
+    /// it early (see [`Engine::packet_ids_exhausted`]).
     ///
     /// # Panics
     /// Panics if the cycle counter would overflow (`sim` reports that
@@ -455,14 +476,21 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             if let Some(s) = self.stall {
                 return Err(s);
             }
+            if self.ids_exhausted.is_some() {
+                break;
+            }
         }
         Ok(())
     }
 
-    /// The unchecked run methods treat a watchdog trip as a bug.
+    /// The unchecked run methods treat a watchdog trip, and running out
+    /// of packet ids, as bugs.
     fn or_panic(&self, run: Result<(), Stall>) {
         if let Err(s) = run {
             panic!("{s} (algorithm {})", self.algo.name());
+        }
+        if let Some(cycle) = self.ids_exhausted {
+            panic!("packet ids exhausted at cycle {cycle}");
         }
     }
 
@@ -687,17 +715,9 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         let mut buf = std::mem::take(&mut self.reply_buf);
         for req in buf.drain(..) {
             let rec = self.packets[req as usize];
-            let id = self.packets.len() as u32;
-            self.packets.push(PacketRec {
-                src: rec.dest,
-                dest: rec.src,
-                created: cycle,
-                injected: NEVER,
-                delivered: NEVER,
-                flits: rec.flits,
-                hops: 0,
-                in_reply_to: req,
-            });
+            let Some(id) = self.create_packet(rec.dest, rec.src, rec.flits, req) else {
+                continue;
+            };
             self.nodes[rec.dest as usize].src_queue.push_back(id);
             if let Some(w) = self.wheel.as_mut() {
                 // The wheel's injection phase must visit the node.
@@ -708,6 +728,28 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 .packet_created(cycle, id, rec.dest, rec.src, rec.flits);
         }
         self.reply_buf = buf; // return the allocation
+    }
+
+    /// Append a packet created this cycle to the packet table and
+    /// return its id — or, once every id a flit can carry is taken,
+    /// create nothing and record the exhaustion, which ends the run at
+    /// the end of this cycle.
+    fn create_packet(&mut self, src: u32, dest: u32, flits: u16, in_reply_to: u32) -> Option<u32> {
+        let Some(id) = next_packet_id(self.packets.len()) else {
+            self.ids_exhausted.get_or_insert(self.cycle);
+            return None;
+        };
+        self.packets.push(PacketRec {
+            src,
+            dest,
+            created: self.cycle,
+            injected: NEVER,
+            delivered: NEVER,
+            flits,
+            hops: 0,
+            in_reply_to,
+        });
+        Some(id)
     }
 
     /// Routing phase, second half, for the header router `r` prepared
@@ -746,7 +788,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 self.probe
                     .header_rerouted(cycle, d.packet, r as u32, ol as u16);
             }
-            Some(ol as u32)
+            Some(ol as u8)
         } else {
             self.counters.routing_blocked += 1;
             self.probe
@@ -883,23 +925,14 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     fn inject_node(&mut self, v: &mut Lanes<'_>, n: usize, created: Option<u32>) {
         let cycle = self.cycle;
         let flits = self.flits_per_packet;
-        let ns = &mut self.nodes[n];
         if let Some(dest) = created {
-            let id = self.packets.len() as u32;
-            self.packets.push(PacketRec {
-                src: n as u32,
-                dest,
-                created: cycle,
-                injected: NEVER,
-                delivered: NEVER,
-                flits,
-                hops: 0,
-                in_reply_to: u32::MAX,
-            });
-            ns.src_queue.push_back(id);
-            self.counters.created_packets += 1;
-            self.probe.packet_created(cycle, id, n as u32, dest, flits);
+            if let Some(id) = self.create_packet(n as u32, dest, flits, u32::MAX) {
+                self.nodes[n].src_queue.push_back(id);
+                self.counters.created_packets += 1;
+                self.probe.packet_created(cycle, id, n as u32, dest, flits);
+            }
         }
+        let ns = &mut self.nodes[n];
 
         // Fault plane: a packet whose source or destination node is
         // dead can never be delivered — abandon it at the source
@@ -963,14 +996,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 if remaining == 1 {
                     flags |= TAIL;
                 }
-                v.node_lanes.push(
-                    nb + lane,
-                    Flit {
-                        packet: pkt,
-                        moved: cycle,
-                        flags,
-                    },
-                );
+                v.node_lanes.push(nb + lane, Flit::new(pkt, cycle, flags));
                 v.node_lane_occ[n] |= 1u64 << lane;
                 set_bit(v.inject_words, n);
                 self.counters.in_flight_flits += 1;
@@ -1406,6 +1432,35 @@ mod tests {
             assert_eq!(eng.check_worklist_invariant(), Ok(()));
         }
         assert!(eng.counters().delivered_packets > 0);
+    }
+
+    #[test]
+    fn packet_ids_stop_at_the_flit_field() {
+        assert_eq!(next_packet_id(0), Some(0));
+        assert_eq!(
+            next_packet_id(MAX_PACKET as usize - 1),
+            Some(MAX_PACKET - 1)
+        );
+        assert_eq!(next_packet_id(MAX_PACKET as usize), Some(MAX_PACKET));
+        assert_eq!(next_packet_id(MAX_PACKET as usize + 1), None);
+        assert_eq!(next_packet_id(u32::MAX as usize + 1), None, "must not wrap");
+        assert_eq!(next_packet_id(usize::MAX), None);
+        // The last id still makes a flit.
+        assert_eq!(Flit::new(MAX_PACKET, 0, HEAD | TAIL).packet(), MAX_PACKET);
+
+        // Exhaustion ends a run at the end of the cycle it happened in.
+        let algo = CubeDuato::new(KAryNCube::new(4, 2));
+        let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(0.05)) };
+        let mut eng = Engine::new(&algo, 4, 8, TrafficGen::new(Pattern::Uniform, 16), &mk, 1);
+        eng.run_wheel(10);
+        eng.ids_exhausted = Some(eng.cycle());
+        assert_eq!(eng.run_checked_wheel(100), Ok(()));
+        assert_eq!(eng.cycle(), 11);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eng.run(5)));
+        assert!(
+            panicked.is_err(),
+            "the unchecked run must not go on silently"
+        );
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl Sink for Handoff<'_> {
         kind: LinkKind,
     ) {
         self.scratch.router_events.push(LinkEvent::Link {
-            packet: f.packet,
+            packet: f.packet(),
             router: router as u32,
             port: port as u16,
             vc: vc as u8,
@@ -175,7 +175,7 @@ impl Sink for Handoff<'_> {
     }
     fn injection_flit(&mut self, _: u32, f: &Flit, node: usize, vc: usize) {
         self.scratch.node_events.push(LinkEvent::Injection {
-            packet: f.packet,
+            packet: f.packet(),
             node: node as u32,
             vc: vc as u8,
         });

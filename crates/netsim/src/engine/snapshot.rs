@@ -48,9 +48,9 @@
 //! determinism statement above.
 
 use super::soa::{QueueBank, SoaBanks};
-use super::{Counters, Engine};
+use super::{Counters, Engine, DROP_ROUTE, NO_ROUTE};
 use crate::fault::FaultModel;
-use crate::flit::{Flit, PacketRec};
+use crate::flit::{Flit, PacketRec, HEAD, MAX_PACKET, TAIL};
 use netstats::cache::{fnv1a, fnv1a_extend};
 use routing::RoutingAlgorithm;
 use telemetry::Probe;
@@ -199,14 +199,24 @@ impl Enc {
             self.u64(word);
         }
     }
-    /// One lane: its occupancy, then its flits front to back.
+    /// One lane: its occupancy, then its flits front to back, each
+    /// widened to `u32` packet, `u32` moved, `u8` flags.
     fn queue(&mut self, q: &QueueBank, l: usize) {
         self.u8(q.len(l) as u8);
         for f in q.iter(l) {
-            self.u32(f.packet);
+            self.u32(f.packet());
             self.u32(f.moved);
-            self.u8(f.flags);
+            self.u8(f.flags());
         }
+    }
+    /// A lane's route as a `u32`: the output lane, or a sentinel at its
+    /// format value (`NO_ROUTE` = `u32::MAX`, `DROP_ROUTE` = `u32::MAX - 1`).
+    fn route(&mut self, route: u8) {
+        self.u32(match route {
+            NO_ROUTE => u32::MAX,
+            DROP_ROUTE => u32::MAX - 1,
+            lane => u32::from(lane),
+        });
     }
 }
 
@@ -255,16 +265,31 @@ impl<'b> Dec<'b> {
             )));
         }
         for _ in 0..len {
-            q.push(
-                l,
-                Flit {
-                    packet: self.u32()?,
-                    moved: self.u32()?,
-                    flags: self.u8()?,
-                },
-            );
+            let (packet, moved, flags) = (self.u32()?, self.u32()?, self.u8()?);
+            if packet > MAX_PACKET {
+                return Err(SnapshotError::Corrupt(format!(
+                    "flit names packet {packet}, above the largest id {MAX_PACKET}"
+                )));
+            }
+            if flags > HEAD | TAIL {
+                return Err(SnapshotError::Corrupt(format!(
+                    "flit flags 0x{flags:02x} hold bits other than head and tail"
+                )));
+            }
+            q.push(l, Flit::new(packet, moved, flags));
         }
         Ok(())
+    }
+    /// Decode the route of a lane of a `lanes`-lane router.
+    fn route(&mut self, lanes: usize) -> Result<u8, SnapshotError> {
+        match self.u32()? {
+            u32::MAX => Ok(NO_ROUTE),
+            w if w == u32::MAX - 1 => Ok(DROP_ROUTE),
+            w if (w as usize) < lanes => Ok(w as u8),
+            w => Err(SnapshotError::Corrupt(format!(
+                "route {w} names no lane of a {lanes}-lane router"
+            ))),
+        }
     }
     pub(crate) fn done(&self) -> Result<(), SnapshotError> {
         if self.pos != self.bytes.len() {
@@ -344,7 +369,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 e.queue(&b.in_q, l);
             }
             for &route in &b.in_route[lane_range.clone()] {
-                e.u32(route);
+                e.route(route);
             }
             for l in lane_range.clone() {
                 e.queue(&b.out_q, l);
@@ -507,7 +532,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 d.queue(&mut b.in_q, l)?;
             }
             for l in lane_range.clone() {
-                b.in_route[l] = d.u32()?;
+                b.in_route[l] = d.route(lanes)?;
             }
             for l in lane_range.clone() {
                 d.queue(&mut b.out_q, l)?;
@@ -623,13 +648,138 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, NoFaults};
+    use crate::sim::InjectionSpec;
+    use crate::wiring::Wiring;
     use routing::{CubeDuato, TreeAdaptive};
+    use telemetry::NullProbe;
     use topology::{KAryNCube, KAryNTree};
     use traffic::{Bernoulli, InjectionProcess, Pattern, TrafficGen};
 
     fn mk_engine(algo: &CubeDuato, seed: u64) -> Engine<'_, CubeDuato> {
         let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(0.04)) };
         Engine::new(algo, 4, 8, TrafficGen::new(Pattern::Uniform, 16), &mk, seed)
+    }
+
+    /// An engine configured as registry scenario `name` runs at load
+    /// 0.4 (`netperf run <name> --load 0.4`), on `algo` — the
+    /// scenario's algorithm — degraded by `faults`.
+    fn registry_engine<'a, A: RoutingAlgorithm, F: FaultModel>(
+        name: &str,
+        algo: &'a A,
+        faults: F,
+    ) -> Engine<'a, A, NullProbe, F> {
+        let cfg = crate::scenario::named(name).unwrap().config_at(0.4);
+        let InjectionSpec::Bernoulli { packets_per_cycle } = cfg.injection else {
+            panic!("{name} is not a Bernoulli scenario");
+        };
+        let pattern = TrafficGen::new(cfg.pattern, algo.topology().num_nodes());
+        let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(packets_per_cycle)) };
+        let (depth, fpp, seed) = (cfg.buffer_depth, cfg.flits_per_packet, cfg.seed);
+        let mut eng =
+            Engine::with_probe_and_faults(algo, depth, fpp, pattern, &mk, seed, NullProbe, faults);
+        eng.set_injection_limit(cfg.injection_limit);
+        eng.set_request_reply(cfg.request_reply);
+        eng
+    }
+
+    #[test]
+    fn golden_state_hashes_are_pinned() {
+        // Recorded from the encoding as it stood when flits were 12
+        // bytes in memory; `netperf snapshot --json` on a checkpoint of
+        // the same run at the same cycle prints the same hash. A change
+        // to any encoded byte fails here.
+        let cube = CubeDuato::new(KAryNCube::new(4, 2));
+        let mut eng = registry_engine("cube-duato-tiny", &cube, NoFaults);
+        eng.run_wheel(500);
+        assert_eq!(
+            eng.state_hash(),
+            0x4980_c973_3565_101e,
+            "cube-duato-tiny @ 500"
+        );
+        eng.run_wheel(1500);
+        assert_eq!(
+            eng.state_hash(),
+            0xf30b_052d_e339_dc2e,
+            "cube-duato-tiny @ 2000"
+        );
+
+        let tree = TreeAdaptive::new(KAryNTree::new(4, 2), 2);
+        let mut eng = registry_engine("tree-2vc-tiny", &tree, NoFaults);
+        eng.run_wheel(2000);
+        assert_eq!(
+            eng.state_hash(),
+            0x0a5a_d879_efbb_cc80,
+            "tree-2vc-tiny @ 2000"
+        );
+
+        // Faulted (`--faults links=0.1,routers=1`), hashed while three
+        // lanes drain dropped packets: the DROP_ROUTE sentinel is encoded.
+        let w = Wiring::from_topology(cube.topology());
+        let plan = FaultPlan::parse("links=0.1,routers=1").unwrap();
+        let mut eng = registry_engine("cube-duato-tiny", &cube, plan.compile(&w).unwrap());
+        eng.run_wheel(512);
+        let draining = eng.banks.in_route.iter().filter(|&&r| r == DROP_ROUTE);
+        assert_eq!(draining.count(), 3);
+        assert_eq!(eng.state_hash(), 0xfb78_2e62_b4d6_3690, "faulted @ 512");
+    }
+
+    /// Where router 0's first route word and the first flit buffered in
+    /// one of its input lanes sit in a snapshot's bytes (walking the
+    /// format of `encode_state`).
+    fn router0_offsets(bytes: &[u8], lanes: usize) -> (usize, Option<usize>) {
+        // cycle, idle, counters, rng, limit, request_reply, geometry,
+        // flits/packet, depth.
+        let mut pos = HEADER_LEN + 4 + 4 + 11 * 8 + 4 * 8 + 4 + 1 + 4 * 4 + 2 + 1;
+        let mut flit = None;
+        for _ in 0..lanes {
+            let len = bytes[pos] as usize;
+            if len > 0 && flit.is_none() {
+                flit = Some(pos + 1);
+            }
+            pos += 1 + 9 * len;
+        }
+        (pos, flit)
+    }
+
+    #[test]
+    fn hostile_snapshots_are_corrupt_not_panics() {
+        let algo = CubeDuato::new(KAryNCube::new(4, 2));
+        let mut src = mk_engine(&algo, 3);
+        let lanes = src.lanes_per_router;
+        while src.banks.in_occ[0] == 0 {
+            src.run(1);
+        }
+        let good = src.snapshot(1).into_bytes();
+        let (route, flit) = router0_offsets(&good, lanes);
+        let flit = flit.expect("router 0 buffers a flit");
+        let word = |at: usize| u32::from_le_bytes(good[at..at + 4].try_into().unwrap());
+        assert!(word(route) == u32::MAX || (word(route) as usize) < lanes);
+        assert!((word(flit) as usize) < src.packets().len() && good[flit + 8] <= 3);
+
+        let mut target = mk_engine(&algo, 3);
+        target.run(40);
+        let before = target.state_hash();
+        for (what, at, patch) in [
+            ("route", route, 200u32.to_le_bytes().to_vec()),
+            ("packet", flit, (1u32 << 30).to_le_bytes().to_vec()),
+            ("flags", flit + 8, vec![4]),
+        ] {
+            let mut bytes = good.clone();
+            bytes[at..at + patch.len()].copy_from_slice(&patch);
+            let body = bytes.len() - TRAILER_LEN;
+            let trailer = fnv1a(&bytes[..body]);
+            bytes[body..].copy_from_slice(&trailer.to_le_bytes());
+            let snap = EngineSnapshot::from_bytes(bytes).expect("resealed envelope is intact");
+            let err = target.restore(&snap, 1).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{what}: {err}");
+            assert!(!err.to_string().contains('\n'), "{what}: one line");
+            assert_eq!(target.state_hash(), before, "{what}: target engine touched");
+        }
+        // The unpatched bytes still restore.
+        let snap = EngineSnapshot::from_bytes(good).unwrap();
+        target.restore(&snap, 1).unwrap();
+        assert_eq!(target.state_hash(), src.state_hash());
     }
 
     #[test]

@@ -36,24 +36,26 @@ use routing::{CandidateSet, RoutingAlgorithm};
 use telemetry::{LinkKind, Probe};
 use topology::{NodeId, RouterId};
 
-const NO_FLIT: Flit = Flit {
-    packet: 0,
-    moved: 0,
-    flags: 0,
-};
+const NO_FLIT: Flit = Flit::new(0, 0, 0);
 
 /// A depth-packed bank of flit queues: one flat slot array strided by
 /// the configured lane depth, with the head/length cursors of every
 /// lane in parallel byte arrays. At the experiments' depth-4 lanes all
 /// cursors of a 64-lane router share one cache line.
 ///
+/// Lane 0 starts on a cache-line boundary (the array is over-allocated
+/// by one line and the slots begin at `offset`), so a lane whose size
+/// divides the line — 32 bytes at depth 4 — never straddles two lines.
+///
 /// Nothing downstream observes a ring's internal head offset —
 /// snapshots and state hashes serialize a queue as `len` followed by
 /// the flits front to back.
 #[derive(Default)]
 pub(super) struct QueueBank {
-    /// `lane * cap + i` for slot `i` of lane `lane`.
+    /// `offset + lane * cap + i` for slot `i` of lane `lane`.
     slots: Vec<Flit>,
+    /// Where lane 0 starts in `slots`.
+    offset: usize,
     /// Ring cursor of each lane's front flit, `0..cap`.
     head: Vec<u8>,
     /// Occupancy of each lane, `0..=cap`.
@@ -62,10 +64,18 @@ pub(super) struct QueueBank {
     cap: usize,
 }
 
+/// Cache-line size the slot arrays align lane 0 to.
+const LINE: usize = 64;
+
 impl QueueBank {
     fn new(lanes: usize, cap: usize) -> Self {
+        let pad = LINE / std::mem::size_of::<Flit>() - 1;
+        let slots = vec![NO_FLIT; lanes * cap + pad];
+        // `align_offset` may decline (usize::MAX); that only costs speed.
+        let offset = slots.as_ptr().align_offset(LINE).min(pad);
         QueueBank {
-            slots: vec![NO_FLIT; lanes * cap],
+            slots,
+            offset,
             head: vec![0; lanes],
             len: vec![0; lanes],
             cap,
@@ -74,7 +84,7 @@ impl QueueBank {
 
     fn view(&mut self) -> Queues<'_> {
         Queues {
-            slots: &mut self.slots,
+            slots: &mut self.slots[self.offset..],
             head: &mut self.head,
             len: &mut self.len,
             cap: self.cap,
@@ -94,7 +104,7 @@ impl QueueBank {
     /// The flits of lane `l`, front to back.
     pub(super) fn iter(&self, l: usize) -> impl Iterator<Item = &Flit> + '_ {
         let (cap, h) = (self.cap, self.head[l] as usize);
-        (0..self.len(l)).map(move |i| &self.slots[l * cap + (h + i) % cap])
+        (0..self.len(l)).map(move |i| &self.slots[self.offset + l * cap + (h + i) % cap])
     }
 
     /// Flits buffered in the whole bank.
@@ -204,8 +214,9 @@ pub(super) struct SoaBanks {
     /// Input lanes.
     pub(super) in_q: QueueBank,
     /// Assigned output lane of the packet at the head of each input
-    /// lane (`NO_ROUTE` if none, `DROP_ROUTE` while draining).
-    pub(super) in_route: Vec<u32>,
+    /// lane (`NO_ROUTE` if none, `DROP_ROUTE` while draining). One byte
+    /// suffices: a router has at most 64 lanes.
+    pub(super) in_route: Vec<u8>,
     /// Output lanes.
     pub(super) out_q: QueueBank,
     /// Credits: free buffers in the downstream input lane.
@@ -408,8 +419,14 @@ impl<P: Probe> Sink for Direct<'_, P> {
         vc: usize,
         kind: LinkKind,
     ) {
-        self.probe
-            .link_flit(cycle, f.packet, router as u32, port as u16, vc as u8, kind);
+        self.probe.link_flit(
+            cycle,
+            f.packet(),
+            router as u32,
+            port as u16,
+            vc as u8,
+            kind,
+        );
     }
     #[inline]
     fn tail_ejected(&mut self, cycle: u32, packet: u32, node: u32) {
@@ -425,7 +442,7 @@ impl<P: Probe> Sink for Direct<'_, P> {
     #[inline]
     fn injection_flit(&mut self, cycle: u32, f: &Flit, node: usize, vc: usize) {
         self.probe
-            .injection_flit(cycle, f.packet, node as u32, vc as u8);
+            .injection_flit(cycle, f.packet(), node as u32, vc as u8);
     }
     fn flit_out(&mut self, _: usize, _: usize, _: Flit) {
         unreachable!("the whole network has no outside")
@@ -483,7 +500,7 @@ pub(super) struct Lanes<'a> {
     lane_port: &'a [u8],
     lane_vc: &'a [u8],
     pub(super) in_q: Queues<'a>,
-    pub(super) in_route: &'a mut [u32],
+    pub(super) in_route: &'a mut [u8],
     pub(super) out_q: Queues<'a>,
     pub(super) out_credits: &'a mut [u8],
     pub(super) out_bound: &'a mut [u64],
@@ -662,7 +679,7 @@ impl<'a> Lanes<'a> {
                         c.in_flight_flits = c.in_flight_flits.wrapping_sub(1);
                         sink.link_flit(cycle, &f, r, p, v, LinkKind::Ejection);
                         if f.is_tail() {
-                            sink.tail_ejected(cycle, f.packet, node);
+                            sink.tail_ejected(cycle, f.packet(), node);
                         }
                     }
                     Peer::Router { router, port } => {
@@ -907,7 +924,7 @@ impl<'a> Lanes<'a> {
             if front.moved >= env.cycle {
                 return None; // arrived this very cycle; visible from the next
             }
-            let dest = packets[front.packet as usize].dest;
+            let dest = packets[front.packet() as usize].dest;
             let in_port = self.lane_port[ll] as usize;
             algo.route(RouterId(r as u32), Some(in_port), NodeId(dest), cand);
             debug_assert!(!cand.is_empty(), "routing function returned no candidate");
@@ -918,7 +935,7 @@ impl<'a> Lanes<'a> {
                     .any(|c| env.faults.channel_down(r, c.port as usize));
             Some(Prepared {
                 lane: ll,
-                packet: front.packet,
+                packet: front.packet(),
                 unroutable,
                 degraded,
             })
@@ -974,25 +991,28 @@ mod tests {
     use super::*;
 
     fn flit(packet: u32) -> Flit {
-        Flit {
-            packet,
-            moved: 0,
-            flags: 0,
-        }
+        Flit::new(packet, 0, 0)
     }
 
     #[test]
     fn queue_bank_is_a_ring_per_lane() {
         let mut bank = QueueBank::new(3, 2);
+        let offset = bank.offset;
         let mut q = bank.view();
+        assert_eq!(
+            q.slots.as_ptr() as usize % LINE,
+            0,
+            "lane 0 is line-aligned"
+        );
+        assert_eq!(q.slots.len(), 3 * 2 + 7 - offset);
         assert!(q.is_empty(1) && q.front(1).is_none());
         q.push(1, flit(7));
         q.push(1, flit(8));
         assert!(q.is_full(1) && q.free(1) == 0 && q.is_empty(0) && q.is_empty(2));
-        assert_eq!(q.pop(1).packet, 7);
+        assert_eq!(q.pop(1).packet(), 7);
         q.push(1, flit(9)); // wraps
         assert_eq!(bank.len(1), 2);
-        assert_eq!(bank.iter(1).map(|f| f.packet).collect::<Vec<_>>(), [8, 9]);
+        assert_eq!(bank.iter(1).map(|f| f.packet()).collect::<Vec<_>>(), [8, 9]);
         assert_eq!(bank.total(), 2);
     }
 

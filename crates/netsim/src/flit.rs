@@ -3,39 +3,77 @@
 /// Sentinel for "not yet happened" cycle stamps.
 pub const NEVER: u32 = u32::MAX;
 
-/// One flow-control digit. The header flit carries the routing
-/// information (here: the packet id, which indexes the packet table);
-/// body and tail flits follow the path the header established.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Flit {
-    /// Index into the simulation's packet table.
-    pub packet: u32,
-    /// Cycle at which this flit last advanced one pipeline stage; used
-    /// to enforce that a flit traverses at most one stage (link,
-    /// crossbar) per clock.
-    pub moved: u32,
-    /// [`HEAD`] / [`TAIL`] flag bits (a one-flit packet would carry both;
-    /// the paper's 64-byte packets are 16 or 32 flits, so this does not
-    /// arise in the experiments but the engine supports it).
-    pub flags: u8,
-}
-
 /// Flag bit: first flit of a packet.
 pub const HEAD: u8 = 1;
 /// Flag bit: last flit of a packet.
 pub const TAIL: u8 = 2;
 
+/// The largest packet id a flit can carry: ids take the low 30 bits of
+/// the flit word, the [`HEAD`]/[`TAIL`] flags the top two.
+pub const MAX_PACKET: u32 = (1 << 30) - 1;
+
+/// Bit position of the flags in the flit word.
+const FLAG_SHIFT: u32 = 30;
+
+/// One flow-control digit. The header flit carries the routing
+/// information (here: the packet id, which indexes the packet table);
+/// body and tail flits follow the path the header established.
+///
+/// Packed into 8 bytes — one word holding the packet id and the flags,
+/// one holding the `moved` stamp — so a depth-4 lane is 32 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Flit {
+    /// Packet id in bits 0–29, [`HEAD`] in bit 30, [`TAIL`] in bit 31.
+    word: u32,
+    /// Cycle at which this flit last advanced one pipeline stage; used
+    /// to enforce that a flit traverses at most one stage (link,
+    /// crossbar) per clock.
+    pub moved: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Flit>() == 8);
+
 impl Flit {
+    /// A flit of `packet` (at most [`MAX_PACKET`]) carrying the
+    /// [`HEAD`]/[`TAIL`] bits in `flags` (a one-flit packet would carry
+    /// both; the paper's 64-byte packets are 16 or 32 flits, so this
+    /// does not arise in the experiments but the engine supports it).
+    ///
+    /// # Panics
+    /// Panics if `packet` exceeds [`MAX_PACKET`] or `flags` holds a bit
+    /// other than `HEAD | TAIL`.
+    #[inline]
+    pub const fn new(packet: u32, moved: u32, flags: u8) -> Self {
+        assert!(packet <= MAX_PACKET, "packet id does not fit the flit word");
+        assert!(flags <= HEAD | TAIL, "unknown flit flag bits");
+        Flit {
+            word: packet | ((flags as u32) << FLAG_SHIFT),
+            moved,
+        }
+    }
+
+    /// Index into the simulation's packet table.
+    #[inline]
+    pub const fn packet(&self) -> u32 {
+        self.word & MAX_PACKET
+    }
+
+    /// The [`HEAD`] / [`TAIL`] flag bits.
+    #[inline]
+    pub const fn flags(&self) -> u8 {
+        (self.word >> FLAG_SHIFT) as u8
+    }
+
     /// Whether this is a header flit.
     #[inline]
-    pub fn is_head(&self) -> bool {
-        self.flags & HEAD != 0
+    pub const fn is_head(&self) -> bool {
+        self.flags() & HEAD != 0
     }
 
     /// Whether this is a tail flit.
     #[inline]
-    pub fn is_tail(&self) -> bool {
-        self.flags & TAIL != 0
+    pub const fn is_tail(&self) -> bool {
+        self.flags() & TAIL != 0
     }
 }
 
@@ -91,30 +129,36 @@ mod tests {
 
     #[test]
     fn flags() {
-        let h = Flit {
-            packet: 0,
-            moved: 0,
-            flags: HEAD,
-        };
-        let b = Flit {
-            packet: 0,
-            moved: 0,
-            flags: 0,
-        };
-        let t = Flit {
-            packet: 0,
-            moved: 0,
-            flags: TAIL,
-        };
-        let ht = Flit {
-            packet: 0,
-            moved: 0,
-            flags: HEAD | TAIL,
-        };
+        let h = Flit::new(0, 0, HEAD);
+        let b = Flit::new(0, 0, 0);
+        let t = Flit::new(0, 0, TAIL);
+        let ht = Flit::new(0, 0, HEAD | TAIL);
         assert!(h.is_head() && !h.is_tail());
         assert!(!b.is_head() && !b.is_tail());
         assert!(!t.is_head() && t.is_tail());
         assert!(ht.is_head() && ht.is_tail());
+    }
+
+    #[test]
+    fn packet_id_and_flags_share_one_word() {
+        for (packet, flags) in [(0, 0), (MAX_PACKET, HEAD | TAIL), (12345, TAIL), (1, HEAD)] {
+            let f = Flit::new(packet, 77, flags);
+            assert_eq!((f.packet(), f.flags(), f.moved), (packet, flags, 77));
+        }
+        let f = Flit::new(MAX_PACKET, 0, 0);
+        assert!(!f.is_head() && !f.is_tail(), "id bits leak into the flags");
+    }
+
+    #[test]
+    #[should_panic(expected = "packet id does not fit")]
+    fn oversized_packet_ids_are_refused() {
+        Flit::new(MAX_PACKET + 1, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flit flag bits")]
+    fn unknown_flag_bits_are_refused() {
+        Flit::new(0, 0, 4);
     }
 
     #[test]

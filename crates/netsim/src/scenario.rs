@@ -1251,6 +1251,16 @@ impl Scenario {
             )
             .push_u64("request_reply", cfg.request_reply as u64)
             .push_u64("faults", self.faults.as_ref().map_or(0, |p| p.digest()));
+        // Parameters the names above do not carry, pushed only for the
+        // variants that have them so every other key stays the same.
+        if let InjectionModel::OnOff { mean_on, mean_off } = self.injection {
+            k.push_u64("mean_on_bits", mean_on.to_bits())
+                .push_u64("mean_off_bits", mean_off.to_bits());
+        }
+        if let Pattern::HotSpot { hot, percent } = self.pattern {
+            k.push_u64("hot_node", hot.into())
+                .push_u64("hot_percent", percent.into());
+        }
         if let Some(t) = self.telemetry {
             k.push_u64("telemetry_stride", t.stride as u64)
                 .push_u64("telemetry_events", t.record_events as u64);
@@ -1965,6 +1975,154 @@ mod tests {
             let alt = base.clone().with_stepper(stepper);
             let alt = alt.try_simulate_sharded(0.3, shards, 1).unwrap();
             assert_eq!(default, format!("{alt:?}"), "{stepper} x {shards}");
+        }
+    }
+
+    #[test]
+    fn state_ident_moves_with_every_axis_and_every_parameter() {
+        // Each case: a base builder and the same builder with one axis,
+        // or one parameter inside an axis, changed.
+        let cube = || {
+            Scenario::builder()
+                .topology(TopologySpec::cube(4, 2))
+                .run_length(RunLength::quick())
+        };
+        let tree = || cube().topology(TopologySpec::tree(4, 2)).vcs(2);
+        let onoff = |mean_on, mean_off| InjectionModel::OnOff { mean_on, mean_off };
+        let hot = |hot, percent| Pattern::HotSpot { hot, percent };
+        let trace = |stride, record_events| TelemetryConfig {
+            stride,
+            record_events,
+        };
+        let plan = |s: &str| FaultPlan::parse(s).unwrap();
+        let cases: Vec<(&str, ScenarioBuilder, ScenarioBuilder)> = vec![
+            ("label", cube(), cube().label("another")),
+            ("family", cube(), cube().topology(TopologySpec::mesh(4, 2))),
+            ("k", cube(), cube().topology(TopologySpec::cube(8, 2))),
+            ("n", cube(), cube().topology(TopologySpec::cube(4, 3))),
+            (
+                "taper",
+                tree().topology(TopologySpec::tapered_tree(4, 3, 2)),
+                tree().topology(TopologySpec::tapered_tree(4, 3, 4)),
+            ),
+            (
+                "thc d",
+                cube().topology(TopologySpec::thc(4, 1)),
+                cube().topology(TopologySpec::thc(4, 2)),
+            ),
+            (
+                "routing",
+                cube(),
+                cube().routing(RoutingKind::Deterministic),
+            ),
+            ("vcs", tree(), tree().vcs(4)),
+            ("pattern", cube(), cube().pattern(Pattern::Transpose)),
+            (
+                "hot node",
+                cube().pattern(hot(0, 20)),
+                cube().pattern(hot(3, 20)),
+            ),
+            (
+                "hot percent",
+                cube().pattern(hot(0, 20)),
+                cube().pattern(hot(0, 40)),
+            ),
+            (
+                "injection",
+                cube(),
+                cube().injection(InjectionModel::Periodic),
+            ),
+            ("on/off", cube(), cube().injection(onoff(4.0, 4.0))),
+            (
+                "mean_on",
+                cube().injection(onoff(4.0, 4.0)),
+                cube().injection(onoff(200.0, 4.0)),
+            ),
+            (
+                "mean_off",
+                cube().injection(onoff(4.0, 4.0)),
+                cube().injection(onoff(4.0, 200.0)),
+            ),
+            (
+                "warmup",
+                cube(),
+                cube().run_length(RunLength {
+                    warmup: 900,
+                    total: 6_000,
+                }),
+            ),
+            (
+                "total",
+                cube(),
+                cube().run_length(RunLength {
+                    warmup: 1_000,
+                    total: 7_000,
+                }),
+            ),
+            ("salt", cube(), cube().seed(SeedMode::Derived { salt: 1 })),
+            ("fixed seed", cube(), cube().seed(SeedMode::Fixed(7))),
+            (
+                "fixed seed value",
+                cube().seed(SeedMode::Fixed(7)),
+                cube().seed(SeedMode::Fixed(8)),
+            ),
+            ("buffer depth", cube(), cube().buffer_depth(8)),
+            ("packet bytes", cube(), cube().packet_bytes(128)),
+            ("throttle", cube(), cube().throttle(Throttle::Off)),
+            (
+                "throttle limit",
+                cube().throttle(Throttle::Limit(3)),
+                cube().throttle(Throttle::Limit(4)),
+            ),
+            ("telemetry", cube(), cube().telemetry(trace(64, false))),
+            (
+                "telemetry stride",
+                cube().telemetry(trace(64, false)),
+                cube().telemetry(trace(32, false)),
+            ),
+            (
+                "telemetry events",
+                cube().telemetry(trace(64, false)),
+                cube().telemetry(trace(64, true)),
+            ),
+            ("faults", cube(), cube().faults(plan("links=0.1"))),
+            (
+                "fault links",
+                cube().faults(plan("links=0.1")),
+                cube().faults(plan("links=0.2")),
+            ),
+            (
+                "fault seed",
+                cube().faults(plan("links=0.1")),
+                cube().faults(plan("links=0.1,seed=9")),
+            ),
+            (
+                "fault routers",
+                cube().faults(plan("routers=1")),
+                cube().faults(plan("routers=2")),
+            ),
+            (
+                "fault transients",
+                cube().faults(plan("transient=2:200:60")),
+                cube().faults(plan("transient=2:200:30")),
+            ),
+        ];
+        for (what, base, flipped) in cases {
+            let (base, flipped) = (must(base), must(flipped));
+            assert_ne!(
+                base.state_ident(0.3),
+                flipped.state_ident(0.3),
+                "changing the {what} kept the identity"
+            );
+        }
+        let s = must(cube().injection(onoff(4.0, 4.0)));
+        assert_ne!(s.state_ident(0.3), s.state_ident(0.35), "load");
+        // Execution details are not part of the identity.
+        for detail in [
+            s.clone().with_shards(3),
+            s.clone().with_stepper(Stepper::Reference),
+        ] {
+            assert_eq!(detail.state_ident(0.3), s.state_ident(0.3));
         }
     }
 

@@ -11,7 +11,7 @@ use crate::engine::snapshot::{decode_counters, encode_counters, Dec, Enc};
 use crate::engine::snapshot::{EngineSnapshot, SnapshotError};
 use crate::engine::{Counters, Engine, Stall};
 use crate::fault::{FaultModel, NoFaults};
-use crate::flit::NEVER;
+use crate::flit::{MAX_PACKET, NEVER};
 use netstats::cache::fnv1a;
 use netstats::{Accumulator, Histogram};
 use routing::RoutingAlgorithm;
@@ -34,6 +34,13 @@ pub enum SimError {
         /// The segment length requested.
         requested: u32,
     },
+    /// The run created more packets than a flit can name
+    /// ([`MAX_PACKET`]` + 1`); the packet that would have needed the
+    /// next id was not created, and the run ended with its cycle.
+    PacketIdsExhausted {
+        /// The cycle in which a packet could not be created.
+        cycle: u32,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -44,6 +51,11 @@ impl std::fmt::Display for SimError {
                 f,
                 "cycle counter overflow: {requested} more cycles from cycle {cycle} \
                  exceeds the engine's 32-bit clock"
+            ),
+            SimError::PacketIdsExhausted { cycle } => write!(
+                f,
+                "packet ids exhausted at cycle {cycle}: a run can create at most {} packets",
+                u64::from(MAX_PACKET) + 1
             ),
         }
     }
@@ -637,7 +649,8 @@ fn emit_checkpoint<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
 }
 
 /// Step `eng` by `cycles` through `run`, with the clock arithmetic the
-/// engine would otherwise panic on checked here and reported as data.
+/// engine would otherwise panic on checked here, and a run that ran
+/// out of packet ids, reported as data.
 fn step_checked<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
     eng: &mut Engine<'_, A, P, F>,
     cycles: u32,
@@ -650,7 +663,11 @@ fn step_checked<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
             requested: cycles,
         });
     }
-    run(eng, cycles).map_err(SimError::Deadlock)
+    run(eng, cycles).map_err(SimError::Deadlock)?;
+    match eng.packet_ids_exhausted() {
+        Some(cycle) => Err(SimError::PacketIdsExhausted { cycle }),
+        None => Ok(()),
+    }
 }
 
 /// The shared measurement protocol: build the engine, run the warm-up,

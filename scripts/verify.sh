@@ -382,6 +382,17 @@ diff <(grep -v '"wall_clock_secs"' "$SERVE_DIR/golden.manifest.json") \
   || { echo "serving smoke: resumed manifest differs from uninterrupted" >&2; exit 1; }
 "$NP" snapshot --json "$SERVE_DIR/ck.bin" > "$SERVE_DIR/snapshot.json"
 
+# A checkpoint written by an older build (tests/data/README.md) must
+# still decode to its pinned state hash and resume to the committed CSV.
+FIX="$PWD/tests/data"
+( cd "$SERVE_DIR" && "$NP" run cube-duato-tiny --load 0.4 --cycles 3000 --warmup 1000 \
+    --resume "$FIX/cube-duato-tiny.l040.c2000.npck" --csv fixture.csv > fixture.txt 2> fixture.err )
+cmp "$FIX/cube-duato-tiny.l040.csv" "$SERVE_DIR/fixture.csv" \
+  || { echo "serving smoke: committed checkpoint resumed to a different CSV" >&2; exit 1; }
+"$NP" snapshot --json "$FIX/cube-duato-tiny.l040.c2000.npck" \
+  | grep -q '"state_hash": "0xf30b052de339dc2e"' \
+  || { echo "serving smoke: committed checkpoint lost its pinned state hash" >&2; exit 1; }
+
 # A corrupted checkpoint must fail structured: exit 2, one error line.
 python3 - "$SERVE_DIR/ck.bin" "$SERVE_DIR/bad.bin" <<'EOF'
 import sys

@@ -429,6 +429,104 @@ fn cli_checkpoint_resume_reproduces_byte_identical_csv() {
 }
 
 #[test]
+fn parent_written_checkpoint_resumes_to_the_committed_csv() {
+    // A checkpoint written before the lane store was compacted (see
+    // tests/data/README.md): same bytes on disk, so it still decodes to
+    // the pinned state and finishes the run to the committed CSV.
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let fixture = data.join("cube-duato-tiny.l040.c2000.npck");
+    let snap = RunSnapshot::from_bytes(&std::fs::read(&fixture).unwrap()).expect("fixture decodes");
+    let s = named("cube-duato-tiny")
+        .unwrap()
+        .with_run_length(RunLength {
+            warmup: 1000,
+            total: 3000,
+        });
+    assert_eq!(snap.ident(), s.state_ident(0.4));
+    assert_eq!(
+        (snap.cycle(), snap.state_hash()),
+        (2000, 0xf30b_052d_e339_dc2e)
+    );
+
+    let dir = tempdir("fixture-resume");
+    let args = [
+        "run",
+        "cube-duato-tiny",
+        "--load",
+        "0.4",
+        "--cycles",
+        "3000",
+        "--warmup",
+        "1000",
+    ];
+    let resumed = netperf(
+        &dir,
+        &[
+            &args[..],
+            &[
+                "--resume",
+                fixture.to_str().unwrap(),
+                "--csv",
+                "resumed.csv",
+            ],
+        ]
+        .concat(),
+    );
+    assert!(resumed.status.success(), "{resumed:?}");
+    let straight = netperf(&dir, &[&args[..], &["--csv", "straight.csv"]].concat());
+    assert!(straight.status.success(), "{straight:?}");
+    let golden = std::fs::read(data.join("cube-duato-tiny.l040.csv")).unwrap();
+    assert_eq!(std::fs::read(dir.join("resumed.csv")).unwrap(), golden);
+    assert_eq!(std::fs::read(dir.join("straight.csv")).unwrap(), golden);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_cache_keeps_on_off_means_apart() {
+    // Two bursty sources that differ only in their mean on/off times
+    // are different experiments: the second must miss, and its cached
+    // row must equal an uncached run's.
+    let dir = tempdir("cli-onoff");
+    let run = |injection: &str, cache: bool, csv: &str| {
+        let mut args = vec![
+            "run",
+            "--topology",
+            "cube",
+            "--k",
+            "4",
+            "--n",
+            "2",
+            "--algo",
+            "duato",
+            "--load",
+            "0.3",
+            "--cycles",
+            "3000",
+            "--warmup",
+            "500",
+            "--injection",
+            injection,
+            "--csv",
+            csv,
+        ];
+        if cache {
+            args.extend(["--cache", "store"]);
+        }
+        let out = netperf(&dir, &args);
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    assert!(run("onoff:4:4", true, "a.csv").contains("cache: 0 hits, 1 misses"));
+    let second = run("onoff:200:200", true, "b.csv");
+    assert!(second.contains("cache: 0 hits, 1 misses"), "{second}");
+    run("onoff:200:200", false, "c.csv");
+    let read = |f: &str| std::fs::read(dir.join(f)).unwrap();
+    assert_eq!(read("b.csv"), read("c.csv"));
+    assert_ne!(read("a.csv"), read("b.csv"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_warm_cache_sweep_is_all_hits_and_byte_identical() {
     let dir = tempdir("cli-cache");
     let sweep_args = [
