@@ -15,9 +15,7 @@
 
 use bench::{run_manifest, write_artifact, Options};
 use costmodel::chien::tree_adaptive_timing;
-use netsim::scenario::{
-    named, RoutingKind, RunLength, Scenario, SeedMode, SpecVisitor, TopologySpec,
-};
+use netsim::scenario::{named, RunLength, Scenario, SeedMode, SpecVisitor};
 use netsim::sim::run_simulation;
 use netstats::Table;
 use std::time::Instant;
@@ -112,15 +110,19 @@ fn main() {
         "accepted_bits_ns",
     ]);
     for vcs in [1usize, 2, 3, 4, 6, 8] {
-        let out = Scenario::builder()
-            .topology(TopologySpec::tree(4, 4))
-            .routing(RoutingKind::Adaptive)
-            .vcs(vcs)
-            .run_length(len)
-            .seed(SeedMode::Derived { salt })
-            .build()
+        let vcs_value = vcs.to_string();
+        let pairs = [
+            ("topology", "tree"),
+            ("k", "4"),
+            ("n", "4"),
+            ("vcs", vcs_value.as_str()),
+        ];
+        let out = Scenario::from_pairs(&pairs)
             .expect("legal tree configuration")
-            .simulate(0.95);
+            .with_run_length(len)
+            .with_seed(SeedMode::Derived { salt })
+            .try_simulate(0.95)
+            .expect("a healthy tree never deadlocks");
         let timing = tree_adaptive_timing(4, vcs);
         // Aggregate absolute throughput with this VC count's own clock.
         let bits_ns = out.accepted_fraction * 256.0 * 1.0 * 16.0 / timing.clock_ns();

@@ -78,10 +78,9 @@ fn main() {
         for &fraction in &fractions {
             // 0% rows run the healthy scenario itself (no plan, fault
             // machinery monomorphized out) — the panel's baseline.
-            let plan = (fraction > 0.0).then(|| FaultPlan::dead_links(fraction));
+            let spec = FaultPlan::dead_links(fraction).spec_string();
             let s = base
-                .clone()
-                .with_faults(plan.clone())
+                .with_pairs(&[("faults", spec)])
                 .unwrap_or_else(|e| panic!("fault plan rejected for {name}: {e}"));
             let dead = s.faults().map(|p| compiled_dead_links(&s, p)).unwrap_or(0);
             eprintln!(

@@ -70,7 +70,9 @@ fn main() {
             .with_telemetry(tcfg);
         let mut outcomes = Vec::new();
         for (regime, offered) in REGIMES {
-            let (out, rec) = scenario.simulate_traced(offered);
+            let (out, rec) = scenario
+                .try_simulate_traced(offered)
+                .unwrap_or_else(|e| panic!("{} at {offered}: {e}", scenario.label()));
             // The decomposition identity, checked per packet: the four
             // components must sum to the packet's total latency.
             for b in rec.breakdowns() {

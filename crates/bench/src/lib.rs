@@ -169,11 +169,12 @@ pub fn run_panel(
                 pattern.name()
             );
             let outcomes = spec
-                .clone()
-                .with_pattern(pattern)
+                .with_pairs(&[("pattern", pattern.spec())])
+                .expect("every paper pattern runs on the paper networks")
                 .with_run_length(len)
                 .with_seed(SeedMode::Derived { salt })
-                .sweep_outcomes(&grid);
+                .try_sweep_outcomes(&grid)
+                .unwrap_or_else(|e| panic!("{} under {}: {e}", spec.label(), pattern.name()));
             PanelSeries {
                 label: spec.label().to_string(),
                 offered: grid.clone(),
@@ -608,7 +609,7 @@ mod tests {
     fn cnf_table_shape() {
         let specs = [netsim::named("cube-duato-tiny").unwrap()];
         let grid = [0.3, 0.8];
-        let outcomes = specs[0].sweep_outcomes(&grid);
+        let outcomes = specs[0].try_sweep_outcomes(&grid).unwrap();
         let series = vec![PanelSeries {
             label: specs[0].label().to_string(),
             offered: grid.to_vec(),

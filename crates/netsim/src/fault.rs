@@ -70,8 +70,8 @@ pub struct TransientSpec {
 /// A deterministic, seed-derived description of a fault set.
 ///
 /// Construct with [`FaultPlan::parse`] (the CLI's `--faults` grammar)
-/// or the field helpers, then attach to a scenario via
-/// `ScenarioBuilder::faults`. An all-zero plan ([`FaultPlan::is_empty`])
+/// or the field helpers; a scenario attaches one through its `faults`
+/// flag (its [`FaultPlan::spec_string`]). An all-zero plan ([`FaultPlan::is_empty`])
 /// is legal and compiles to a state with no faults at all — useful to
 /// exercise the faulted engine path while asserting bit-identity with
 /// the fault-free engine.

@@ -45,7 +45,7 @@
 //!
 //! Observability: the engine is generic over a [`telemetry::Probe`]
 //! (default `NullProbe`, compiled to a no-op), so
-//! [`Scenario::simulate_traced`](scenario::Scenario::simulate_traced)
+//! [`Scenario::try_simulate_traced`](scenario::Scenario::try_simulate_traced)
 //! and [`sim::run_simulation_probed`] can record per-packet latency
 //! decompositions, channel-utilization time series and lifecycle event
 //! traces without perturbing — or slowing — untraced runs.
@@ -62,7 +62,7 @@
 //! // Build one of the paper's five configurations from the registry
 //! // and simulate a light load.
 //! let scenario = named("cube-duato-tiny").unwrap();
-//! let outcome = scenario.simulate(0.2);
+//! let outcome = scenario.try_simulate(0.2).unwrap();
 //! assert!(outcome.delivered_packets > 0);
 //! assert_eq!(outcome.dropped_packets, 0); // no faults attached
 //! ```
@@ -82,8 +82,7 @@ pub use engine::snapshot::{EngineSnapshot, SnapshotError};
 pub use fault::{FaultError, FaultModel, FaultPlan, FaultState, NoFaults};
 pub use scenario::{
     derived_seed, named, paper_scenarios, parse_threads, registry, InjectionModel, NamedScenario,
-    RoutingKind, RunLength, Scenario, ScenarioBuilder, ScenarioError, SeedMode, SpecVisitor,
-    Throttle, TopologySpec,
+    RoutingKind, RunLength, Scenario, ScenarioError, SeedMode, SpecVisitor, Throttle, TopologySpec,
 };
 pub use sim::{
     run_simulation_controlled, run_simulation_faulted, run_simulation_probed, ResumeError,

@@ -4,8 +4,11 @@
 //! A request is an [`Op`], an optional registry name and a list of
 //! `(flag, value)` pairs. `netperf run|sweep|design` spells the pairs as
 //! argv ([`pairs_from_argv`]), `netperf serve` as one flat JSON object
-//! per line; both feed [`RunRequest::from_pairs`], the only place flag
-//! names, defaults and cross-flag rules live. [`execute`] then resolves
+//! per line; both feed [`RunRequest::from_pairs`], which reads the
+//! request-level flags (loads, sinks, cache, checkpoints, shards,
+//! stepper) and hands the scenario flags — after a named registry
+//! entry's own pairs — to [`Scenario::from_pairs`], the one scenario
+//! grammar. [`execute`] then resolves
 //! every load point — through the result cache when one is configured
 //! (lookup → simulate the misses on the sweep pool → store), otherwise
 //! by simulating — writes the artifact sinks and returns a
@@ -32,11 +35,10 @@
 mod design;
 
 use crate::scenario::{
-    default_load_grid, named, InjectionModel, RoutingKind, RunLength, Scenario, ScenarioBuilder,
-    ScenarioError, SeedMode, Throttle, TopologySpec,
+    default_load_grid, entry, sweep_pool, Flags, Scenario, ScenarioError, SCENARIO_FLAGS,
 };
 use crate::sim::{ResumeError, RunControl, RunSnapshot, SimError, SimOutcome, Stepper};
-use crate::{FaultPlan, SnapshotError};
+use crate::SnapshotError;
 use costmodel::DesignBudget;
 use netstats::cache::{CacheEntry, CacheError, KeyDigest, ResultCache};
 use netstats::export::format_num;
@@ -45,7 +47,6 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::time::Instant;
 use telemetry::{trace, FlightRecorder, TelemetryConfig};
-use traffic::Pattern;
 
 /// Why a request was refused or failed. `Display` is the one-line
 /// message the CLI prints after `error: ` and `serve` puts in its
@@ -157,14 +158,19 @@ impl Op {
     }
 }
 
-/// One scenario over a list of offered loads, with the `run`-only
-/// execution options and the artifact sinks.
+/// One scenario over a list of offered loads, with the execution
+/// options and the artifact sinks.
 #[derive(Clone, Debug, PartialEq)]
 struct Points {
-    /// The validated scenario (telemetry, shards and stepper set).
+    /// The validated scenario (telemetry set when traced).
     scenario: Scenario,
     /// Offered loads, fractions of capacity.
     loads: Vec<f64>,
+    /// Shards per run (`--shards`): an execution detail, bit-identical
+    /// for every value, passed to each run through its [`RunControl`].
+    shards: usize,
+    /// The engine's scan (`--stepper`), likewise an execution detail.
+    stepper: Stepper,
     /// Write the result rows here, plus a manifest sibling (`--csv`).
     csv: Option<String>,
     /// Artifact stem for telemetry output (`--trace` / `--probe`).
@@ -257,59 +263,6 @@ pub fn pairs_from_argv(args: &[String]) -> Result<(Option<String>, Pairs), Reque
     Ok((name, pairs))
 }
 
-/// The axes only `--topology` requests may set: a registry entry fixes
-/// the first group outright and the second by policy.
-const SHAPE_FLAGS: [&str; 4] = ["topology", "algo", "vcs", "taper"];
-const BUILDER_ONLY_FLAGS: [&str; 5] = ["injection", "throttle", "buffer", "packet-bytes", "label"];
-
-/// A request's `(flag, value)` pairs, looked up by name. A flag given
-/// twice — or under two spellings — means its last value.
-struct Flags<'a>(&'a [(String, String)]);
-
-impl<'a> Flags<'a> {
-    /// The last pair spelled with any of `names`.
-    fn last_of(&self, names: &[&str]) -> Option<(&'a str, &'a str)> {
-        let mut pairs = self.0.iter().rev();
-        pairs
-            .find(|(f, _)| names.contains(&f.as_str()))
-            .map(|(f, v)| (f.as_str(), v.as_str()))
-    }
-
-    fn get(&self, flag: &str) -> Option<&'a str> {
-        self.last_of(&[flag]).map(|(_, v)| v)
-    }
-
-    fn any_of(&self, names: &[&str]) -> bool {
-        self.last_of(names).is_some()
-    }
-
-    /// `--flag <T>`, or `bad --flag`.
-    fn num<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, RequestError> {
-        let parse = |v: &str| v.parse().map_err(|_| invalid(format!("bad --{flag}")));
-        self.get(flag).map(parse).transpose()
-    }
-
-    /// `--flag <integer >= min>`.
-    fn at_least<T>(&self, flag: &str, min: T) -> Result<Option<T>, RequestError>
-    where
-        T: std::str::FromStr + PartialOrd + std::fmt::Display,
-    {
-        let parse = |v: &str| {
-            let ok = v.parse().ok().filter(|x: &T| *x >= min);
-            ok.ok_or_else(|| invalid(format!("bad --{flag} (want an integer >= {min})")))
-        };
-        self.get(flag).map(parse).transpose()
-    }
-}
-
-fn parse_u64(flag: &str, s: &str) -> Result<u64, RequestError> {
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-    .ok_or_else(|| invalid(format!("bad --{flag}")))
-}
-
 /// Most load points one request may ask for: bounds the work (and the
 /// allocation) a hostile `--grid` can demand.
 const MAX_GRID_POINTS: usize = 10_000;
@@ -342,44 +295,12 @@ fn parse_grid(spec: &str) -> Result<Vec<f64>, RequestError> {
     Ok(g)
 }
 
-fn parse_injection(spec: &str) -> Result<InjectionModel, RequestError> {
-    // Mean sojourns below one cycle have no discrete-time meaning.
-    let mean = |v: &str| v.parse().ok().filter(|m: &f64| *m >= 1.0 && m.is_finite());
-    let onoff = || {
-        let (on, off) = spec.strip_prefix("onoff:")?.split_once(':')?;
-        Some(InjectionModel::OnOff {
-            mean_on: mean(on)?,
-            mean_off: mean(off)?,
-        })
-    };
-    match spec {
-        "bernoulli" => Some(InjectionModel::Bernoulli),
-        "periodic" => Some(InjectionModel::Periodic),
-        _ => onoff(),
-    }
-    .ok_or_else(|| {
-        invalid(format!(
-            "bad injection model {spec} (bernoulli|periodic|onoff:<on>:<off>)"
-        ))
-    })
-}
-
-fn parse_throttle(v: &str) -> Result<Throttle, RequestError> {
-    Ok(match v {
-        "auto" => Throttle::Auto,
-        "off" => Throttle::Off,
-        limit => Throttle::Limit(
-            limit
-                .parse()
-                .map_err(|_| invalid("bad --throttle (auto|off|<int>)"))?,
-        ),
-    })
-}
-
 impl RunRequest {
-    /// Validate a request: the only place flag names, defaults and
-    /// cross-flag rules live. Flags are spelled without the leading
-    /// `--`; bare flags carry the value `"true"`.
+    /// Validate a request. Flags are spelled without the leading `--`;
+    /// bare flags carry the value `"true"`. The request-level flags are
+    /// read here; the [`SCENARIO_FLAGS`] go to [`Scenario::from_pairs`]
+    /// — after the named registry entry's own pairs, so the last value
+    /// of a flag wins.
     pub fn from_pairs(
         op: Op,
         name: Option<&str>,
@@ -390,23 +311,18 @@ impl RunRequest {
                 "help" => return Err(RequestError::Help),
                 "quick" | "cache" => true,
                 "nodes" | "pin-budget" | "out" => op == Op::Design,
-                "topology" | "k" | "n" | "taper" | "algo" | "vcs" | "pattern" | "injection"
-                | "throttle" | "buffer" | "packet-bytes" | "label" | "seed" | "fixed-seed"
-                | "cycles" | "warmup" | "faults" | "load" | "grid" | "sweep" | "csv" | "trace"
-                | "probe" | "probe-stride" | "shards" | "stepper" | "checkpoint-every"
-                | "snapshot" | "resume" => op != Op::Design,
-                _ => false,
+                "load" | "grid" | "sweep" | "csv" | "trace" | "probe" | "probe-stride"
+                | "shards" | "stepper" | "checkpoint-every" | "snapshot" | "resume" => {
+                    op != Op::Design
+                }
+                axis => op != Op::Design && SCENARIO_FLAGS.contains(&axis),
             };
             if !known {
                 return Err(invalid(format!("unknown flag --{flag}")));
             }
         }
         let f = Flags(pairs);
-        let quick = match f.get("quick") {
-            None => false,
-            Some("true") => true,
-            Some(v) => return Err(invalid(format!("unexpected argument {v}"))),
-        };
+        let quick = f.switch("quick")?;
         let cache = f.get("cache").map(str::to_string);
 
         if op == Op::Design {
@@ -425,96 +341,17 @@ impl RunRequest {
             });
         }
 
-        let mut b = if let Some(name) = name {
-            if f.any_of(&SHAPE_FLAGS) {
-                return Err(invalid(
-                    "give either a registry name or --topology/--algo/--vcs flags, not both",
-                ));
-            }
-            if f.any_of(&BUILDER_ONLY_FLAGS) {
-                return Err(invalid(
-                    "registry scenarios fix injection/throttle/buffer/packet size; use explicit --topology flags to change them",
-                ));
-            }
-            named(name)
+        let axes: Vec<(&str, &str)> = pairs
+            .iter()
+            .filter(|(flag, _)| SCENARIO_FLAGS.contains(&flag.as_str()))
+            .map(|(flag, v)| (flag.as_str(), v.as_str()))
+            .collect();
+        let mut scenario = match name {
+            Some(name) => entry(name)
                 .ok_or_else(|| invalid(format!("unknown scenario {name} (see `netperf list`)")))?
-                .to_builder()
-        } else {
-            let family = f
-                .get("topology")
-                .ok_or_else(|| invalid("need a registry name or --topology"))?;
-            let (k, n) = (f.num("k")?.unwrap_or(16), f.num("n")?.unwrap_or(2));
-            let mut topology = TopologySpec::parse(family, k, n).ok_or_else(|| {
-                let slugs: Vec<_> = topology::families().iter().map(|f| f.slug).collect();
-                invalid(format!("unknown topology {family} ({})", slugs.join("|")))
-            })?;
-            if let Some(t) = f.at_least("taper", 1)? {
-                topology = topology.with_taper(t).ok_or_else(|| {
-                    invalid(format!(
-                        "--taper applies to tapered trees, not the {family}"
-                    ))
-                })?;
-            }
-            let mut b = ScenarioBuilder::new().topology(topology);
-            if let Some(a) = f.get("algo") {
-                b = b.routing(RoutingKind::parse(a).ok_or_else(|| {
-                    invalid(format!("unknown algorithm {a} (det|duato|adaptive)"))
-                })?);
-            }
-            if let Some(v) = f.num("vcs")? {
-                b = b.vcs(v);
-            }
-            if let Some(i) = f.get("injection") {
-                b = b.injection(parse_injection(i)?);
-            }
-            if let Some(t) = f.get("throttle") {
-                b = b.throttle(parse_throttle(t)?);
-            }
-            if let Some(d) = f.num("buffer")? {
-                b = b.buffer_depth(d);
-            }
-            if let Some(bytes) = f.num("packet-bytes")? {
-                b = b.packet_bytes(bytes);
-            }
-            if let Some(l) = f.get("label") {
-                b = b.label(l);
-            }
-            b
+                .with_overrides(&axes)?,
+            None => Scenario::from_pairs(&axes)?,
         };
-        // The overrides a registry entry allows too; the builder
-        // re-validates them (pattern vs node count, warm-up < total).
-        if let Some(p) = f.get("pattern") {
-            b = b
-                .pattern(Pattern::parse(p).ok_or_else(|| invalid(format!("unknown pattern {p}")))?);
-        }
-        let (warmup, cycles) = (f.num("warmup")?, f.num("cycles")?);
-        if quick || warmup.is_some() || cycles.is_some() {
-            let base = if quick {
-                RunLength::quick()
-            } else {
-                RunLength::paper()
-            };
-            b = b.run_length(RunLength {
-                warmup: warmup.unwrap_or(base.warmup),
-                total: cycles.unwrap_or(base.total),
-            });
-        }
-        match f.last_of(&["seed", "fixed-seed"]) {
-            Some((flag @ "seed", v)) => {
-                b = b.seed(SeedMode::Derived {
-                    salt: parse_u64(flag, v)?,
-                })
-            }
-            Some((flag, v)) => b = b.seed(SeedMode::Fixed(parse_u64(flag, v)?)),
-            None => {}
-        }
-        let mut scenario = b.build()?;
-        if let Some(spec) = f.get("faults") {
-            let plan =
-                FaultPlan::parse(spec).map_err(|e| invalid(format!("bad --faults spec: {e}")))?;
-            // `--faults none` strips a registry entry's plan.
-            scenario = scenario.with_faults((!plan.is_empty()).then_some(plan))?;
-        }
 
         let trace = f.last_of(&["trace", "probe"]).map(|(_, v)| v.to_string());
         let probe_stride = f.at_least("probe-stride", 1)?;
@@ -527,15 +364,11 @@ impl RunRequest {
                 record_events: true,
             });
         }
-        // Shards and stepper are execution details: results are
-        // bit-identical for every value.
-        if let Some(n) = f.at_least("shards", 1)? {
-            scenario = scenario.with_shards(n);
-        }
-        if let Some(v) = f.get("stepper") {
-            let st: Stepper = v.parse().map_err(invalid::<String>)?;
-            scenario = scenario.with_stepper(st);
-        }
+        let shards = f.at_least("shards", 1)?.unwrap_or(1);
+        let stepper = match f.get("stepper") {
+            Some(v) => v.parse().map_err(invalid::<String>)?,
+            None => Stepper::Default,
+        };
 
         let sweep = op == Op::Sweep;
         let checkpoint_every = f.at_least("checkpoint-every", 1)?;
@@ -556,10 +389,21 @@ impl RunRequest {
             ));
         }
 
-        let loads = match f.last_of(&["grid", "sweep"]) {
-            _ if !sweep => vec![f.num("load")?.unwrap_or(0.5)],
-            Some((_, grid)) => parse_grid(grid)?,
-            None => default_load_grid(),
+        let grid = f.last_of(&["grid", "sweep"]);
+        let loads = match (sweep, grid) {
+            (false, Some((flag, _))) => {
+                return Err(invalid(format!(
+                    "--{flag} applies to `sweep`; `run` takes one --load"
+                )))
+            }
+            (false, None) => vec![f.num("load")?.unwrap_or(0.5)],
+            (true, _) if f.any_of(&["load"]) => {
+                return Err(invalid(
+                    "--load applies to `run`; `sweep` takes --grid a:b:step",
+                ))
+            }
+            (true, Some((_, grid))) => parse_grid(grid)?,
+            (true, None) => default_load_grid(),
         };
         for &l in &loads {
             scenario.check_load(l)?;
@@ -568,6 +412,8 @@ impl RunRequest {
             target: Target::Points(Box::new(Points {
                 scenario,
                 loads,
+                shards,
+                stepper,
                 csv: f.get("csv").map(str::to_string),
                 trace,
                 checkpoint_every,
@@ -914,12 +760,25 @@ fn resolve(
     Ok((rows.into_iter().flatten().collect(), recorders))
 }
 
-/// Simulate load points. Checkpointed or resumed runs (`run` only, a
-/// single load) go through [`RunControl`] — bit-identical to the plain
-/// path; traced runs go through the serial probed path (the recorder is
-/// a per-run accumulator); everything else through the parallel sweep
-/// pool. A wedged run (possible under aggressive fault plans) surfaces
-/// as a structured error.
+impl Points {
+    /// How the run at `load` executes: this request's shards and
+    /// stepper, under the scenario's identity at that load.
+    fn control<'a>(&self, load: f64) -> RunControl<'a> {
+        RunControl {
+            shards: self.shards,
+            stepper: self.stepper,
+            ..RunControl::new(self.scenario.state_ident(load))
+        }
+    }
+}
+
+/// Simulate load points, each under its [`Points::control`].
+/// Checkpointed or resumed runs (`run` only, a single load) add
+/// checkpoint/resume control — bit-identical to the plain path; traced
+/// runs go one load at a time (the recorder is a per-run accumulator);
+/// everything else through the parallel sweep pool. A wedged run
+/// (possible under aggressive fault plans) surfaces as a structured
+/// error.
 fn simulate(
     ctl: &Points,
     loads: &[f64],
@@ -928,12 +787,13 @@ fn simulate(
     let s = &ctl.scenario;
     if ctl.checkpoint_every.is_none() && ctl.resume.is_none() {
         if ctl.trace.is_none() {
-            return Ok((s.try_sweep_outcomes(loads)?, None));
+            let outs = sweep_pool(loads, |l| s.try_simulate_controlled(l, &mut ctl.control(l)))?;
+            return Ok((outs, None));
         }
         let mut outs = Vec::with_capacity(loads.len());
         let mut recs = Vec::with_capacity(loads.len());
         for &l in loads {
-            let (o, r) = s.try_simulate_traced(l)?;
+            let (o, r) = s.try_simulate_traced_controlled(l, &mut ctl.control(l))?;
             outs.push(o);
             recs.push(r);
         }
@@ -941,7 +801,7 @@ fn simulate(
     }
 
     let load = loads[0];
-    let mut run = RunControl::new(s.state_ident(load));
+    let mut run = ctl.control(load);
     if let Some(path) = ctl.resume.as_deref() {
         let bytes = std::fs::read(path).map_err(io_error("read checkpoint", path))?;
         let snap = RunSnapshot::from_bytes(&bytes)?;

@@ -5,7 +5,8 @@ use super::{
     cache_manifest, invalid, io_error, manifest_sibling, resolve, Points, RequestError, RunReport,
     RunRequest,
 };
-use crate::scenario::{sweep_threads, RoutingKind, RunLength, Scenario, TopologySpec};
+use crate::scenario::{sweep_threads, RunLength, Scenario, TopologySpec};
+use crate::sim::Stepper;
 use costmodel::{enumerate_designs, DesignBudget, DesignPoint};
 use netstats::cache::ResultCache;
 use netstats::{Cell, Manifest, ManifestValue, Table};
@@ -22,13 +23,8 @@ struct RankedPoint {
 }
 
 /// The scenario a design point names: the family's default
-/// routing/vcs choice from the enumeration, at the given run length,
-/// sharded across the worker threads.
-fn design_scenario(
-    p: &DesignPoint,
-    run_length: RunLength,
-    threads: usize,
-) -> Result<Scenario, RequestError> {
+/// routing/vcs choice from the enumeration, at the given run length.
+fn design_scenario(p: &DesignPoint, run_length: RunLength) -> Result<Scenario, RequestError> {
     let named = |what: &str| invalid(format!("design point {} names an unknown {what}", p.id()));
     let spec = TopologySpec::parse(p.family, p.k, p.n).ok_or_else(|| named("family"))?;
     let spec = if spec.taper() == p.taper {
@@ -36,14 +32,14 @@ fn design_scenario(
     } else {
         spec.with_taper(p.taper).ok_or_else(|| named("taper"))?
     };
-    Scenario::builder()
-        .topology(spec)
-        .routing(RoutingKind::parse(p.routing).ok_or_else(|| named("routing"))?)
-        .vcs(p.vcs)
-        .run_length(run_length)
-        .shards(threads.min(p.routers).max(1))
-        .build()
-        .map_err(|e| invalid(format!("design point {}: {e}", p.id())))
+    let mut pairs = spec.to_pairs();
+    pairs.extend([
+        ("algo", p.routing.to_string()),
+        ("vcs", p.vcs.to_string()),
+        ("warmup", run_length.warmup.to_string()),
+        ("cycles", run_length.total.to_string()),
+    ]);
+    Scenario::from_pairs(&pairs).map_err(|e| invalid(format!("design point {}: {e}", p.id())))
 }
 
 pub(super) fn execute(
@@ -102,8 +98,11 @@ pub(super) fn execute(
         // full precision, so a warm report is byte-identical to a cold
         // one.
         let candidate = Points {
-            scenario: design_scenario(&point, run_length, threads)?,
+            scenario: design_scenario(&point, run_length)?,
             loads: vec![1.0],
+            // Sharded across the worker threads.
+            shards: threads.min(point.routers).max(1),
+            stepper: Stepper::Default,
             csv: None,
             trace: None,
             checkpoint_every: None,

@@ -9,23 +9,21 @@
 //! [`crate::request`]), the `bench` regenerator binaries, the examples
 //! and the tests all build their [`SimConfig`]s through it.
 //!
-//! The pieces:
-//!
-//! * [`TopologySpec`] / [`RoutingKind`] — the discrete axes, with
-//!   parse/name round-trips for CLI use;
-//! * [`ScenarioBuilder`] — validating construction: only meaningful
-//!   (topology, routing, VC) combinations are accepted, Chien timings
-//!   are *derived* from the shape via [`costmodel::chien::RouterClass`]
-//!   rather than hand-picked, and bit-pattern traffic is rejected on
-//!   non-power-of-two node counts before the simulator can panic;
-//! * the **named-scenario registry** ([`registry`], [`named`]) — the
-//!   five paper configurations are plain entries here (plus a few
-//!   extension entries), not enum arms;
-//! * run helpers — [`Scenario::simulate`] and
-//!   [`Scenario::sweep_outcomes`] monomorphize the engine per routing
-//!   algorithm and fan load points out over worker threads;
-//! * [`Scenario::manifest`] — the machine-readable description embedded
-//!   in every run manifest artifact.
+//! A scenario *is* its flag list. [`Scenario::from_pairs`] is the one
+//! scenario grammar: it reads the CLI's [`SCENARIO_FLAGS`] as `(flag,
+//! value)` pairs and validates — only meaningful (topology, routing, VC)
+//! combinations are accepted, Chien timings are *derived* from the shape
+//! via [`costmodel::chien::RouterClass`], and bit-pattern traffic is
+//! rejected on non-power-of-two node counts before the simulator can
+//! panic. [`Scenario::to_pairs`] is its inverse, and
+//! [`Scenario::state_ident`] (the key of every checkpoint and cached
+//! row) is a digest of it. The **registry** ([`registry`], [`named`])
+//! holds the paper's five configurations and a few extensions as plain
+//! pair lists. The run helpers ([`Scenario::try_simulate`],
+//! [`Scenario::try_sweep_outcomes`], and
+//! [`Scenario::try_simulate_controlled`] for the execution details in a
+//! [`RunControl`]) monomorphize the engine per routing algorithm, and
+//! [`Scenario::manifest`] describes the scenario in run manifests.
 //!
 //! Reproducibility contract: with [`SeedMode::Derived`] and salt 0 a
 //! scenario labelled like one of the paper's configurations produces
@@ -35,22 +33,31 @@
 //! throttle follows the same rule). `tests/scenario_equivalence.rs`
 //! pins this against goldens captured before the refactor.
 //!
-//! Degradation: [`ScenarioBuilder::faults`] attaches a
-//! [`FaultPlan`] (validated against the topology at build time); the
-//! run helpers then compile it per run and use the faulted engine
-//! path, and the `try_*` variants report a wedged run as a structured
-//! [`SimError`] instead of panicking.
+//! Degradation: the `faults` flag attaches a [`FaultPlan`] (validated
+//! against the topology by [`Scenario::from_pairs`]); the run helpers
+//! then compile it per run and use the faulted engine path, and report
+//! a wedged run as a structured [`SimError`].
+//!
+//! ```
+//! use netsim::scenario::Scenario;
+//!
+//! let pairs = [("topology", "mesh"), ("k", "4"), ("algo", "adaptive"), ("vcs", "2")];
+//! let mesh = Scenario::from_pairs(&pairs).unwrap();
+//! assert_eq!(mesh.label(), "mesh, adaptive");
+//! assert_eq!(Scenario::from_pairs(&mesh.to_pairs()).unwrap(), mesh);
+//! ```
 
 #![deny(missing_docs)]
 
 use crate::fault::{FaultModel, FaultPlan, NoFaults};
 use crate::sim::{
     run_simulation_controlled, InjectionSpec, ResumeError, RunControl, SimConfig, SimError,
-    SimOutcome, Stepper,
+    SimOutcome,
 };
 use crate::wiring::Wiring;
 use costmodel::chien::RouterClass;
 use costmodel::normalize::NetworkNormalization;
+use netstats::cache::KeyDigest;
 use netstats::export::{Manifest, ManifestValue};
 use routing::{
     CubeDeterministic, CubeDuato, MeshAdaptive, MeshDeterministic, RoutingAlgorithm,
@@ -150,6 +157,7 @@ impl TopologySpec {
     /// levels and the canonical 2:1 taper is assumed (override with
     /// [`TopologySpec::with_taper`]); for the THC, `n` is the binary
     /// dimension count `d`.
+    ///
     pub fn parse(family: &str, k: usize, n: usize) -> Option<Self> {
         Some(match topology::family(family)?.slug {
             "cube" => TopologySpec::cube(k, n),
@@ -200,6 +208,20 @@ impl TopologySpec {
             TopologySpec::TaperedTree { k, n, .. } => Some(TopologySpec::tapered_tree(k, n, taper)),
             _ => None,
         }
+    }
+
+    /// The topology's share of [`Scenario::to_pairs`]: `topology` (the
+    /// family slug), `k`, `n`, and `taper` for the tapered tree.
+    pub(crate) fn to_pairs(self) -> Vec<(&'static str, String)> {
+        let mut pairs = vec![
+            ("topology", self.family().to_string()),
+            ("k", self.k().to_string()),
+            ("n", self.n().to_string()),
+        ];
+        if let TopologySpec::TaperedTree { taper, .. } = self {
+            pairs.push(("taper", taper.to_string()));
+        }
+        pairs
     }
 
     /// The generic shape axes this spec instantiates its family with.
@@ -402,6 +424,15 @@ impl InjectionModel {
             InjectionModel::OnOff { .. } => "onoff",
         }
     }
+
+    /// The canonical `injection` flag value: the name, plus
+    /// `:<mean_on>:<mean_off>` for the on/off source.
+    fn spec(&self) -> String {
+        match *self {
+            InjectionModel::OnOff { mean_on, mean_off } => format!("onoff:{mean_on}:{mean_off}"),
+            m => m.name().to_string(),
+        }
+    }
 }
 
 /// Largest network a scenario may describe, as log2 of the node count:
@@ -409,7 +440,7 @@ impl InjectionModel {
 /// ~15 KiB per node, so 2^18 nodes is already a 4 GiB simulation.
 const MAX_LOG2_NODES: f64 = 18.0;
 
-/// Why a [`ScenarioBuilder`] refused to build.
+/// Why [`Scenario::from_pairs`] refused a pair list.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScenarioError {
     /// No topology was given.
@@ -422,7 +453,8 @@ pub enum ScenarioError {
     BadVcs(String),
     /// The traffic pattern cannot run on this node count.
     BadPattern(String),
-    /// Packet size, buffer depth or run length is out of range.
+    /// A flag is unknown or malformed, or a packet size, buffer depth,
+    /// run length or load is out of range.
     BadParameter(String),
     /// The attached fault plan does not fit this topology.
     BadFaults(String),
@@ -431,7 +463,7 @@ pub enum ScenarioError {
 impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ScenarioError::MissingTopology => write!(f, "no topology given"),
+            ScenarioError::MissingTopology => write!(f, "need a registry name or --topology"),
             ScenarioError::BadShape(m)
             | ScenarioError::UnsupportedCombination(m)
             | ScenarioError::BadVcs(m)
@@ -444,9 +476,245 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+fn bad(msg: impl Into<String>) -> ScenarioError {
+    ScenarioError::BadParameter(msg.into())
+}
+
+/// The flags [`Scenario::from_pairs`] reads, spelled without the `--`.
+/// Every other request flag (loads, sinks, cache, shards, stepper) is
+/// [`crate::request`]'s.
+#[rustfmt::skip]
+pub const SCENARIO_FLAGS: [&str; 18] = [
+    "topology", "k", "n", "taper", "algo", "vcs", "pattern", "injection", "throttle", "buffer",
+    "packet-bytes", "label", "seed", "fixed-seed", "warmup", "cycles", "quick", "faults",
+];
+
+/// The flags a registry entry fixes outright: its shape...
+const SHAPE_FLAGS: [&str; 6] = ["topology", "k", "n", "taper", "algo", "vcs"];
+/// ...and by policy: its traffic model, router sizing and label.
+const FIXED_FLAGS: [&str; 5] = ["injection", "throttle", "buffer", "packet-bytes", "label"];
+
+/// The `netperf --help` text of the [`SCENARIO_FLAGS`].
+pub const USAGE: &str = "\
+scenario selection (instead of a registry name):
+--topology <family>         cube|tree|tapered-tree|mesh|thc (or an alias)
+--k <int>                   radix / arity (default 16)
+--n <int>                   dimension / levels (default 2)
+--taper <int>               up-link oversubscription ratio
+                            (tapered-tree only; default 2)
+--algo det|duato|adaptive   routing (default: the family's paper choice)
+--vcs <int>                 virtual channels (default 4)
+--injection <model>         bernoulli|periodic|onoff:<on>:<off> (default bernoulli)
+--throttle auto|off|<int>   source throttling (default auto: the paper's rule)
+--buffer <int>              lane depth in flits (default 4)
+--packet-bytes <int>        packet size (default 64)
+--label <text>              override the display label (feeds the seed)
+
+scenario overrides (work with a name too):
+--pattern <name>            uniform|complement|bitrev|transpose|shuffle|
+                            butterfly|tornado|neighbor|hotspot[:<node>:<percent>]
+                            (default uniform; plain hotspot is node 0 at 20%)
+--cycles <int>              total cycles (default 20000)
+--warmup <int>              warm-up cycles (default 2000)
+--quick                     short run (1000/6000 cycles; explicit --warmup
+                            and --cycles win)
+--seed <salt>               salt the derived per-run seeds (default 0)
+--fixed-seed <int>          one fixed seed for every load point
+--faults <spec>             deterministic fault plan: comma-separated
+                            links=<frac>, routers=<count>,
+                            transient=<links>:<period>:<down>, seed=<int>,
+                            or the literal none (default: healthy network)";
+
+/// `(flag, value)` pairs looked up by flag. A flag given twice — or
+/// under two spellings — means its last value.
+pub(crate) struct Flags<'a, K, V>(pub(crate) &'a [(K, V)]);
+
+impl<'a, K: AsRef<str>, V: AsRef<str>> Flags<'a, K, V> {
+    /// The last pair spelled with any of `names`.
+    pub(crate) fn last_of(&self, names: &[&str]) -> Option<(&'a str, &'a str)> {
+        let (f, v) = self
+            .0
+            .iter()
+            .rev()
+            .find(|(f, _)| names.contains(&f.as_ref()))?;
+        Some((f.as_ref(), v.as_ref()))
+    }
+
+    pub(crate) fn get(&self, flag: &str) -> Option<&'a str> {
+        self.last_of(&[flag]).map(|(_, v)| v)
+    }
+
+    pub(crate) fn any_of(&self, names: &[&str]) -> bool {
+        self.last_of(names).is_some()
+    }
+
+    /// A bare flag: absent, or spelled `"true"`.
+    pub(crate) fn switch(&self, flag: &str) -> Result<bool, ScenarioError> {
+        match self.get(flag) {
+            None => Ok(false),
+            Some("true") => Ok(true),
+            Some(v) => Err(bad(format!("unexpected argument {v}"))),
+        }
+    }
+
+    /// `--flag <T>`, or `bad --flag`.
+    pub(crate) fn num<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, ScenarioError> {
+        let parse = |v: &str| v.parse().map_err(|_| bad(format!("bad --{flag}")));
+        self.get(flag).map(parse).transpose()
+    }
+
+    /// `--flag <integer >= min>`.
+    pub(crate) fn at_least<T>(&self, flag: &str, min: T) -> Result<Option<T>, ScenarioError>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    {
+        let parse = |v: &str| {
+            let ok = v.parse().ok().filter(|x: &T| *x >= min);
+            ok.ok_or_else(|| bad(format!("bad --{flag} (want an integer >= {min})")))
+        };
+        self.get(flag).map(parse).transpose()
+    }
+}
+
+/// `base` followed by `overrides`, as one borrowed pair list.
+fn chain<'a, K: AsRef<str>, V: AsRef<str>>(
+    base: impl Iterator<Item = (&'a str, &'a str)>,
+    overrides: &'a [(K, V)],
+) -> Vec<(&'a str, &'a str)> {
+    let overrides = overrides.iter().map(|(f, v)| (f.as_ref(), v.as_ref()));
+    base.chain(overrides).collect()
+}
+
+fn parse_u64(flag: &str, s: &str) -> Result<u64, ScenarioError> {
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+    .ok_or_else(|| bad(format!("bad --{flag}")))
+}
+
+fn parse_injection(spec: &str) -> Result<InjectionModel, ScenarioError> {
+    // Mean sojourns below one cycle have no discrete-time meaning.
+    let mean = |v: &str| v.parse().ok().filter(|m: &f64| *m >= 1.0 && m.is_finite());
+    let onoff = || {
+        let (on, off) = spec.strip_prefix("onoff:")?.split_once(':')?;
+        Some(InjectionModel::OnOff {
+            mean_on: mean(on)?,
+            mean_off: mean(off)?,
+        })
+    };
+    match spec {
+        "bernoulli" => Some(InjectionModel::Bernoulli),
+        "periodic" => Some(InjectionModel::Periodic),
+        _ => onoff(),
+    }
+    .ok_or_else(|| {
+        bad(format!(
+            "bad injection model {spec} (bernoulli|periodic|onoff:<on>:<off>)"
+        ))
+    })
+}
+
+fn parse_throttle(v: &str) -> Result<Throttle, ScenarioError> {
+    Ok(match v {
+        "auto" => Throttle::Auto,
+        "off" => Throttle::Off,
+        limit => Throttle::Limit(
+            limit
+                .parse()
+                .map_err(|_| bad("bad --throttle (auto|off|<int>)"))?,
+        ),
+    })
+}
+
+/// Refuse a degenerate shape, or one too big to size: a shape whose
+/// node count overflows panics in the topology crate, and one that
+/// merely fits asks for an allocation that aborts.
+fn check_shape(topology: TopologySpec) -> Result<(), ScenarioError> {
+    let (k, n) = (topology.k(), topology.n());
+    if k < 2 || n < 1 {
+        return Err(ScenarioError::BadShape(format!(
+            "degenerate {} shape: k = {k}, n = {n} (need k >= 2, n >= 1)",
+            topology.family()
+        )));
+    }
+    let log2_nodes = match topology {
+        TopologySpec::Thc { k, d } => 2.0 * (k as f64).log2() + d as f64,
+        _ => n as f64 * (k as f64).log2(),
+    };
+    if log2_nodes > MAX_LOG2_NODES {
+        return Err(ScenarioError::BadShape(format!(
+            "{} k = {k}, n = {n} has more than 2^{MAX_LOG2_NODES} nodes",
+            topology.family()
+        )));
+    }
+    Ok(())
+}
+
+/// Refuse a (topology, routing) pair without an implementation, or a VC
+/// count its routers do not support.
+fn check_routing(
+    topology: TopologySpec,
+    routing: RoutingKind,
+    vcs: usize,
+) -> Result<(), ScenarioError> {
+    let family = topology.family();
+    let min_vcs = match (topology, routing) {
+        // The cube routers implement the paper's fixed 4-lane design
+        // (two virtual networks / 2+2 adaptive-escape); the THC shares
+        // the same two-virtual-network dateline design.
+        (TopologySpec::Cube { .. }, RoutingKind::Deterministic | RoutingKind::Duato)
+        | (TopologySpec::Thc { .. }, RoutingKind::Deterministic) => {
+            return match vcs {
+                4 => Ok(()),
+                _ => Err(ScenarioError::BadVcs(format!(
+                    "{family} routing is defined for exactly 4 virtual channels, got {vcs}"
+                ))),
+            };
+        }
+        (TopologySpec::Tree { .. } | TopologySpec::TaperedTree { .. }, RoutingKind::Adaptive)
+        | (TopologySpec::Mesh { .. }, RoutingKind::Deterministic) => 1,
+        // The adaptive mesh needs an escape lane.
+        (TopologySpec::Mesh { .. }, RoutingKind::Adaptive) => 2,
+        (t, r) => {
+            return Err(ScenarioError::UnsupportedCombination(format!(
+                "no {} routing on the {}; supported: cube+det, cube+duato, \
+                 tree+adaptive, tapered-tree+adaptive, mesh+det, mesh+adaptive, thc+det",
+                r.name(),
+                t.family()
+            )));
+        }
+    };
+    if vcs < min_vcs {
+        return Err(ScenarioError::BadVcs(format!(
+            "{family}-{} needs at least {min_vcs} virtual channel(s), got {vcs}",
+            routing.name()
+        )));
+    }
+    Ok(())
+}
+
+/// The paper's legend text for a configuration (the label when none is
+/// given).
+fn default_label(topology: TopologySpec, routing: RoutingKind, vcs: usize) -> String {
+    match (topology, routing) {
+        (TopologySpec::Cube { .. }, RoutingKind::Deterministic) => "cube, deterministic".into(),
+        // Cube + adaptive is refused by `check_routing`, so Duato is
+        // the only remaining cube arm.
+        (TopologySpec::Cube { .. }, _) => "cube, Duato".into(),
+        (TopologySpec::Tree { .. }, _) => format!("fat tree, {vcs} vc"),
+        (TopologySpec::TaperedTree { taper, .. }, _) => {
+            format!("tapered tree, {vcs} vc (taper {taper})")
+        }
+        (TopologySpec::Mesh { .. }, RoutingKind::Deterministic) => "mesh, deterministic".into(),
+        (TopologySpec::Mesh { .. }, _) => "mesh, adaptive".into(),
+        (TopologySpec::Thc { .. }, _) => "torus hypercube, deterministic".into(),
+    }
+}
+
 /// One point of the design space, minus the offered load (which stays a
-/// sweep variable). Build with [`Scenario::builder`] or look one up in
-/// the [`registry`].
+/// sweep variable). Build with [`Scenario::from_pairs`] or look one up
+/// in the [`registry`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     label: String,
@@ -462,243 +730,64 @@ pub struct Scenario {
     throttle: Throttle,
     telemetry: Option<TelemetryConfig>,
     faults: Option<FaultPlan>,
-    shards: usize,
-    stepper: Stepper,
 }
 
-/// Validating builder for [`Scenario`].
-#[derive(Clone, Debug, Default)]
-pub struct ScenarioBuilder {
-    label: Option<String>,
-    topology: Option<TopologySpec>,
-    routing: Option<RoutingKind>,
-    vcs: Option<usize>,
-    pattern: Option<Pattern>,
-    injection: Option<InjectionModel>,
-    run_length: Option<RunLength>,
-    seed: Option<SeedMode>,
-    buffer_depth: Option<usize>,
-    packet_bytes: Option<usize>,
-    throttle: Option<Throttle>,
-    telemetry: Option<TelemetryConfig>,
-    faults: Option<FaultPlan>,
-    shards: Option<usize>,
-    stepper: Option<Stepper>,
+/// The physical wiring of a topology spec (used to validate and
+/// compile fault plans).
+fn wiring_of(t: TopologySpec) -> Wiring {
+    // Table-driven through the family registry: one builder per family,
+    // so a new family needs no arm here at all.
+    Wiring::from_topology(&*t.build())
 }
 
-impl ScenarioBuilder {
-    /// Start from all defaults (everything optional except the topology).
-    pub fn new() -> Self {
-        ScenarioBuilder::default()
-    }
-
-    /// Set the network topology (required).
-    pub fn topology(mut self, t: TopologySpec) -> Self {
-        self.topology = Some(t);
-        self
-    }
-
-    /// Set the routing algorithm. Default: the family's paper algorithm
-    /// (Duato on cubes, adaptive on trees, deterministic on meshes).
-    pub fn routing(mut self, r: RoutingKind) -> Self {
-        self.routing = Some(r);
-        self
-    }
-
-    /// Set the virtual-channel count. Default: 4.
-    pub fn vcs(mut self, vcs: usize) -> Self {
-        self.vcs = Some(vcs);
-        self
-    }
-
-    /// Set the traffic pattern. Default: uniform.
-    pub fn pattern(mut self, p: Pattern) -> Self {
-        self.pattern = Some(p);
-        self
-    }
-
-    /// Set the injection process shape. Default: Bernoulli.
-    pub fn injection(mut self, i: InjectionModel) -> Self {
-        self.injection = Some(i);
-        self
-    }
-
-    /// Set the run length. Default: the paper protocol.
-    pub fn run_length(mut self, len: RunLength) -> Self {
-        self.run_length = Some(len);
-        self
-    }
-
-    /// Set the seeding policy. Default: derived, salt 0.
-    pub fn seed(mut self, s: SeedMode) -> Self {
-        self.seed = Some(s);
-        self
-    }
-
-    /// Set the lane depth in flits. Default: 4 (the paper's).
-    pub fn buffer_depth(mut self, d: usize) -> Self {
-        self.buffer_depth = Some(d);
-        self
-    }
-
-    /// Set the packet size in bytes. Default: 64 (the paper's).
-    pub fn packet_bytes(mut self, b: usize) -> Self {
-        self.packet_bytes = Some(b);
-        self
-    }
-
-    /// Set the source-throttling policy. Default: the paper's rule.
-    pub fn throttle(mut self, t: Throttle) -> Self {
-        self.throttle = Some(t);
-        self
-    }
-
-    /// Attach a telemetry configuration: [`Scenario::simulate_traced`]
-    /// will record with these settings, and the config is embedded in
-    /// run manifests. Default: none (untraced; `simulate_traced` then
-    /// falls back to [`TelemetryConfig::default`]). Telemetry is a pure
-    /// observation overlay — it never changes simulation results.
-    pub fn telemetry(mut self, t: TelemetryConfig) -> Self {
-        self.telemetry = Some(t);
-        self
-    }
-
-    /// Attach a fault plan: deterministic dead links / dead routers /
-    /// transient outages, sampled from the plan's own seed and
-    /// validated against the topology when the scenario is built. An
-    /// empty plan (`FaultPlan::default()`) is accepted and behaves
-    /// bit-identically to no plan at all. Default: none (healthy
-    /// network, fault machinery compiled out of the hot path).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Domain-decompose each run into this many shards, stepped with
-    /// deterministic phase barriers (see
-    /// [`Engine::shard_plan`](crate::engine::Engine::shard_plan)).
-    /// Sharding is an execution detail, not an experiment axis: every
-    /// shard count produces bit-identical outcomes, manifests, and
-    /// traces, so it is deliberately absent from [`Scenario::manifest`].
-    /// Default: 1 (serial). A request beyond the router
-    /// count is clamped at run time with a warning; 0 is rejected at
-    /// build time.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = Some(n);
-        self
-    }
-
-    /// Choose how the engine scans for work: the production kernel, or
-    /// the `reference` audit of it. Like the shard count, the stepper
-    /// is an execution detail, not an experiment axis: either choice
-    /// produces bit-identical outcomes, manifests, and traces (gated by
-    /// the `engine_equivalence` tests), so it is deliberately absent
-    /// from [`Scenario::manifest`] and [`Scenario::state_ident`], and
-    /// it composes with any shard count. Default: [`Stepper::Default`].
-    pub fn stepper(mut self, s: Stepper) -> Self {
-        self.stepper = Some(s);
-        self
-    }
-
-    /// Override the display label (defaults to the paper's legend text
-    /// for the chosen configuration). The label feeds the derived seed,
-    /// so two scenarios differing only in label get independent noise.
-    pub fn label(mut self, l: impl Into<String>) -> Self {
-        self.label = Some(l.into());
-        self
-    }
-
-    /// Validate and build the scenario.
-    pub fn build(self) -> Result<Scenario, ScenarioError> {
-        let topology = self.topology.ok_or(ScenarioError::MissingTopology)?;
-        let (k, n) = (topology.k(), topology.n());
-        if k < 2 || n < 1 {
-            return Err(ScenarioError::BadShape(format!(
-                "degenerate {} shape: k = {k}, n = {n} (need k >= 2, n >= 1)",
-                topology.family()
-            )));
+impl Scenario {
+    /// Validate a scenario from its [`SCENARIO_FLAGS`] pairs (no `--`;
+    /// the last value of a flag wins; bare `quick` is `"true"`). All but
+    /// `topology` default to the paper's choices; an explicit `warmup`
+    /// or `cycles` beats `quick`, and `faults none` is the healthy
+    /// network.
+    pub fn from_pairs<K: AsRef<str>, V: AsRef<str>>(
+        pairs: &[(K, V)],
+    ) -> Result<Scenario, ScenarioError> {
+        let unknown = pairs
+            .iter()
+            .find(|(f, _)| !SCENARIO_FLAGS.contains(&f.as_ref()));
+        if let Some((flag, _)) = unknown {
+            return Err(bad(format!("unknown flag --{}", flag.as_ref())));
         }
-        // Bound the network before anything is sized from it: a shape
-        // whose node count overflows panics in the topology crate, and
-        // one that merely fits asks for an allocation that aborts.
-        let log2_nodes = match topology {
-            TopologySpec::Thc { k, d } => 2.0 * (k as f64).log2() + d as f64,
-            _ => n as f64 * (k as f64).log2(),
+        let f = Flags(pairs);
+        let family = f.get("topology").ok_or(ScenarioError::MissingTopology)?;
+        let (k, n) = (f.num("k")?.unwrap_or(16), f.num("n")?.unwrap_or(2));
+        let mut topology = TopologySpec::parse(family, k, n).ok_or_else(|| {
+            let slugs: Vec<_> = topology::families().iter().map(|f| f.slug).collect();
+            bad(format!("unknown topology {family} ({})", slugs.join("|")))
+        })?;
+        if let Some(t) = f.at_least("taper", 1)? {
+            topology = topology.with_taper(t).ok_or_else(|| {
+                bad(format!(
+                    "--taper applies to tapered trees, not the {family}"
+                ))
+            })?;
+        }
+        check_shape(topology)?;
+        let routing = match f.get("algo") {
+            Some(a) => RoutingKind::parse(a)
+                .ok_or_else(|| bad(format!("unknown algorithm {a} (det|duato|adaptive)")))?,
+            None => match topology {
+                TopologySpec::Cube { .. } => RoutingKind::Duato,
+                TopologySpec::Tree { .. } | TopologySpec::TaperedTree { .. } => {
+                    RoutingKind::Adaptive
+                }
+                TopologySpec::Mesh { .. } | TopologySpec::Thc { .. } => RoutingKind::Deterministic,
+            },
         };
-        if log2_nodes > MAX_LOG2_NODES {
-            return Err(ScenarioError::BadShape(format!(
-                "{} k = {k}, n = {n} has more than 2^{MAX_LOG2_NODES} nodes",
-                topology.family()
-            )));
-        }
-        if topology.taper() < 1 {
-            return Err(ScenarioError::BadShape(format!(
-                "taper must be >= 1, got {}",
-                topology.taper()
-            )));
-        }
-        let routing = self.routing.unwrap_or(match topology {
-            TopologySpec::Cube { .. } => RoutingKind::Duato,
-            TopologySpec::Tree { .. } | TopologySpec::TaperedTree { .. } => RoutingKind::Adaptive,
-            TopologySpec::Mesh { .. } | TopologySpec::Thc { .. } => RoutingKind::Deterministic,
-        });
-        let vcs = self.vcs.unwrap_or(4);
-        match (topology, routing) {
-            (TopologySpec::Cube { .. }, RoutingKind::Deterministic | RoutingKind::Duato) => {
-                // The cube routers implement the paper's fixed 4-lane
-                // design (two virtual networks / 2+2 adaptive-escape).
-                if vcs != 4 {
-                    return Err(ScenarioError::BadVcs(format!(
-                        "cube routing is defined for exactly 4 virtual channels, got {vcs}"
-                    )));
-                }
-            }
-            (TopologySpec::Tree { .. }, RoutingKind::Adaptive) => {
-                if vcs < 1 {
-                    return Err(ScenarioError::BadVcs(
-                        "tree-adaptive needs at least one virtual channel".into(),
-                    ));
-                }
-            }
-            (TopologySpec::TaperedTree { .. }, RoutingKind::Adaptive) => {
-                if vcs < 1 {
-                    return Err(ScenarioError::BadVcs(
-                        "tapered-tree-adaptive needs at least one virtual channel".into(),
-                    ));
-                }
-            }
-            (TopologySpec::Mesh { .. }, RoutingKind::Deterministic) => {
-                if vcs < 1 {
-                    return Err(ScenarioError::BadVcs(
-                        "mesh-deterministic needs at least one virtual channel".into(),
-                    ));
-                }
-            }
-            (TopologySpec::Mesh { .. }, RoutingKind::Adaptive) => {
-                if vcs < 2 {
-                    return Err(ScenarioError::BadVcs(
-                        "mesh-adaptive needs an escape lane: at least 2 virtual channels".into(),
-                    ));
-                }
-            }
-            (TopologySpec::Thc { .. }, RoutingKind::Deterministic) => {
-                // Same two-virtual-network dateline design as the cube.
-                if vcs != 4 {
-                    return Err(ScenarioError::BadVcs(format!(
-                        "thc routing is defined for exactly 4 virtual channels, got {vcs}"
-                    )));
-                }
-            }
-            (t, r) => {
-                return Err(ScenarioError::UnsupportedCombination(format!(
-                    "no {} routing on the {}; supported: cube+det, cube+duato, \
-                     tree+adaptive, tapered-tree+adaptive, mesh+det, mesh+adaptive, thc+det",
-                    r.name(),
-                    t.family()
-                )));
-            }
-        }
-        let pattern = self.pattern.unwrap_or(Pattern::Uniform);
+        let vcs = f.num("vcs")?.unwrap_or(4);
+        check_routing(topology, routing, vcs)?;
+
+        let pattern = match f.get("pattern") {
+            Some(p) => Pattern::parse(p).ok_or_else(|| bad(format!("unknown pattern {p}")))?,
+            None => Pattern::Uniform,
+        };
         let nodes = topology.num_nodes();
         let bit_defined = matches!(
             pattern,
@@ -721,87 +810,115 @@ impl ScenarioBuilder {
                 )));
             }
         }
-        let run_length = self.run_length.unwrap_or_else(RunLength::paper);
+        let injection = f.get("injection").map(parse_injection).transpose()?;
+        let throttle = f.get("throttle").map(parse_throttle).transpose()?;
+
+        let base = if f.switch("quick")? {
+            RunLength::quick()
+        } else {
+            RunLength::paper()
+        };
+        let run_length = RunLength {
+            warmup: f.num("warmup")?.unwrap_or(base.warmup),
+            total: f.num("cycles")?.unwrap_or(base.total),
+        };
         if run_length.warmup >= run_length.total {
-            return Err(ScenarioError::BadParameter(format!(
+            return Err(bad(format!(
                 "warm-up ({}) must be shorter than the run ({})",
                 run_length.warmup, run_length.total
             )));
         }
-        let buffer_depth = self.buffer_depth.unwrap_or(4);
-        if buffer_depth == 0 {
-            return Err(ScenarioError::BadParameter(
-                "buffer depth must be >= 1".into(),
-            ));
-        }
-        let packet_bytes = self
-            .packet_bytes
-            .unwrap_or(costmodel::normalize::PACKET_BYTES);
-        if packet_bytes == 0 {
-            return Err(ScenarioError::BadParameter(
-                "packet size must be >= 1 byte".into(),
-            ));
-        }
-        let shards = self.shards.unwrap_or(1);
-        if shards == 0 {
-            return Err(ScenarioError::BadParameter(
-                "shard count must be >= 1".into(),
-            ));
-        }
-        if let Some(plan) = &self.faults {
-            // Compile once against the real wiring so an impossible
-            // plan (too many routers, zero-link shape, …) is rejected
-            // here, not mid-run. The run helpers recompile from the
-            // same plan + wiring, so success here guarantees success
-            // there.
-            plan.compile(&wiring_of(topology))
-                .map_err(|e| ScenarioError::BadFaults(e.to_string()))?;
-        }
-        let label = self.label.unwrap_or_else(|| match (topology, routing) {
-            (TopologySpec::Cube { .. }, RoutingKind::Deterministic) => "cube, deterministic".into(),
-            // Cube + adaptive was rejected by the combination check
-            // above, so Duato is the only remaining cube arm.
-            (TopologySpec::Cube { .. }, _) => "cube, Duato".into(),
-            (TopologySpec::Tree { .. }, _) => format!("fat tree, {vcs} vc"),
-            (TopologySpec::TaperedTree { taper, .. }, _) => {
-                format!("tapered tree, {vcs} vc (taper {taper})")
+        let seed = match f.last_of(&["seed", "fixed-seed"]) {
+            Some(("seed", v)) => SeedMode::Derived {
+                salt: parse_u64("seed", v)?,
+            },
+            Some((flag, v)) => SeedMode::Fixed(parse_u64(flag, v)?),
+            None => SeedMode::default(),
+        };
+        let buffer_depth = f.at_least("buffer", 1)?.unwrap_or(4);
+        let packet_bytes = f.at_least("packet-bytes", 1)?;
+        let packet_bytes = packet_bytes.unwrap_or(costmodel::normalize::PACKET_BYTES);
+        let faults = match f.get("faults") {
+            None => None,
+            Some(spec) => {
+                let plan =
+                    FaultPlan::parse(spec).map_err(|e| bad(format!("bad --faults spec: {e}")))?;
+                // Compile once against the real wiring so an impossible
+                // plan (too many routers, zero-link shape, …) is refused
+                // here, not mid-run; the run helpers recompile from the
+                // same plan + wiring. An empty plan is the healthy
+                // network.
+                plan.compile(&wiring_of(topology))
+                    .map_err(|e| ScenarioError::BadFaults(e.to_string()))?;
+                (!plan.is_empty()).then_some(plan)
             }
-            (TopologySpec::Mesh { .. }, RoutingKind::Deterministic) => "mesh, deterministic".into(),
-            (TopologySpec::Mesh { .. }, _) => "mesh, adaptive".into(),
-            (TopologySpec::Thc { .. }, _) => "torus hypercube, deterministic".into(),
-        });
+        };
+        let label = f
+            .get("label")
+            .map_or_else(|| default_label(topology, routing, vcs), str::to_string);
         Ok(Scenario {
             label,
             topology,
             routing,
             vcs,
             pattern,
-            injection: self.injection.unwrap_or(InjectionModel::Bernoulli),
+            injection: injection.unwrap_or(InjectionModel::Bernoulli),
             run_length,
-            seed: self.seed.unwrap_or_default(),
+            seed,
             buffer_depth,
             packet_bytes,
-            throttle: self.throttle.unwrap_or(Throttle::Auto),
-            telemetry: self.telemetry,
-            faults: self.faults,
-            shards,
-            stepper: self.stepper.unwrap_or_default(),
+            throttle: throttle.unwrap_or(Throttle::Auto),
+            telemetry: None,
+            faults,
         })
     }
-}
 
-/// The physical wiring of a topology spec (used to validate and
-/// compile fault plans).
-fn wiring_of(t: TopologySpec) -> Wiring {
-    // Table-driven through the family registry: one builder per family,
-    // so a new family needs no arm here at all.
-    Wiring::from_topology(&*t.build())
-}
+    /// The inverse of [`Scenario::from_pairs`]: every axis as a pair in
+    /// canonical spelling (`det`, `hotspot:3:40`, `onoff:4:4`, the fault
+    /// spec), so `from_pairs(&s.to_pairs()) == s` (telemetry aside).
+    pub fn to_pairs(&self) -> Vec<(&'static str, String)> {
+        let mut pairs = self.topology.to_pairs();
+        pairs.extend([
+            ("algo", self.routing.name().to_string()),
+            ("vcs", self.vcs.to_string()),
+            ("pattern", self.pattern.spec()),
+            ("injection", self.injection.spec()),
+            (
+                "throttle",
+                match self.throttle {
+                    Throttle::Auto => "auto".to_string(),
+                    Throttle::Off => "off".to_string(),
+                    Throttle::Limit(l) => l.to_string(),
+                },
+            ),
+            ("buffer", self.buffer_depth.to_string()),
+            ("packet-bytes", self.packet_bytes.to_string()),
+            ("label", self.label.clone()),
+            match self.seed {
+                SeedMode::Derived { salt } => ("seed", salt.to_string()),
+                SeedMode::Fixed(s) => ("fixed-seed", s.to_string()),
+            },
+            ("warmup", self.run_length.warmup.to_string()),
+            ("cycles", self.run_length.total.to_string()),
+        ]);
+        if let Some(plan) = &self.faults {
+            pairs.push(("faults", plan.spec_string()));
+        }
+        pairs
+    }
 
-impl Scenario {
-    /// Start building a scenario.
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder::new()
+    /// This scenario's [`to_pairs`](Scenario::to_pairs) followed by
+    /// `overrides`, re-validated: the way to edit any axis
+    /// (`s.with_pairs(&[("pattern", "transpose")])?`). Telemetry is kept.
+    pub fn with_pairs<K: AsRef<str>, V: AsRef<str>>(
+        &self,
+        overrides: &[(K, V)],
+    ) -> Result<Scenario, ScenarioError> {
+        let base = self.to_pairs();
+        let base = base.iter().map(|(f, v)| (*f, v.as_str()));
+        let mut s = Scenario::from_pairs(&chain(base, overrides))?;
+        s.telemetry = self.telemetry;
+        Ok(s)
     }
 
     /// Display label (figure legend entry; also feeds the derived seed).
@@ -834,19 +951,9 @@ impl Scenario {
         self.run_length
     }
 
-    /// The seeding policy.
-    pub fn seed_mode(&self) -> SeedMode {
-        self.seed
-    }
-
     /// The packet size in bytes.
     pub fn packet_bytes(&self) -> usize {
         self.packet_bytes
-    }
-
-    /// The lane depth in flits.
-    pub fn buffer_depth(&self) -> usize {
-        self.buffer_depth
     }
 
     /// The attached telemetry configuration, if any.
@@ -857,75 +964,6 @@ impl Scenario {
     /// The attached fault plan, if any.
     pub fn faults(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
-    }
-
-    /// The shard count each run is decomposed into (1 = serial).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Same scenario stepped with a different shard count — a pure
-    /// execution choice, bit-identical for every value (see
-    /// [`ScenarioBuilder::shards`]).
-    ///
-    /// # Panics
-    /// Panics on `shards == 0` (the builder rejects it too; the CLI
-    /// validates before calling).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shard count must be >= 1");
-        self.shards = shards;
-        self
-    }
-
-    /// How the engine scans for work (execution detail, never part of
-    /// the manifest or state ident).
-    pub fn stepper(&self) -> Stepper {
-        self.stepper
-    }
-
-    /// Same scenario under a different [`Stepper`] — a pure execution
-    /// choice, bit-identical either way (see
-    /// [`ScenarioBuilder::stepper`]).
-    pub fn with_stepper(mut self, stepper: Stepper) -> Self {
-        self.stepper = stepper;
-        self
-    }
-
-    /// A builder pre-loaded with every axis of this scenario: the
-    /// fallible way to edit one (`named(..)?.to_builder().pattern(p)
-    /// .build()` re-validates instead of panicking), and a fixed point
-    /// when nothing is changed.
-    pub fn to_builder(&self) -> ScenarioBuilder {
-        let s = self;
-        ScenarioBuilder {
-            label: Some(s.label.clone()),
-            topology: Some(s.topology),
-            routing: Some(s.routing),
-            vcs: Some(s.vcs),
-            pattern: Some(s.pattern),
-            injection: Some(s.injection),
-            run_length: Some(s.run_length),
-            seed: Some(s.seed),
-            buffer_depth: Some(s.buffer_depth),
-            packet_bytes: Some(s.packet_bytes),
-            throttle: Some(s.throttle),
-            telemetry: s.telemetry,
-            faults: s.faults.clone(),
-            shards: Some(s.shards),
-            stepper: Some(s.stepper),
-        }
-    }
-
-    /// Same scenario under a different traffic pattern.
-    ///
-    /// # Panics
-    /// Panics if the pattern is illegal for this topology (the builder
-    /// would have rejected it).
-    pub fn with_pattern(mut self, pattern: Pattern) -> Self {
-        self.pattern = pattern;
-        let rebuilt = self.to_builder().build().expect("pattern legal here");
-        debug_assert_eq!(rebuilt, self);
-        self
     }
 
     /// Same scenario with a different run length.
@@ -941,20 +979,13 @@ impl Scenario {
         self
     }
 
-    /// Same scenario with a telemetry configuration attached (pure
-    /// observation — results are unchanged).
+    /// Same scenario with a telemetry configuration attached: the
+    /// traced run helpers record with these settings, and the config is
+    /// embedded in run manifests and the state ident. Telemetry is a
+    /// pure observation overlay — it never changes simulation results.
     pub fn with_telemetry(mut self, t: TelemetryConfig) -> Self {
         self.telemetry = Some(t);
         self
-    }
-
-    /// Same scenario with a different fault plan (or none), re-validated
-    /// against the topology. Fails with [`ScenarioError::BadFaults`] if
-    /// the plan does not fit.
-    pub fn with_faults(self, plan: Option<FaultPlan>) -> Result<Self, ScenarioError> {
-        let mut b = self.to_builder();
-        b.faults = plan;
-        b.build()
     }
 
     /// The derived Chien router class for this configuration.
@@ -1122,61 +1153,48 @@ impl Scenario {
         cfg
     }
 
-    /// Simulate one offered load, monomorphized per routing algorithm.
-    ///
-    /// # Panics
-    /// Panics if the run deadlocks (the watchdog fires). A healthy
-    /// scenario never deadlocks by construction; with a fault plan
-    /// attached, prefer [`Scenario::try_simulate`] to get the stall as
-    /// a structured error.
-    pub fn simulate(&self, fraction: f64) -> SimOutcome {
-        self.try_simulate(fraction)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Simulate one offered load, reporting a wedged run as a
-    /// structured [`SimError`] instead of panicking. Without a fault
-    /// plan (or with an empty one) the outcome is bit-identical to
-    /// [`Scenario::simulate`].
+    /// Simulate one offered load, serial on the default stepper,
+    /// monomorphized per routing algorithm. A wedged run (possible
+    /// under a fault plan) is a structured [`SimError`].
     pub fn try_simulate(&self, fraction: f64) -> Result<SimOutcome, SimError> {
-        self.try_simulate_sharded(fraction, self.shards, self.worker_threads())
+        self.try_simulate_sharded(fraction, 1, 1)
     }
 
-    /// [`Scenario::try_simulate`] with the shard and worker-thread
-    /// counts given explicitly (overriding the scenario's own setting
-    /// and `NETPERF_THREADS`). Bit-identical for every combination;
-    /// `shards <= 1` is the serial run.
+    /// [`Scenario::try_simulate`] decomposed into `shards` shards
+    /// stepped by `threads` worker threads. Bit-identical for every
+    /// combination; `shards <= 1` is the serial run.
     pub fn try_simulate_sharded(
         &self,
         fraction: f64,
         shards: usize,
         threads: usize,
     ) -> Result<SimOutcome, SimError> {
-        self.run_with(fraction, shards, threads, NullProbe, None)
+        let mut ctl = RunControl {
+            shards,
+            ..RunControl::new(0)
+        };
+        self.run_with(fraction, threads, NullProbe, &mut ctl)
             .map(|(out, _)| out)
             .map_err(sim_error)
     }
 
     /// The one run path under every run helper: monomorphize on the
     /// routing algorithm, attach the probe, compile the fault plan (if
-    /// any), then run plain, sharded, or — with `ctl` — under
-    /// checkpoint/resume control. Bit-identical every way.
+    /// any), then run as `ctl` says — serial or sharded, on either
+    /// stepper, checkpointed or resumed. Bit-identical every way.
     fn run_with<M: MakeProbe>(
         &self,
         fraction: f64,
-        shards: usize,
         threads: usize,
         probe: M,
-        ctl: Option<&mut RunControl<'_>>,
+        ctl: &mut RunControl<'_>,
     ) -> Result<(SimOutcome, M::Probe), ResumeError> {
         struct Run<'c, 'm, 'cb, M> {
             cfg: &'c SimConfig,
             faults: Option<&'c FaultPlan>,
-            shards: usize,
             threads: usize,
-            stepper: Stepper,
             probe: M,
-            ctl: Option<&'m mut RunControl<'cb>>,
+            ctl: &'m mut RunControl<'cb>,
         }
         impl<M: MakeProbe> Run<'_, '_, '_, M> {
             fn go<A: RoutingAlgorithm, F: FaultModel + Sync>(
@@ -1185,16 +1203,7 @@ impl Scenario {
                 faults: F,
             ) -> Result<(SimOutcome, M::Probe), ResumeError> {
                 let (cfg, probe) = (self.cfg, self.probe.make(algo));
-                run_simulation_controlled(
-                    algo,
-                    cfg,
-                    probe,
-                    faults,
-                    self.shards,
-                    self.threads,
-                    self.stepper,
-                    self.ctl,
-                )
+                run_simulation_controlled(algo, cfg, probe, faults, self.threads, self.ctl)
             }
         }
         impl<M: MakeProbe> SpecVisitor for Run<'_, '_, '_, M> {
@@ -1214,53 +1223,24 @@ impl Scenario {
         self.with_algorithm(Run {
             cfg: &cfg,
             faults: self.faults.as_ref(),
-            shards,
             threads,
-            stepper: self.stepper,
             probe,
             ctl,
         })
     }
 
-    /// A stable digest identifying everything a run snapshot of this
-    /// scenario at the given load depends on: the resolved simulation
-    /// config (seed included), the fault plan, and the telemetry
-    /// settings. Shard and thread counts are deliberately absent —
-    /// sharding is an execution detail and snapshots restore under
-    /// any partition. Stamped into every checkpoint
-    /// ([`RunControl::ident`]) and verified on resume, so a checkpoint
-    /// can never silently continue a *different* experiment.
+    /// The identity of a run at this load: a [`KeyDigest`] over
+    /// [`to_pairs`](Scenario::to_pairs), the load's bits and the
+    /// telemetry overlay — so it misses an axis only if the round trip
+    /// does. Execution details live in [`RunControl`], not here.
+    /// Stamped into every checkpoint ([`RunControl::ident`]) and checked
+    /// on resume; every result-cache key folds it in.
     pub fn state_ident(&self, fraction: f64) -> u64 {
-        let cfg = self.config_at(fraction);
-        let mut k = netstats::cache::KeyDigest::new("netperf-run-snapshot/1");
-        k.push("label", &self.label)
-            .push("topology", &self.topology.describe())
-            .push("routing", self.routing.name())
-            .push_u64("vcs", self.vcs as u64)
-            .push("pattern", self.pattern.name())
-            .push("injection", self.injection.name())
-            .push_u64("packet_bytes", self.packet_bytes as u64)
-            .push_u64("buffer_depth", self.buffer_depth as u64)
-            .push_u64("warmup", cfg.warmup_cycles as u64)
-            .push_u64("total", cfg.total_cycles as u64)
-            .push_u64("seed", cfg.seed)
-            .push_u64("load_bits", fraction.to_bits())
-            .push_u64(
-                "injection_limit",
-                cfg.injection_limit.map_or(u64::MAX, u64::from),
-            )
-            .push_u64("request_reply", cfg.request_reply as u64)
-            .push_u64("faults", self.faults.as_ref().map_or(0, |p| p.digest()));
-        // Parameters the names above do not carry, pushed only for the
-        // variants that have them so every other key stays the same.
-        if let InjectionModel::OnOff { mean_on, mean_off } = self.injection {
-            k.push_u64("mean_on_bits", mean_on.to_bits())
-                .push_u64("mean_off_bits", mean_off.to_bits());
+        let mut k = KeyDigest::new("netperf-run-snapshot/2");
+        for (flag, value) in self.to_pairs() {
+            k.push(flag, &value);
         }
-        if let Pattern::HotSpot { hot, percent } = self.pattern {
-            k.push_u64("hot_node", hot.into())
-                .push_u64("hot_percent", percent.into());
-        }
+        k.push_u64("load_bits", fraction.to_bits());
         if let Some(t) = self.telemetry {
             k.push_u64("telemetry_stride", t.stride as u64)
                 .push_u64("telemetry_events", t.record_events as u64);
@@ -1268,71 +1248,48 @@ impl Scenario {
         k.finish()
     }
 
-    /// [`Scenario::try_simulate`] under checkpoint/resume control: the
-    /// serving plane's scenario-level entry point. Set
-    /// [`RunControl::ident`] to [`Scenario::state_ident`] of the same
-    /// load. With `RunControl::new(..)` this is the plain run;
-    /// resuming a mid-run checkpoint is bit-identical to the
-    /// uninterrupted run.
+    /// [`Scenario::try_simulate`] under a [`RunControl`]: its shards
+    /// (worker threads from `NETPERF_THREADS`) and stepper, and — with
+    /// [`RunControl::ident`] set to [`Scenario::state_ident`] of this
+    /// load — checkpoints and resume, all bit-identical to the plain run.
     pub fn try_simulate_controlled(
         &self,
         fraction: f64,
         ctl: &mut RunControl<'_>,
     ) -> Result<SimOutcome, ResumeError> {
-        let threads = self.worker_threads();
-        self.run_with(fraction, self.shards, threads, NullProbe, Some(ctl))
+        self.run_with(fraction, worker_threads(ctl.shards), NullProbe, ctl)
             .map(|(out, _)| out)
     }
 
-    /// [`Scenario::try_simulate_traced`] under checkpoint/resume
-    /// control. The resumed recording's *suffix* (events from the
-    /// resume cycle on) and counters are bit-identical to the
-    /// uninterrupted run; per-packet refinements observed before the
-    /// checkpoint (escape hops, blocked attempts) restart at zero.
+    /// [`Scenario::try_simulate_traced`] under a [`RunControl`]. The
+    /// resumed recording's *suffix* (events from the resume cycle on)
+    /// and counters are bit-identical to the uninterrupted run;
+    /// per-packet refinements observed before the checkpoint (escape
+    /// hops, blocked attempts) restart at zero.
     pub fn try_simulate_traced_controlled(
         &self,
         fraction: f64,
         ctl: &mut RunControl<'_>,
     ) -> Result<(SimOutcome, FlightRecorder), ResumeError> {
-        let (tcfg, threads) = (self.telemetry.unwrap_or_default(), self.worker_threads());
-        self.run_with(fraction, self.shards, threads, tcfg, Some(ctl))
-    }
-
-    /// Worker threads for the scenario's own sharded runs: capped by
-    /// the shard count (extra threads would idle) and governed by
-    /// `NETPERF_THREADS` / available parallelism like the sweep pool.
-    fn worker_threads(&self) -> usize {
-        if self.shards <= 1 {
-            1
-        } else {
-            sweep_threads().min(self.shards)
-        }
+        let tcfg = self.telemetry.unwrap_or_default();
+        self.run_with(fraction, worker_threads(ctl.shards), tcfg, ctl)
     }
 
     /// Simulate one offered load with a [`FlightRecorder`] attached,
-    /// returning the outcome (bit-identical to [`Scenario::simulate`])
-    /// and the recording. Uses the scenario's attached
-    /// [`TelemetryConfig`], or the default when none was set.
-    ///
-    /// # Panics
-    /// Panics if the run deadlocks; see [`Scenario::try_simulate_traced`].
-    pub fn simulate_traced(&self, fraction: f64) -> (SimOutcome, FlightRecorder) {
-        self.try_simulate_traced(fraction)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Scenario::simulate_traced`] with deadlocks reported as a
-    /// structured [`SimError`] instead of a panic.
+    /// returning the outcome (bit-identical to
+    /// [`Scenario::try_simulate`]) and the recording. Uses the
+    /// scenario's attached [`TelemetryConfig`], or the default when none
+    /// was set.
     pub fn try_simulate_traced(
         &self,
         fraction: f64,
     ) -> Result<(SimOutcome, FlightRecorder), SimError> {
-        self.try_simulate_traced_sharded(fraction, self.shards, self.worker_threads())
+        self.try_simulate_traced_sharded(fraction, 1, 1)
     }
 
-    /// [`Scenario::try_simulate_traced`] with explicit shard and
-    /// worker-thread counts. The recording — like the outcome — is
-    /// bit-identical for every combination.
+    /// [`Scenario::try_simulate_traced`] decomposed into `shards` shards
+    /// stepped by `threads` worker threads: the same outcome and the
+    /// same event stream for every combination.
     pub fn try_simulate_traced_sharded(
         &self,
         fraction: f64,
@@ -1340,64 +1297,20 @@ impl Scenario {
         threads: usize,
     ) -> Result<(SimOutcome, FlightRecorder), SimError> {
         let tcfg = self.telemetry.unwrap_or_default();
-        self.run_with(fraction, shards, threads, tcfg, None)
+        let mut ctl = RunControl {
+            shards,
+            ..RunControl::new(0)
+        };
+        self.run_with(fraction, threads, tcfg, &mut ctl)
             .map_err(sim_error)
     }
 
-    /// Sweep a load grid in parallel, returning the full outcome at
-    /// every point.
-    ///
-    /// Load points are distributed over worker threads by work stealing
-    /// (each run is a pure function of the scenario, so order does not
-    /// matter); finished outcomes flow back over a channel tagged with
-    /// their grid index and are placed without any shared mutable
-    /// state. Thread count can be pinned with `NETPERF_THREADS`.
-    ///
-    /// # Panics
-    /// Panics if any load point deadlocks; see
-    /// [`Scenario::try_sweep_outcomes`].
-    pub fn sweep_outcomes(&self, fractions: &[f64]) -> Vec<SimOutcome> {
-        self.try_sweep_outcomes(fractions)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Scenario::sweep_outcomes`] with deadlocks reported as a
-    /// structured [`SimError`]. If several load points stall, the error
-    /// of the lowest-index point is returned (deterministic regardless
-    /// of thread scheduling).
+    /// Sweep a load grid in parallel on the sweep pool (see
+    /// [`sweep_threads`]), returning the full outcome at every point.
+    /// If several load points stall, the error of the lowest-index
+    /// point is returned.
     pub fn try_sweep_outcomes(&self, fractions: &[f64]) -> Result<Vec<SimOutcome>, SimError> {
-        let threads = sweep_threads().min(fractions.len());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Point = (usize, Result<SimOutcome, SimError>);
-        let (tx, rx) = std::sync::mpsc::channel::<Point>();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                s.spawn(|| {
-                    let tx = tx; // move the clone, not the original
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= fractions.len() {
-                            break;
-                        }
-                        let out = self.try_simulate(fractions[i]);
-                        if tx.send((i, out)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        drop(tx); // all worker clones are done; close the channel
-        let mut results: Vec<Option<Result<SimOutcome, SimError>>> = vec![None; fractions.len()];
-        for (i, out) in rx {
-            debug_assert!(results[i].is_none(), "load point {i} simulated twice");
-            results[i] = Some(out);
-        }
-        results
-            .into_iter()
-            .map(|o| o.expect("all points simulated"))
-            .collect()
+        sweep_pool(fractions, |f| self.try_simulate(f))
     }
 
     /// The machine-readable description embedded in run manifests.
@@ -1527,7 +1440,7 @@ pub trait SpecVisitor {
     fn visit<A: RoutingAlgorithm + 'static>(self, algo: A) -> Self::Out;
 }
 
-/// Worker-thread count for [`Scenario::sweep_outcomes`] and for the
+/// Worker-thread count for [`Scenario::try_sweep_outcomes`] and for the
 /// sharded stepper's workers: the `NETPERF_THREADS` environment
 /// variable if set to a positive integer, otherwise the machine's
 /// available parallelism.
@@ -1570,238 +1483,164 @@ pub fn default_load_grid() -> Vec<f64> {
     (1..=20).map(|i| i as f64 * 0.05).collect()
 }
 
-/// One entry of the named-scenario registry.
-#[derive(Clone, Copy)]
+/// Run `point` at every load: points are distributed over
+/// [`sweep_threads`] workers by work stealing (each run is a pure
+/// function of its load, so order does not matter), and finished
+/// outcomes flow back over a channel tagged with their grid index,
+/// placed without any shared mutable state. If several points fail, the
+/// error of the lowest-index point is returned (deterministic
+/// regardless of thread scheduling).
+pub(crate) fn sweep_pool<E: Send>(
+    fractions: &[f64],
+    point: impl Fn(f64) -> Result<SimOutcome, E> + Sync,
+) -> Result<Vec<SimOutcome>, E> {
+    let threads = sweep_threads().min(fractions.len());
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<SimOutcome, E>)>();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            let tx = tx.clone();
+            s.spawn(|| {
+                let tx = tx; // move the clone, not the original
+                loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= fractions.len() || tx.send((i, point(fractions[i]))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    drop(tx); // all worker clones are done; close the channel
+    let mut results: Vec<Option<Result<SimOutcome, E>>> = fractions.iter().map(|_| None).collect();
+    for (i, out) in rx {
+        debug_assert!(results[i].is_none(), "load point {i} simulated twice");
+        results[i] = Some(out);
+    }
+    results
+        .into_iter()
+        .map(|o| o.expect("all points simulated"))
+        .collect()
+}
+
+/// Worker threads for one sharded run: capped by the shard count (extra
+/// threads would idle) and governed by `NETPERF_THREADS` / available
+/// parallelism like the sweep pool.
+fn worker_threads(shards: usize) -> usize {
+    if shards <= 1 {
+        1
+    } else {
+        sweep_threads().min(shards)
+    }
+}
+
+/// One entry of the named-scenario registry: a name, a summary and the
+/// `(flag, value)` pairs that define the scenario.
+#[derive(Clone, Copy, Debug)]
 pub struct NamedScenario {
     /// Registry key (CLI `netperf run <name>`).
     pub name: &'static str,
     /// One-line description for `netperf list`.
     pub summary: &'static str,
-    build: fn() -> Scenario,
+    /// The scenario's flags for [`Scenario::from_pairs`]; every flag
+    /// not given takes its default.
+    pub pairs: &'static [(&'static str, &'static str)],
 }
 
 impl NamedScenario {
     /// Build the scenario this entry describes.
     pub fn scenario(&self) -> Scenario {
-        (self.build)()
+        Scenario::from_pairs(self.pairs).expect("registry entries are valid by construction")
     }
-}
 
-impl std::fmt::Debug for NamedScenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NamedScenario")
-            .field("name", &self.name)
-            .finish()
+    /// This entry's pairs followed by `overrides` (the last value of a
+    /// flag wins). Overriding the entry's shape or traffic model is an
+    /// error: that would be another scenario under this one's name.
+    pub(crate) fn with_overrides<K: AsRef<str>, V: AsRef<str>>(
+        &self,
+        overrides: &[(K, V)],
+    ) -> Result<Scenario, ScenarioError> {
+        let f = Flags(overrides);
+        if f.any_of(&SHAPE_FLAGS) {
+            return Err(bad(
+                "give either a registry name or --topology/--k/--n/--taper/--algo/--vcs flags, \
+                 not both",
+            ));
+        }
+        if f.any_of(&FIXED_FLAGS) {
+            return Err(bad(
+                "registry scenarios fix injection/throttle/buffer/packet size/label; \
+                 use explicit --topology flags to change them",
+            ));
+        }
+        Scenario::from_pairs(&chain(self.pairs.iter().copied(), overrides))
     }
-}
-
-fn must(b: ScenarioBuilder) -> Scenario {
-    b.build()
-        .expect("registry entries are valid by construction")
 }
 
 /// Registry keys of the paper's five configurations, in the paper's
 /// presentation order.
 pub const PAPER_FIVE: [&str; 5] = ["cube-det", "cube-duato", "tree-1vc", "tree-2vc", "tree-4vc"];
 
+const fn row(
+    name: &'static str,
+    summary: &'static str,
+    pairs: &'static [(&'static str, &'static str)],
+) -> NamedScenario {
+    NamedScenario {
+        name,
+        summary,
+        pairs,
+    }
+}
+
+#[rustfmt::skip]
 static REGISTRY: [NamedScenario; 16] = [
-    NamedScenario {
-        name: "cube-det",
-        summary: "paper: 16-ary 2-cube, dimension-order deterministic, 4 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::cube(16, 2))
-                    .routing(RoutingKind::Deterministic),
-            )
-        },
-    },
-    NamedScenario {
-        name: "cube-duato",
-        summary: "paper: 16-ary 2-cube, Duato minimal adaptive, 2+2 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::cube(16, 2))
-                    .routing(RoutingKind::Duato),
-            )
-        },
-    },
-    NamedScenario {
-        name: "tree-1vc",
-        summary: "paper: 4-ary 4-tree, minimal adaptive, 1 VC",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::tree(4, 4))
-                    .routing(RoutingKind::Adaptive)
-                    .vcs(1),
-            )
-        },
-    },
-    NamedScenario {
-        name: "tree-2vc",
-        summary: "paper: 4-ary 4-tree, minimal adaptive, 2 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::tree(4, 4))
-                    .routing(RoutingKind::Adaptive)
-                    .vcs(2),
-            )
-        },
-    },
-    NamedScenario {
-        name: "tree-4vc",
-        summary: "paper: 4-ary 4-tree, minimal adaptive, 4 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::tree(4, 4))
-                    .routing(RoutingKind::Adaptive)
-                    .vcs(4),
-            )
-        },
-    },
-    NamedScenario {
-        name: "mesh-det",
-        summary: "extension: 16-ary 2-mesh, dimension-order, 4 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::mesh(16, 2))
-                    .routing(RoutingKind::Deterministic),
-            )
-        },
-    },
-    NamedScenario {
-        name: "mesh-adaptive",
-        summary: "extension: 16-ary 2-mesh, minimal adaptive + escape, 4 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::mesh(16, 2))
-                    .routing(RoutingKind::Adaptive),
-            )
-        },
-    },
-    NamedScenario {
-        name: "cube-duato-tiny",
-        summary: "smoke: 4-ary 2-cube (16 nodes), Duato, quick run",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::cube(4, 2))
-                    .routing(RoutingKind::Duato)
-                    .run_length(RunLength::quick()),
-            )
-        },
-    },
-    NamedScenario {
-        name: "tree-2vc-tiny",
-        summary: "smoke: 4-ary 2-tree (16 nodes), adaptive, 2 VCs, quick run",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::tree(4, 2))
-                    .routing(RoutingKind::Adaptive)
-                    .vcs(2)
-                    .run_length(RunLength::quick()),
-            )
-        },
-    },
+    row("cube-det", "paper: 16-ary 2-cube, dimension-order deterministic, 4 VCs",
+        &[("topology", "cube"), ("k", "16"), ("n", "2"), ("algo", "det")]),
+    row("cube-duato", "paper: 16-ary 2-cube, Duato minimal adaptive, 2+2 VCs",
+        &[("topology", "cube"), ("k", "16"), ("n", "2"), ("algo", "duato")]),
+    row("tree-1vc", "paper: 4-ary 4-tree, minimal adaptive, 1 VC",
+        &[("topology", "tree"), ("k", "4"), ("n", "4"), ("algo", "adaptive"), ("vcs", "1")]),
+    row("tree-2vc", "paper: 4-ary 4-tree, minimal adaptive, 2 VCs",
+        &[("topology", "tree"), ("k", "4"), ("n", "4"), ("algo", "adaptive"), ("vcs", "2")]),
+    row("tree-4vc", "paper: 4-ary 4-tree, minimal adaptive, 4 VCs",
+        &[("topology", "tree"), ("k", "4"), ("n", "4"), ("algo", "adaptive"), ("vcs", "4")]),
+    row("mesh-det", "extension: 16-ary 2-mesh, dimension-order, 4 VCs",
+        &[("topology", "mesh"), ("k", "16"), ("n", "2"), ("algo", "det")]),
+    row("mesh-adaptive", "extension: 16-ary 2-mesh, minimal adaptive + escape, 4 VCs",
+        &[("topology", "mesh"), ("k", "16"), ("n", "2"), ("algo", "adaptive")]),
+    row("cube-duato-tiny", "smoke: 4-ary 2-cube (16 nodes), Duato, quick run",
+        &[("topology", "cube"), ("k", "4"), ("n", "2"), ("algo", "duato"),
+          ("warmup", "1000"), ("cycles", "6000")]),
+    row("tree-2vc-tiny", "smoke: 4-ary 2-tree (16 nodes), adaptive, 2 VCs, quick run",
+        &[("topology", "tree"), ("k", "4"), ("n", "2"), ("algo", "adaptive"), ("vcs", "2"),
+          ("warmup", "1000"), ("cycles", "6000")]),
     // The fault entries keep the default labels so they share traffic
     // seeds with their healthy counterparts: the degradation shown is
     // pure fault effect, not a different noise realization.
-    NamedScenario {
-        name: "cube-duato-5pct",
-        summary: "fault: cube-duato with 5% of links dead (seed-derived)",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::cube(16, 2))
-                    .routing(RoutingKind::Duato)
-                    .faults(FaultPlan::dead_links(0.05)),
-            )
-        },
-    },
-    NamedScenario {
-        name: "tree-4vc-5pct",
-        summary: "fault: tree-4vc with 5% of links dead (seed-derived)",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::tree(4, 4))
-                    .routing(RoutingKind::Adaptive)
-                    .vcs(4)
-                    .faults(FaultPlan::dead_links(0.05)),
-            )
-        },
-    },
+    row("cube-duato-5pct", "fault: cube-duato with 5% of links dead (seed-derived)",
+        &[("topology", "cube"), ("k", "16"), ("n", "2"), ("algo", "duato"),
+          ("faults", "links=0.05")]),
+    row("tree-4vc-5pct", "fault: tree-4vc with 5% of links dead (seed-derived)",
+        &[("topology", "tree"), ("k", "4"), ("n", "4"), ("algo", "adaptive"), ("vcs", "4"),
+          ("faults", "links=0.05")]),
     // Beyond-paper scale axis: the regimes the related work targets
     // (thousands of end nodes) that the sharded stepper exists to
     // serve. Same paper protocol, bigger shapes — pair with
     // `--shards`/`NETPERF_THREADS` on multicore hosts.
-    NamedScenario {
-        name: "tree-4ary-6",
-        summary: "scale: 4-ary 6-tree (4096 nodes), minimal adaptive, 4 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::tree(4, 6))
-                    .routing(RoutingKind::Adaptive)
-                    .vcs(4),
-            )
-        },
-    },
-    NamedScenario {
-        name: "cube-32ary-2",
-        summary: "scale: 32-ary 2-cube (1024 nodes), Duato, 2+2 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::cube(32, 2))
-                    .routing(RoutingKind::Duato),
-            )
-        },
-    },
-    NamedScenario {
-        name: "tree-16k",
-        summary: "scale: 4-ary 7-tree (16384 nodes), minimal adaptive, 4 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::tree(4, 7))
-                    .routing(RoutingKind::Adaptive)
-                    .vcs(4),
-            )
-        },
-    },
+    row("tree-4ary-6", "scale: 4-ary 6-tree (4096 nodes), minimal adaptive, 4 VCs",
+        &[("topology", "tree"), ("k", "4"), ("n", "6"), ("algo", "adaptive"), ("vcs", "4")]),
+    row("cube-32ary-2", "scale: 32-ary 2-cube (1024 nodes), Duato, 2+2 VCs",
+        &[("topology", "cube"), ("k", "32"), ("n", "2"), ("algo", "duato")]),
+    row("tree-16k", "scale: 4-ary 7-tree (16384 nodes), minimal adaptive, 4 VCs",
+        &[("topology", "tree"), ("k", "4"), ("n", "7"), ("algo", "adaptive"), ("vcs", "4")]),
     // Design-plane families: the oversubscribed tree and the
     // torus-embedded hypercube, at the paper's 256-node scale.
-    NamedScenario {
-        name: "tapered-tree-4vc",
-        summary: "design: 4-ary 4-tree tapered 2:1, minimal adaptive, 4 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::tapered_tree(4, 4, 2))
-                    .routing(RoutingKind::Adaptive)
-                    .vcs(4),
-            )
-        },
-    },
-    NamedScenario {
-        name: "thc-det",
-        summary: "design: 4x4 torus x 4-cube (256 nodes), dimension-order, 4 VCs",
-        build: || {
-            must(
-                Scenario::builder()
-                    .topology(TopologySpec::thc(4, 4))
-                    .routing(RoutingKind::Deterministic),
-            )
-        },
-    },
+    row("tapered-tree-4vc", "design: 4-ary 4-tree tapered 2:1, minimal adaptive, 4 VCs",
+        &[("topology", "tapered-tree"), ("k", "4"), ("n", "4"), ("taper", "2"),
+          ("algo", "adaptive"), ("vcs", "4")]),
+    row("thc-det", "design: 4x4 torus x 4-cube (256 nodes), dimension-order, 4 VCs",
+        &[("topology", "thc"), ("k", "4"), ("n", "4"), ("algo", "det")]),
 ];
 
 /// All registry entries, paper configurations first.
@@ -1810,11 +1649,13 @@ pub fn registry() -> &'static [NamedScenario] {
 }
 
 /// Look up a registry entry by name.
+pub(crate) fn entry(name: &str) -> Option<&'static NamedScenario> {
+    REGISTRY.iter().find(|e| e.name == name)
+}
+
+/// Look up a registry entry by name and build its scenario.
 pub fn named(name: &str) -> Option<Scenario> {
-    REGISTRY
-        .iter()
-        .find(|e| e.name == name)
-        .map(|e| e.scenario())
+    entry(name).map(NamedScenario::scenario)
 }
 
 /// The five configurations of the paper's evaluation as registry
@@ -1829,6 +1670,17 @@ pub fn paper_scenarios() -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Stepper;
+
+    /// A scenario from pairs that must validate.
+    fn sc(pairs: &[(&str, &str)]) -> Scenario {
+        Scenario::from_pairs(pairs).unwrap_or_else(|e| panic!("{pairs:?}: {e}"))
+    }
+
+    /// The error a pair list is refused with.
+    fn err(pairs: &[(&str, &str)]) -> ScenarioError {
+        Scenario::from_pairs(pairs).expect_err("must be refused")
+    }
 
     #[test]
     fn registry_has_the_five_paper_entries_first() {
@@ -1864,276 +1716,322 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_illegal_combinations() {
-        let err = |b: ScenarioBuilder| b.build().unwrap_err();
-        assert_eq!(err(Scenario::builder()), ScenarioError::MissingTopology);
+    fn every_registry_entry_round_trips_through_its_pairs() {
+        for e in registry() {
+            let s = e.scenario();
+            assert_eq!(
+                Scenario::from_pairs(&s.to_pairs()).unwrap(),
+                s,
+                "{}",
+                e.name
+            );
+            assert_eq!(
+                e.with_overrides::<&str, &str>(&[]).unwrap(),
+                s,
+                "{}",
+                e.name
+            );
+        }
+        // Every non-default value survives too, in canonical spelling.
+        let s = sc(&[
+            ("topology", "fat-tree"),
+            ("k", "4"),
+            ("n", "3"),
+            ("algo", "adaptive"),
+            ("vcs", "3"),
+            ("pattern", "hotspot:5:35"),
+            ("injection", "onoff:4.5:200"),
+            ("throttle", "7"),
+            ("buffer", "6"),
+            ("packet-bytes", "128"),
+            ("label", "mine"),
+            ("fixed-seed", "0x2a"),
+            ("quick", "true"),
+            ("cycles", "4000"),
+            ("faults", "transient=2:200:60,routers=1,seed=9"),
+        ]);
+        let pairs = s.to_pairs();
+        assert_eq!(Scenario::from_pairs(&pairs).unwrap(), s);
+        let get = |flag: &str| pairs.iter().find(|(f, _)| *f == flag).unwrap().1.as_str();
+        assert_eq!(get("topology"), "tree");
+        assert_eq!(get("pattern"), "hotspot:5:35");
+        assert_eq!(get("injection"), "onoff:4.5:200");
+        assert_eq!(get("fixed-seed"), "42");
+        assert_eq!(get("faults"), "routers=1,transient=2:200:60,seed=0x9");
+        assert_eq!((get("warmup"), get("cycles")), ("1000", "4000"));
+    }
+
+    #[test]
+    fn from_pairs_rejects_illegal_combinations() {
+        assert_eq!(err(&[("k", "4")]), ScenarioError::MissingTopology);
+        let tree = [("topology", "tree"), ("k", "4")];
         assert!(matches!(
-            err(Scenario::builder()
-                .topology(TopologySpec::tree(4, 2))
-                .routing(RoutingKind::Duato)),
+            err(&[tree[0], tree[1], ("algo", "duato")]),
             ScenarioError::UnsupportedCombination(_)
         ));
         assert!(matches!(
-            err(Scenario::builder()
-                .topology(TopologySpec::cube(16, 2))
-                .vcs(2)),
+            err(&[("topology", "cube"), ("vcs", "2")]),
             ScenarioError::BadVcs(_)
         ));
         assert!(matches!(
-            err(Scenario::builder()
-                .topology(TopologySpec::mesh(8, 2))
-                .routing(RoutingKind::Adaptive)
-                .vcs(1)),
+            err(&[
+                ("topology", "mesh"),
+                ("k", "8"),
+                ("algo", "adaptive"),
+                ("vcs", "1")
+            ]),
             ScenarioError::BadVcs(_)
         ));
         assert!(matches!(
-            err(Scenario::builder().topology(TopologySpec::cube(1, 2))),
+            err(&[("topology", "cube"), ("k", "1")]),
             ScenarioError::BadShape(_)
         ));
         assert!(matches!(
-            err(Scenario::builder()
-                .topology(TopologySpec::mesh(10, 2))
-                .pattern(Pattern::Transpose)),
+            err(&[("topology", "mesh"), ("k", "10"), ("pattern", "transpose")]),
             ScenarioError::BadPattern(_)
         ));
         assert!(matches!(
-            err(Scenario::builder()
-                .topology(TopologySpec::cube(4, 2))
-                .run_length(RunLength {
-                    warmup: 100,
-                    total: 100
-                })),
-            ScenarioError::BadParameter(_)
+            err(&[
+                ("topology", "cube"),
+                ("k", "4"),
+                ("pattern", "hotspot:16:20")
+            ]),
+            ScenarioError::BadPattern(_)
         ));
-        assert!(matches!(
-            err(Scenario::builder()
-                .topology(TopologySpec::cube(4, 2))
-                .shards(0)),
-            ScenarioError::BadParameter(_)
-        ));
-    }
-
-    #[test]
-    fn shards_are_an_execution_detail() {
-        // Default 1, carried by the builder and with_shards, and
-        // deliberately absent from the manifest (bit-identical runs
-        // must produce byte-identical manifests).
-        let base = named("cube-duato-tiny").unwrap();
-        assert_eq!(base.shards(), 1);
-        let sharded = base.clone().with_shards(4);
-        assert_eq!(sharded.shards(), 4);
-        assert_eq!(
-            format!("{:?}", base.manifest()),
-            format!("{:?}", sharded.manifest())
-        );
-        let built = must(
-            Scenario::builder()
-                .topology(TopologySpec::cube(4, 2))
-                .shards(2),
-        );
-        assert_eq!(built.shards(), 2);
-        // Sharded and serial execution agree on the outcome.
-        let serial = base.simulate(0.3);
-        let split = sharded.try_simulate_sharded(0.3, 2, 1).unwrap();
-        assert_eq!(serial.delivered_packets, split.delivered_packets);
-        assert_eq!(serial.created_packets, split.created_packets);
-        assert_eq!(
-            serial.accepted_fraction.to_bits(),
-            split.accepted_fraction.to_bits()
-        );
-    }
-
-    #[test]
-    fn stepper_is_an_execution_detail() {
-        // Default kernel, carried by the builder and with_stepper,
-        // deliberately absent from the manifest and the state ident
-        // (bit-identical runs must share checkpoints and manifests),
-        // and composing with any shard count.
-        let base = named("cube-duato-tiny").unwrap();
-        assert_eq!(base.stepper(), Stepper::Default);
-        let audited = base.clone().with_stepper(Stepper::Reference);
-        assert_eq!(audited.stepper(), Stepper::Reference);
-        assert_eq!(
-            format!("{:?}", base.manifest()),
-            format!("{:?}", audited.manifest())
-        );
-        assert_eq!(base.state_ident(0.3), audited.state_ident(0.3));
-        let built = must(
-            Scenario::builder()
-                .topology(TopologySpec::cube(4, 2))
-                .shards(2)
-                .stepper(Stepper::Reference),
-        );
-        assert_eq!((built.stepper(), built.shards()), (Stepper::Reference, 2));
-        // Every combination agrees on the outcome, bit for bit.
-        let default = format!("{:?}", base.simulate(0.3));
-        for (stepper, shards) in [
-            (Stepper::Reference, 1),
-            (Stepper::Reference, 2),
-            (Stepper::Default, 2),
+        let short = [
+            ("topology", "cube"),
+            ("k", "4"),
+            ("warmup", "100"),
+            ("cycles", "100"),
+        ];
+        assert!(matches!(err(&short), ScenarioError::BadParameter(_)));
+        for bad_flag in [
+            ("shards", "2"),
+            ("vcs", "four"),
+            ("taper", "0"),
+            ("quick", "yes"),
+            ("pattern", "hotspot:3"),
+            ("injection", "onoff:0.5:4"),
+            ("buffer", "0"),
+            ("faults", "bananas"),
         ] {
-            let alt = base.clone().with_stepper(stepper);
-            let alt = alt.try_simulate_sharded(0.3, shards, 1).unwrap();
-            assert_eq!(default, format!("{alt:?}"), "{stepper} x {shards}");
+            let e = err(&[("topology", "cube"), ("k", "4"), bad_flag]);
+            assert!(
+                matches!(e, ScenarioError::BadParameter(_)),
+                "{bad_flag:?}: {e}"
+            );
+        }
+        assert!(matches!(
+            err(&[("topology", "cube"), ("k", "4"), ("faults", "routers=1000")]),
+            ScenarioError::BadFaults(_)
+        ));
+        // A registry name fixes its shape and its traffic model.
+        let tiny = entry("cube-duato-tiny").unwrap();
+        for fixed in ["k", "n", "algo", "injection", "packet-bytes", "label"] {
+            let e = tiny.with_overrides(&[(fixed, "4")]).unwrap_err();
+            assert!(matches!(e, ScenarioError::BadParameter(_)), "{fixed}: {e}");
         }
     }
 
     #[test]
+    fn run_length_overrides_keep_the_other_value_and_beat_quick() {
+        let tiny = entry("cube-duato-tiny").unwrap();
+        let len =
+            |e: &NamedScenario, kv: &[(&str, &str)]| e.with_overrides(kv).unwrap().run_length();
+        let rl = |warmup, total| RunLength { warmup, total };
+        assert_eq!(len(tiny, &[("warmup", "100")]), rl(100, 6_000));
+        assert_eq!(len(tiny, &[("cycles", "1500")]), rl(1_000, 1_500));
+        let paper = entry("cube-duato").unwrap();
+        assert_eq!(len(paper, &[]), RunLength::paper());
+        assert_eq!(len(paper, &[("quick", "true")]), RunLength::quick());
+        for kv in [
+            [("quick", "true"), ("warmup", "100")],
+            [("warmup", "100"), ("quick", "true")],
+        ] {
+            assert_eq!(len(paper, &kv), rl(100, 6_000), "{kv:?}");
+        }
+        assert_eq!(
+            len(paper, &[("cycles", "3000"), ("quick", "true")]),
+            rl(1_000, 3_000)
+        );
+    }
+
+    #[test]
+    fn shards_and_stepper_are_execution_details_of_run_control() {
+        // Every shards x stepper combination agrees with the default
+        // serial run bit for bit, and none of them is part of the
+        // scenario: a checkpoint taken serially resumes under each.
+        let base = named("cube-duato-tiny").unwrap();
+        let (load, ident) = (0.3, base.state_ident(0.3));
+        let (manifest, pairs) = (format!("{:?}", base.manifest()), base.to_pairs());
+        let default = format!("{:?}", base.try_simulate(load).unwrap());
+        let mut snaps = Vec::new();
+        let mut sink = |s: &crate::sim::RunSnapshot| snaps.push(s.clone());
+        let mut ctl = RunControl::new(ident);
+        ctl.checkpoint_every = Some(2_500);
+        ctl.on_checkpoint = Some(&mut sink);
+        base.try_simulate_controlled(load, &mut ctl).unwrap();
+        let snap = snaps.pop().expect("a checkpoint");
+        for (stepper, shards) in [
+            (Stepper::Default, 1),
+            (Stepper::Reference, 1),
+            (Stepper::Reference, 2),
+            (Stepper::Default, 2),
+            (Stepper::Default, 4),
+        ] {
+            for resume in [None, Some(snap.clone())] {
+                let mut ctl = RunControl {
+                    shards,
+                    stepper,
+                    resume,
+                    ..RunControl::new(ident)
+                };
+                let alt = base.try_simulate_controlled(load, &mut ctl).unwrap();
+                assert_eq!(default, format!("{alt:?}"), "{stepper} x {shards}");
+            }
+        }
+        let split = base.try_simulate_sharded(load, 2, 1).unwrap();
+        assert_eq!(default, format!("{split:?}"));
+        assert_eq!(format!("{:?}", base.manifest()), manifest);
+        assert_eq!((base.state_ident(load), base.to_pairs()), (ident, pairs));
+    }
+
+    #[test]
     fn state_ident_moves_with_every_axis_and_every_parameter() {
-        // Each case: a base builder and the same builder with one axis,
-        // or one parameter inside an axis, changed.
-        let cube = || {
-            Scenario::builder()
-                .topology(TopologySpec::cube(4, 2))
-                .run_length(RunLength::quick())
+        // Each case: a base scenario and the same scenario with one
+        // axis, or one parameter inside an axis, changed.
+        let cube = |extra: &[(&str, &str)]| {
+            let mut pairs = vec![
+                ("topology", "cube"),
+                ("k", "4"),
+                ("n", "2"),
+                ("quick", "true"),
+            ];
+            pairs.extend_from_slice(extra);
+            sc(&pairs)
         };
-        let tree = || cube().topology(TopologySpec::tree(4, 2)).vcs(2);
-        let onoff = |mean_on, mean_off| InjectionModel::OnOff { mean_on, mean_off };
-        let hot = |hot, percent| Pattern::HotSpot { hot, percent };
+        let tree = |extra: &[(&str, &str)]| {
+            let mut pairs = vec![("topology", "tree"), ("vcs", "2")];
+            pairs.extend_from_slice(extra);
+            cube(&pairs)
+        };
         let trace = |stride, record_events| TelemetryConfig {
             stride,
             record_events,
         };
-        let plan = |s: &str| FaultPlan::parse(s).unwrap();
-        let cases: Vec<(&str, ScenarioBuilder, ScenarioBuilder)> = vec![
-            ("label", cube(), cube().label("another")),
-            ("family", cube(), cube().topology(TopologySpec::mesh(4, 2))),
-            ("k", cube(), cube().topology(TopologySpec::cube(8, 2))),
-            ("n", cube(), cube().topology(TopologySpec::cube(4, 3))),
+        let tapered = [("topology", "tapered-tree"), ("n", "3")];
+        let thc = ("topology", "thc");
+        let cases: Vec<(&str, Scenario, Scenario)> = vec![
+            ("label", cube(&[]), cube(&[("label", "another")])),
+            ("family", cube(&[]), cube(&[("topology", "mesh")])),
+            ("k", cube(&[]), cube(&[("k", "8")])),
+            ("n", cube(&[]), cube(&[("n", "3")])),
             (
                 "taper",
-                tree().topology(TopologySpec::tapered_tree(4, 3, 2)),
-                tree().topology(TopologySpec::tapered_tree(4, 3, 4)),
+                tree(&[tapered[0], tapered[1], ("taper", "2")]),
+                tree(&[tapered[0], tapered[1], ("taper", "4")]),
             ),
-            (
-                "thc d",
-                cube().topology(TopologySpec::thc(4, 1)),
-                cube().topology(TopologySpec::thc(4, 2)),
-            ),
-            (
-                "routing",
-                cube(),
-                cube().routing(RoutingKind::Deterministic),
-            ),
-            ("vcs", tree(), tree().vcs(4)),
-            ("pattern", cube(), cube().pattern(Pattern::Transpose)),
+            ("thc d", cube(&[thc, ("n", "1")]), cube(&[thc, ("n", "2")])),
+            ("routing", cube(&[]), cube(&[("algo", "det")])),
+            ("vcs", tree(&[]), tree(&[("vcs", "4")])),
+            ("pattern", cube(&[]), cube(&[("pattern", "transpose")])),
             (
                 "hot node",
-                cube().pattern(hot(0, 20)),
-                cube().pattern(hot(3, 20)),
+                cube(&[("pattern", "hotspot:0:20")]),
+                cube(&[("pattern", "hotspot:3:20")]),
             ),
             (
                 "hot percent",
-                cube().pattern(hot(0, 20)),
-                cube().pattern(hot(0, 40)),
+                cube(&[("pattern", "hotspot:0:20")]),
+                cube(&[("pattern", "hotspot:0:40")]),
             ),
-            (
-                "injection",
-                cube(),
-                cube().injection(InjectionModel::Periodic),
-            ),
-            ("on/off", cube(), cube().injection(onoff(4.0, 4.0))),
+            ("injection", cube(&[]), cube(&[("injection", "periodic")])),
+            ("on/off", cube(&[]), cube(&[("injection", "onoff:4:4")])),
             (
                 "mean_on",
-                cube().injection(onoff(4.0, 4.0)),
-                cube().injection(onoff(200.0, 4.0)),
+                cube(&[("injection", "onoff:4:4")]),
+                cube(&[("injection", "onoff:200:4")]),
             ),
             (
                 "mean_off",
-                cube().injection(onoff(4.0, 4.0)),
-                cube().injection(onoff(4.0, 200.0)),
+                cube(&[("injection", "onoff:4:4")]),
+                cube(&[("injection", "onoff:4:200")]),
             ),
-            (
-                "warmup",
-                cube(),
-                cube().run_length(RunLength {
-                    warmup: 900,
-                    total: 6_000,
-                }),
-            ),
-            (
-                "total",
-                cube(),
-                cube().run_length(RunLength {
-                    warmup: 1_000,
-                    total: 7_000,
-                }),
-            ),
-            ("salt", cube(), cube().seed(SeedMode::Derived { salt: 1 })),
-            ("fixed seed", cube(), cube().seed(SeedMode::Fixed(7))),
+            ("warmup", cube(&[]), cube(&[("warmup", "900")])),
+            ("total", cube(&[]), cube(&[("cycles", "7000")])),
+            ("salt", cube(&[]), cube(&[("seed", "1")])),
+            ("fixed seed", cube(&[]), cube(&[("fixed-seed", "7")])),
             (
                 "fixed seed value",
-                cube().seed(SeedMode::Fixed(7)),
-                cube().seed(SeedMode::Fixed(8)),
+                cube(&[("fixed-seed", "7")]),
+                cube(&[("fixed-seed", "8")]),
             ),
-            ("buffer depth", cube(), cube().buffer_depth(8)),
-            ("packet bytes", cube(), cube().packet_bytes(128)),
-            ("throttle", cube(), cube().throttle(Throttle::Off)),
+            ("buffer depth", cube(&[]), cube(&[("buffer", "8")])),
+            ("packet bytes", cube(&[]), cube(&[("packet-bytes", "128")])),
+            ("throttle", cube(&[]), cube(&[("throttle", "off")])),
             (
                 "throttle limit",
-                cube().throttle(Throttle::Limit(3)),
-                cube().throttle(Throttle::Limit(4)),
+                cube(&[("throttle", "3")]),
+                cube(&[("throttle", "4")]),
             ),
-            ("telemetry", cube(), cube().telemetry(trace(64, false))),
+            (
+                "telemetry",
+                cube(&[]),
+                cube(&[]).with_telemetry(trace(64, false)),
+            ),
             (
                 "telemetry stride",
-                cube().telemetry(trace(64, false)),
-                cube().telemetry(trace(32, false)),
+                cube(&[]).with_telemetry(trace(64, false)),
+                cube(&[]).with_telemetry(trace(32, false)),
             ),
             (
                 "telemetry events",
-                cube().telemetry(trace(64, false)),
-                cube().telemetry(trace(64, true)),
+                cube(&[]).with_telemetry(trace(64, false)),
+                cube(&[]).with_telemetry(trace(64, true)),
             ),
-            ("faults", cube(), cube().faults(plan("links=0.1"))),
+            ("faults", cube(&[]), cube(&[("faults", "links=0.1")])),
             (
                 "fault links",
-                cube().faults(plan("links=0.1")),
-                cube().faults(plan("links=0.2")),
+                cube(&[("faults", "links=0.1")]),
+                cube(&[("faults", "links=0.2")]),
             ),
             (
                 "fault seed",
-                cube().faults(plan("links=0.1")),
-                cube().faults(plan("links=0.1,seed=9")),
+                cube(&[("faults", "links=0.1")]),
+                cube(&[("faults", "links=0.1,seed=9")]),
             ),
             (
                 "fault routers",
-                cube().faults(plan("routers=1")),
-                cube().faults(plan("routers=2")),
+                cube(&[("faults", "routers=1")]),
+                cube(&[("faults", "routers=2")]),
             ),
             (
                 "fault transients",
-                cube().faults(plan("transient=2:200:60")),
-                cube().faults(plan("transient=2:200:30")),
+                cube(&[("faults", "transient=2:200:60")]),
+                cube(&[("faults", "transient=2:200:30")]),
             ),
         ];
         for (what, base, flipped) in cases {
-            let (base, flipped) = (must(base), must(flipped));
             assert_ne!(
                 base.state_ident(0.3),
                 flipped.state_ident(0.3),
                 "changing the {what} kept the identity"
             );
         }
-        let s = must(cube().injection(onoff(4.0, 4.0)));
+        let s = cube(&[("injection", "onoff:4:4")]);
         assert_ne!(s.state_ident(0.3), s.state_ident(0.35), "load");
-        // Execution details are not part of the identity.
-        for detail in [
-            s.clone().with_shards(3),
-            s.clone().with_stepper(Stepper::Reference),
-        ] {
-            assert_eq!(detail.state_ident(0.3), s.state_ident(0.3));
-        }
+        // The ident is a function of the canonical pairs alone: any
+        // spelling of the same scenario has the same identity.
+        let spelled = cube(&[
+            ("topology", "torus"),
+            ("injection", "onoff:4.0:4"),
+            ("seed", "0"),
+        ]);
+        assert_eq!(spelled.state_ident(0.3), s.state_ident(0.3));
     }
 
     #[test]
     fn hostile_axes_are_errors_before_anything_is_sized() {
-        // `to_builder` is a fixed point, so editing through it changes
-        // only what was edited.
-        for e in registry() {
-            let s = e.scenario();
-            assert_eq!(s.to_builder().build().unwrap(), s, "{}", e.name);
-        }
         let s = named("cube-duato-tiny").unwrap();
         for load in [0.0, 0.5, 1.0] {
             assert!(s.check_load(load).is_ok(), "{load}");
@@ -2143,21 +2041,17 @@ mod tests {
             assert!(matches!(e, ScenarioError::BadParameter(_)), "{load}: {e}");
         }
         // Bursty sources are bounded at their on-state peak.
-        let bursty = s.to_builder().injection(InjectionModel::OnOff {
-            mean_on: 10.0,
-            mean_off: 30.0,
-        });
-        let bursty = bursty.build().unwrap();
+        let bursty = s.with_pairs(&[("injection", "onoff:10:30")]).unwrap();
         let limit = (1..).map(|i| i as f64).find(|&l| s.check_load(l).is_err());
         assert!(bursty.check_load(limit.unwrap() / 3.0).is_err());
         // Shapes that would overflow the node count, or merely ask for
-        // terabytes, are refused by the builder.
-        for t in [
-            TopologySpec::cube(100_000, 3),
-            TopologySpec::tree(4, 40),
-            TopologySpec::thc(4, 70),
+        // terabytes, are refused before anything is built.
+        for (family, k, n) in [
+            ("cube", "100000", "3"),
+            ("tree", "4", "40"),
+            ("thc", "4", "70"),
         ] {
-            let e = Scenario::builder().topology(t).build().unwrap_err();
+            let e = err(&[("topology", family), ("k", k), ("n", n)]);
             assert!(matches!(e, ScenarioError::BadShape(_)), "{e}");
         }
     }
@@ -2260,28 +2154,30 @@ mod tests {
 
     #[test]
     fn new_family_combinations_are_validated() {
-        let err = |b: ScenarioBuilder| b.build().unwrap_err();
+        let tapered = [("topology", "tapered-tree"), ("k", "4")];
+        let thc = [("topology", "thc"), ("k", "4")];
         assert!(matches!(
-            err(Scenario::builder()
-                .topology(TopologySpec::tapered_tree(4, 2, 2))
-                .routing(RoutingKind::Duato)),
+            err(&[tapered[0], tapered[1], ("algo", "duato")]),
             ScenarioError::UnsupportedCombination(_)
         ));
         assert!(matches!(
-            err(Scenario::builder().topology(TopologySpec::thc(4, 2)).vcs(2)),
+            err(&[thc[0], thc[1], ("vcs", "2")]),
             ScenarioError::BadVcs(_)
         ));
         assert!(matches!(
-            err(Scenario::builder()
-                .topology(TopologySpec::thc(4, 2))
-                .routing(RoutingKind::Adaptive)),
+            err(&[thc[0], thc[1], ("algo", "adaptive")]),
             ScenarioError::UnsupportedCombination(_)
         ));
+        // --taper belongs to the tapered tree alone.
+        assert!(matches!(
+            err(&[thc[0], thc[1], ("taper", "2")]),
+            ScenarioError::BadParameter(_)
+        ));
         // Defaults: adaptive on the tapered tree, deterministic on the THC.
-        let tapered = must(Scenario::builder().topology(TopologySpec::tapered_tree(4, 2, 2)));
+        let tapered = sc(&tapered);
         assert_eq!(tapered.routing(), RoutingKind::Adaptive);
         assert_eq!(tapered.label(), "tapered tree, 4 vc (taper 2)");
-        let thc = must(Scenario::builder().topology(TopologySpec::thc(4, 2)));
+        let thc = sc(&thc);
         assert_eq!(thc.routing(), RoutingKind::Deterministic);
         assert_eq!(thc.label(), "torus hypercube, deterministic");
         assert_eq!(thc.topology().describe(), "4x4 torus x 2-cube");
@@ -2289,25 +2185,19 @@ mod tests {
 
     #[test]
     fn new_family_scenarios_simulate() {
-        let quick = RunLength {
-            warmup: 200,
-            total: 1500,
-        };
-        let tapered = must(
-            Scenario::builder()
-                .topology(TopologySpec::tapered_tree(4, 2, 2))
-                .vcs(2)
-                .run_length(quick),
-        );
-        let out = tapered.simulate(0.3);
+        let short = [("warmup", "200"), ("cycles", "1500")];
+        let tapered = sc(&[
+            ("topology", "tapered-tree"),
+            ("k", "4"),
+            ("vcs", "2"),
+            short[0],
+            short[1],
+        ]);
+        let out = tapered.try_simulate(0.3).unwrap();
         assert!(out.delivered_packets > 0);
         assert!(out.accepted_fraction > 0.0);
-        let thc = must(
-            Scenario::builder()
-                .topology(TopologySpec::thc(4, 2))
-                .run_length(quick),
-        );
-        let out = thc.simulate(0.3);
+        let thc = sc(&[("topology", "thc"), ("k", "4"), short[0], short[1]]);
+        let out = thc.try_simulate(0.3).unwrap();
         assert!(out.delivered_packets > 0);
         assert!(out.accepted_fraction > 0.0);
         // The THC inherits the cube's source-throttle threshold.
@@ -2341,57 +2231,34 @@ mod tests {
 
     #[test]
     fn mesh_scenarios_simulate() {
-        let s = must(
-            Scenario::builder()
-                .topology(TopologySpec::mesh(4, 2))
-                .routing(RoutingKind::Adaptive)
-                .vcs(2)
-                .run_length(RunLength {
-                    warmup: 200,
-                    total: 1500,
-                }),
-        );
-        let out = s.simulate(0.3);
+        let s = sc(&[
+            ("topology", "mesh"),
+            ("k", "4"),
+            ("algo", "adaptive"),
+            ("vcs", "2"),
+            ("warmup", "200"),
+            ("cycles", "1500"),
+        ]);
+        let out = s.try_simulate(0.3).unwrap();
         assert!(out.delivered_packets > 0);
         assert!(out.accepted_fraction > 0.0);
     }
 
     #[test]
     fn injection_models_hit_the_offered_rate() {
-        let base = Scenario::builder().topology(TopologySpec::cube(16, 2));
-        for inj in [
-            InjectionModel::Bernoulli,
-            InjectionModel::Periodic,
-            InjectionModel::OnOff {
-                mean_on: 64.0,
-                mean_off: 64.0,
-            },
-        ] {
-            let s = must(base.clone().injection(inj));
-            let cfg = s.config_at(0.5);
-            let rate = cfg.injection.mean_rate();
+        for inj in ["bernoulli", "periodic", "onoff:64:64"] {
+            let s = sc(&[("topology", "cube"), ("injection", inj)]);
+            let rate = s.config_at(0.5).injection.mean_rate();
             // Periodic rounds to whole cycles; the others are exact.
             assert!(
                 (rate - 0.5 * 0.5 / 16.0).abs() < 2e-4,
-                "{inj:?} long-run rate {rate}"
+                "{inj} long-run rate {rate}"
             );
         }
     }
 
     #[test]
     fn faulted_scenarios_build_run_and_manifest() {
-        // A plan that cannot fit the topology is rejected at build time.
-        assert!(matches!(
-            Scenario::builder()
-                .topology(TopologySpec::cube(4, 2))
-                .routing(RoutingKind::Duato)
-                .faults(FaultPlan {
-                    routers: 1000,
-                    ..FaultPlan::default()
-                })
-                .build(),
-            Err(ScenarioError::BadFaults(_))
-        ));
         // A registry fault entry runs and accounts for every packet.
         let s = named("cube-duato-5pct")
             .unwrap()
@@ -2404,10 +2271,16 @@ mod tests {
         for needle in ["\"faults\"", "\"spec\": \"links=0.05\"", "\"dead_links\":"] {
             assert!(m.contains(needle), "manifest missing {needle}:\n{m}");
         }
-        // Stripping the plan restores the healthy scenario.
-        let healthy = s.with_faults(None).unwrap();
+        // `faults none` restores the healthy scenario.
+        let healthy = s.with_pairs(&[("faults", "none")]).unwrap();
         assert!(healthy.faults().is_none());
         assert!(!healthy.manifest().to_json().contains("\"faults\""));
+        assert_eq!(
+            healthy,
+            named("cube-duato")
+                .unwrap()
+                .with_run_length(RunLength::quick())
+        );
     }
 
     #[test]

@@ -262,10 +262,14 @@ impl RunSnapshot {
     }
 }
 
-/// Checkpoint/resume control for [`run_simulation_controlled`].
+/// How one run executes: checkpoint/resume control plus the execution
+/// details (shard count, stepper) for [`run_simulation_controlled`].
 ///
-/// The default-ish form (`RunControl::new(ident)`) neither resumes nor
-/// checkpoints and leaves the run bit-identical to the plain entry
+/// None of it is part of the experiment: every shard count and stepper
+/// produces bit-identical outcomes, and a checkpoint taken under one
+/// resumes under any other. The default-ish form
+/// (`RunControl::new(ident)`) is serial, on the default stepper, and
+/// neither resumes nor checkpoints: bit-identical to the plain entry
 /// points.
 pub struct RunControl<'a> {
     /// Configuration digest stamped into every checkpoint and verified
@@ -278,16 +282,25 @@ pub struct RunControl<'a> {
     pub checkpoint_every: Option<u32>,
     /// Receives each checkpoint as it is taken.
     pub on_checkpoint: Option<&'a mut dyn FnMut(&RunSnapshot)>,
+    /// Domain-decompose the run into this many shards stepped with
+    /// deterministic phase barriers (see [`Engine::shard_plan`]); `<= 1`
+    /// is serial, a count beyond the router count is clamped.
+    pub shards: usize,
+    /// How the engine scans for work.
+    pub stepper: Stepper,
 }
 
 impl<'a> RunControl<'a> {
-    /// A control block that neither resumes nor checkpoints.
+    /// A serial control block on the default stepper that neither
+    /// resumes nor checkpoints.
     pub fn new(ident: u64) -> Self {
         RunControl {
             ident,
             resume: None,
             checkpoint_every: None,
             on_checkpoint: None,
+            shards: 1,
+            stepper: Stepper::Default,
         }
     }
 }
@@ -564,28 +577,27 @@ impl std::str::FromStr for Stepper {
 }
 
 /// [`run_simulation_faulted`] with everything about *how* the run
-/// executes chosen by the caller — the serving plane's run-level entry
-/// point. `shards <= 1` runs serial, larger values decompose the run
-/// into that many domains stepped by `threads` worker threads (see
-/// [`Engine::shard_plan`]); `stepper` picks the scan; `ctl` adds
-/// checkpoint/resume control. None of it can change the outcome:
-/// every combination is bit-identical, and resuming from a mid-run
-/// [`RunSnapshot`] and finishing is bit-identical to the uninterrupted
-/// run under any combination, since snapshots capture canonical state.
-#[allow(clippy::too_many_arguments)]
+/// executes chosen by the caller in `ctl` — the serving plane's
+/// run-level entry point. [`RunControl::shards`] above 1 decomposes
+/// the run into that many domains stepped by `threads` worker threads
+/// (see [`Engine::shard_plan`]); [`RunControl::stepper`] picks the
+/// scan; the rest adds checkpoint/resume control. None of it can change
+/// the outcome: every combination is bit-identical, and resuming from a
+/// mid-run [`RunSnapshot`] and finishing is bit-identical to the
+/// uninterrupted run under any combination, since snapshots capture
+/// canonical state.
 pub fn run_simulation_controlled<A: RoutingAlgorithm + ?Sized, P: Probe, F>(
     algo: &A,
     cfg: &SimConfig,
     probe: P,
     faults: F,
-    shards: usize,
     threads: usize,
-    stepper: Stepper,
-    ctl: Option<&mut RunControl<'_>>,
+    ctl: &mut RunControl<'_>,
 ) -> Result<(SimOutcome, P), ResumeError>
 where
     F: FaultModel + Sync,
 {
+    let (shards, stepper) = (ctl.shards, ctl.stepper);
     let mut plan: Option<ShardPlan> = None;
     let run = |eng: &mut Engine<'_, A, P, F>, cycles| {
         if shards > 1 && plan.is_none() {
@@ -600,7 +612,7 @@ where
             (Stepper::Reference, Some(plan)) => eng.run_checked_reference_sharded(cycles, plan),
         }
     };
-    measure(algo, cfg, probe, faults, run, ctl)
+    measure(algo, cfg, probe, faults, run, Some(ctl))
 }
 
 /// The number of contiguous batches the measurement window is split
@@ -966,17 +978,8 @@ mod tests {
         let cfg = quick(Pattern::Uniform, 0.3 * 2.0 / 16.0, 16, 2.0);
         let plain = run_simulation(&algo, &cfg);
         let mut ctl = RunControl::new(7);
-        let (controlled, _) = run_simulation_controlled(
-            &algo,
-            &cfg,
-            NullProbe,
-            NoFaults,
-            1,
-            1,
-            Stepper::Default,
-            Some(&mut ctl),
-        )
-        .unwrap();
+        let (controlled, _) =
+            run_simulation_controlled(&algo, &cfg, NullProbe, NoFaults, 1, &mut ctl).unwrap();
         assert_eq!(format!("{plain:?}"), format!("{controlled:?}"));
     }
 
@@ -993,17 +996,8 @@ mod tests {
         let mut ctl = RunControl::new(42);
         ctl.checkpoint_every = Some(700);
         ctl.on_checkpoint = Some(&mut sink);
-        let (full, _) = run_simulation_controlled(
-            &algo,
-            &cfg,
-            NullProbe,
-            NoFaults,
-            1,
-            1,
-            Stepper::Default,
-            Some(&mut ctl),
-        )
-        .unwrap();
+        let (full, _) =
+            run_simulation_controlled(&algo, &cfg, NullProbe, NoFaults, 1, &mut ctl).unwrap();
         assert_eq!(format!("{baseline:?}"), format!("{full:?}"));
         assert!(taken.len() >= 3, "expected several checkpoints");
 
@@ -1014,17 +1008,8 @@ mod tests {
             assert_eq!(&restored, snap);
             let mut ctl = RunControl::new(42);
             ctl.resume = Some(restored);
-            let (resumed, _) = run_simulation_controlled(
-                &algo,
-                &cfg,
-                NullProbe,
-                NoFaults,
-                1,
-                1,
-                Stepper::Default,
-                Some(&mut ctl),
-            )
-            .unwrap();
+            let (resumed, _) =
+                run_simulation_controlled(&algo, &cfg, NullProbe, NoFaults, 1, &mut ctl).unwrap();
             assert_eq!(
                 format!("{baseline:?}"),
                 format!("{resumed:?}"),
@@ -1043,33 +1028,14 @@ mod tests {
         let mut ctl = RunControl::new(1);
         ctl.checkpoint_every = Some(1000);
         ctl.on_checkpoint = Some(&mut sink);
-        run_simulation_controlled(
-            &algo,
-            &cfg,
-            NullProbe,
-            NoFaults,
-            1,
-            1,
-            Stepper::Default,
-            Some(&mut ctl),
-        )
-        .unwrap();
+        run_simulation_controlled(&algo, &cfg, NullProbe, NoFaults, 1, &mut ctl).unwrap();
         let snap = taken.pop().expect("at least one checkpoint");
 
         // Wrong ident: structured mismatch, not a panic.
         let mut ctl = RunControl::new(2);
         ctl.resume = Some(snap.clone());
-        let err = run_simulation_controlled(
-            &algo,
-            &cfg,
-            NullProbe,
-            NoFaults,
-            1,
-            1,
-            Stepper::Default,
-            Some(&mut ctl),
-        )
-        .unwrap_err();
+        let err =
+            run_simulation_controlled(&algo, &cfg, NullProbe, NoFaults, 1, &mut ctl).unwrap_err();
         assert!(matches!(
             err,
             ResumeError::Snapshot(SnapshotError::Mismatch(_))

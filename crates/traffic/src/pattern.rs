@@ -97,8 +97,9 @@ impl Pattern {
         }
     }
 
-    /// Parse a pattern name (as produced by [`Pattern::name`]).
-    /// `hotspot` uses node 0 and 20% hot traffic.
+    /// Parse a pattern name (as produced by [`Pattern::name`]) or a
+    /// [`Pattern::spec`]. Plain `hotspot` uses node 0 and 20% hot
+    /// traffic; `hotspot:<node>:<percent>` names both (percent <= 100).
     pub fn parse(s: &str) -> Option<Pattern> {
         Some(match s {
             "uniform" => Pattern::Uniform,
@@ -113,8 +114,24 @@ impl Pattern {
                 hot: 0,
                 percent: 20,
             },
-            _ => return None,
+            _ => {
+                let (hot, percent) = s.strip_prefix("hotspot:")?.split_once(':')?;
+                Pattern::HotSpot {
+                    hot: hot.parse().ok()?,
+                    percent: percent.parse().ok().filter(|p| *p <= 100)?,
+                }
+            }
         })
+    }
+
+    /// The canonical spelling [`Pattern::parse`] reads back as this
+    /// exact pattern: the name, plus `:<node>:<percent>` for the hot
+    /// spot.
+    pub fn spec(&self) -> String {
+        match *self {
+            Pattern::HotSpot { hot, percent } => format!("hotspot:{hot}:{percent}"),
+            p => p.name().to_string(),
+        }
     }
 
     /// Whether destinations are a deterministic function of the source.
@@ -285,6 +302,37 @@ mod tests {
             percent: 20,
         };
         assert_eq!(Pattern::parse(hs.name()), Some(hs));
+    }
+
+    #[test]
+    fn specs_round_trip_every_pattern_exactly() {
+        let mut all = Pattern::PAPER_SET.to_vec();
+        all.extend([
+            Pattern::Shuffle,
+            Pattern::Butterfly,
+            Pattern::Tornado,
+            Pattern::NearestNeighbor,
+            Pattern::HotSpot {
+                hot: 0,
+                percent: 20,
+            },
+            Pattern::HotSpot {
+                hot: 3,
+                percent: 45,
+            },
+            Pattern::HotSpot {
+                hot: 255,
+                percent: 100,
+            },
+        ]);
+        for p in all {
+            assert_eq!(Pattern::parse(&p.spec()), Some(p), "{}", p.spec());
+        }
+        // The parameters never reach the name (seeds and CSV headers).
+        assert_eq!(Pattern::parse("hotspot:7:5").unwrap().name(), "hotspot");
+        for junk in ["hotspot:3:101", "hotspot:x:20", "hotspot::20", "hotspot:3:"] {
+            assert_eq!(Pattern::parse(junk), None, "{junk:?} should not parse");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use netperf::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let specs = paper_scenarios();
     let loads = [0.3, 0.6, 0.9];
 
@@ -27,7 +27,9 @@ fn main() {
         for spec in &specs {
             let norm = spec.normalization();
             for &f in &loads {
-                let out = spec.clone().with_pattern(pattern).simulate(f);
+                let out = spec
+                    .with_pairs(&[("pattern", pattern.spec())])?
+                    .try_simulate(f)?;
                 let lat_ns = norm.cycles_to_ns(out.mean_latency_cycles());
                 println!(
                     "{:24} {:>17.0} ({:>2.0}%) {:>17.0} ({:>2.0}%) {:>9.2} us",
@@ -46,4 +48,5 @@ fn main() {
     println!("fat-tree under uniform traffic, both in terms of network throughput and");
     println!("latency\"; with transpose \"the throughput with two and four virtual channels");
     println!("on the fat-tree is tantamount to the adaptive algorithm on the cube\".");
+    Ok(())
 }

@@ -17,7 +17,7 @@
 use netperf::analytic::{CubeModel, TreeModel};
 use netperf::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let loads = [0.1, 0.3, 0.5, 0.7, 0.9];
 
     println!("16-ary 2-cube, Duato adaptive routing, uniform traffic");
@@ -29,7 +29,7 @@ fn main() {
     let spec = named("cube-duato").unwrap();
     for &f in &loads {
         let predicted = model.predicted_latency(f);
-        let sim = spec.simulate(f);
+        let sim = spec.try_simulate(f)?;
         let measured = sim.mean_latency_cycles();
         println!(
             "{:>7.0}% {:>16.1} {:>16.1} {:>7.0}%",
@@ -53,7 +53,7 @@ fn main() {
     let spec = named("tree-2vc").unwrap();
     for &f in &loads {
         let predicted = model.predicted_latency(f);
-        let sim = spec.simulate(f);
+        let sim = spec.try_simulate(f)?;
         let measured = sim.mean_latency_cycles();
         println!(
             "{:>7.0}% {:>16.1} {:>16.1} {:>7.0}%",
@@ -71,4 +71,5 @@ fn main() {
     println!("\nThe models capture the pipeline and first-order contention but miss");
     println!("virtual-channel multiplexing, head-of-line blocking and backpressure —");
     println!("which is precisely why the paper builds a detailed simulator.");
+    Ok(())
 }

@@ -18,7 +18,7 @@
 use netperf::prelude::*;
 use netperf::traffic::TrafficGen;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tree = KAryNTree::new(4, 4);
     let n = tree.num_nodes();
 
@@ -71,7 +71,9 @@ fn main() {
         Pattern::Transpose,
         Pattern::BitReversal,
     ] {
-        let out = spec.clone().with_pattern(pattern).simulate(0.9);
+        let out = spec
+            .with_pairs(&[("pattern", pattern.spec())])?
+            .try_simulate(0.9)?;
         println!(
             "  {:12} accepted {:>5.1}%  latency {:>6.1} cycles",
             pattern.name(),
@@ -81,4 +83,5 @@ fn main() {
     }
     println!("\nComplement sails through where the bisection-heavy permutations");
     println!("collapse to ~35% — exactly Figure 5 of the paper.");
+    Ok(())
 }

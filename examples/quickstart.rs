@@ -7,7 +7,7 @@
 
 use netperf::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One of the paper's five configurations: the 256-node bi-dimensional
     // cube with Duato's minimal adaptive routing (2 adaptive + 2 escape
     // virtual channels, 4-byte flits).
@@ -34,7 +34,7 @@ fn main() {
 
     // Simulate at 40% of capacity with the paper's protocol
     // (2000 warm-up cycles, measurement until cycle 20000).
-    let outcome = spec.simulate(0.40);
+    let outcome = spec.try_simulate(0.40)?;
 
     println!(
         "\noffered:   {:.1}% of capacity",
@@ -61,4 +61,5 @@ fn main() {
         "40% load is well below saturation"
     );
     println!("\nBelow saturation, accepted tracks offered — as Section 6 of the paper notes.");
+    Ok(())
 }

@@ -16,19 +16,22 @@
 
 use netperf::prelude::*;
 
-fn run_pair(tree: (usize, usize), cube: (usize, usize), vcs: usize, len: RunLength) {
-    // Family defaults: adaptive routing on the tree, Duato (always 4
-    // lanes) on the cube.
-    let build = |topology: TopologySpec, vcs: usize| {
-        Scenario::builder()
-            .topology(topology)
-            .vcs(vcs)
-            .run_length(len)
-            .build()
-            .expect("legal configuration")
+type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
+
+fn run_pair(tree: (usize, usize), cube: (usize, usize), vcs: usize) -> Result<()> {
+    // Family defaults at the paper's run length: adaptive routing on
+    // the tree, Duato (always 4 lanes) on the cube.
+    let build = |family: &str, (k, n): (usize, usize), vcs: usize| {
+        let (k, n, vcs) = (k.to_string(), n.to_string(), vcs.to_string());
+        Scenario::from_pairs(&[
+            ("topology", family),
+            ("k", k.as_str()),
+            ("n", n.as_str()),
+            ("vcs", vcs.as_str()),
+        ])
     };
-    let tree_spec = build(TopologySpec::tree(tree.0, tree.1), vcs);
-    let cube_spec = build(TopologySpec::cube(cube.0, cube.1), 4);
+    let tree_spec = build("tree", tree, vcs)?;
+    let cube_spec = build("cube", cube, 4)?;
     let tn = tree_spec.normalization();
     let cn = cube_spec.normalization();
     println!(
@@ -41,8 +44,8 @@ fn run_pair(tree: (usize, usize), cube: (usize, usize), vcs: usize, len: RunLeng
         tree_spec.topology().num_nodes(),
     );
     for f in [0.4, 0.8] {
-        let t = tree_spec.simulate(f);
-        let c = cube_spec.simulate(f);
+        let t = tree_spec.try_simulate(f)?;
+        let c = cube_spec.try_simulate(f)?;
         println!(
             "  offered {:>3.0}%: tree {:>6.0} bits/ns ({:>4.1}% acc) | cube {:>6.0} bits/ns ({:>4.1}% acc)",
             f * 100.0,
@@ -52,24 +55,24 @@ fn run_pair(tree: (usize, usize), cube: (usize, usize), vcs: usize, len: RunLeng
             100.0 * c.accepted_fraction,
         );
     }
+    Ok(())
 }
 
-fn main() {
-    let len = RunLength::paper();
-
+fn main() -> Result<()> {
     // The paper's pair: 256 nodes, 256 routers each.
-    run_pair((4, 4), (16, 2), 4, len);
+    run_pair((4, 4), (16, 2), 4)?;
 
     // A 64-node pair (same node count, router counts differ: 48 vs 64 —
     // the normalization family has no member here, which is exactly why
     // the paper picked 256).
-    run_pair((4, 3), (8, 2), 4, len);
+    run_pair((4, 3), (8, 2), 4)?;
 
     // A 16-node pair for completeness.
-    run_pair((4, 2), (4, 2), 2, len);
+    run_pair((4, 2), (4, 2), 2)?;
 
     println!("\nThe cube's absolute advantage under uniform traffic persists across");
     println!("scales; it grows with the node count because the tree's wire-delay");
     println!("penalty (medium wires) is a fixed multiplicative clock factor while");
     println!("its bisection advantage goes unused by uniform traffic.");
+    Ok(())
 }

@@ -21,7 +21,7 @@ use netperf::netsim::flit::NEVER;
 use netperf::prelude::*;
 use netperf::traffic::{Bernoulli, TrafficGen};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = named("cube-duato").unwrap();
     let norm = spec.normalization();
 
@@ -33,7 +33,7 @@ fn main() {
 
     for fraction in [0.1, 0.2, 0.3, 0.4, 0.45] {
         // Open-loop reference.
-        let open = spec.simulate(fraction);
+        let open = spec.try_simulate(fraction)?;
 
         // Closed-loop request-reply run at the same request rate.
         let algo = spec.build_algorithm();
@@ -79,4 +79,5 @@ fn main() {
     println!("requests plus replies: the closed loop saturates at half the");
     println!("open-loop point, and round-trip latency runs away first — the");
     println!("reason DASH dedicated separate networks to requests and replies.");
+    Ok(())
 }

@@ -383,12 +383,20 @@ diff <(grep -v '"wall_clock_secs"' "$SERVE_DIR/golden.manifest.json") \
 "$NP" snapshot --json "$SERVE_DIR/ck.bin" > "$SERVE_DIR/snapshot.json"
 
 # A checkpoint written by an older build (tests/data/README.md) must
-# still decode to its pinned state hash and resume to the committed CSV.
+# still decode to its pinned state hash; the straight run must still
+# write the committed CSV; and resuming it must be refused with one
+# ident-mismatch line (its ident predates the derived scenario ident).
 FIX="$PWD/tests/data"
 ( cd "$SERVE_DIR" && "$NP" run cube-duato-tiny --load 0.4 --cycles 3000 --warmup 1000 \
-    --resume "$FIX/cube-duato-tiny.l040.c2000.npck" --csv fixture.csv > fixture.txt 2> fixture.err )
+    --csv fixture.csv > fixture.txt 2> fixture.err )
 cmp "$FIX/cube-duato-tiny.l040.csv" "$SERVE_DIR/fixture.csv" \
-  || { echo "serving smoke: committed checkpoint resumed to a different CSV" >&2; exit 1; }
+  || { echo "serving smoke: straight run no longer writes the committed CSV" >&2; exit 1; }
+if "$NP" run cube-duato-tiny --load 0.4 --cycles 3000 --warmup 1000 \
+    --resume "$FIX/cube-duato-tiny.l040.c2000.npck" 2> "$SERVE_DIR/fixture.err" > /dev/null; then
+  echo "serving smoke: a checkpoint under a stale ident was resumed" >&2; exit 1
+fi
+[ "$(wc -l < "$SERVE_DIR/fixture.err")" -eq 1 ] && grep -q '^error: .*ident' "$SERVE_DIR/fixture.err" \
+  || { echo "serving smoke: stale checkpoint not refused with one ident line" >&2; cat "$SERVE_DIR/fixture.err" >&2; exit 1; }
 "$NP" snapshot --json "$FIX/cube-duato-tiny.l040.c2000.npck" \
   | grep -q '"state_hash": "0xf30b052de339dc2e"' \
   || { echo "serving smoke: committed checkpoint lost its pinned state hash" >&2; exit 1; }

@@ -14,9 +14,10 @@
 //!
 //! `run` and `sweep` accept either a registry name or explicit
 //! `--topology/--k/--n/--algo/--vcs` flags; every axis goes through the
-//! validating `ScenarioBuilder`, so an impossible combination fails
-//! with a message instead of a panic. When `--csv` is given, a JSON run
-//! manifest (`<stem>.manifest.json`) is written next to it.
+//! one scenario grammar, `Scenario::from_pairs`, so an impossible
+//! combination fails with a message instead of a panic. When `--csv` is
+//! given, a JSON run manifest (`<stem>.manifest.json`) is written next
+//! to it.
 //!
 //! Every failure is a [`RequestError`] value; only `main` (and `usage`)
 //! turn one into the one-line `error: …` on stderr and exit code 2.
@@ -102,32 +103,7 @@ fn usage() -> ! {
          snapshot <file>             describe a checkpoint file (version, ident,\n\
                                      cycle, state hash) without simulating\n\
          \n\
-         scenario selection (instead of a registry name):\n\
-         --topology <family>         cube|tree|tapered-tree|mesh|thc (or an alias)\n\
-         --k <int>                   radix / arity (default 16)\n\
-         --n <int>                   dimension / levels (default 2)\n\
-         --taper <int>               up-link oversubscription ratio\n\
-                                     (tapered-tree only; default 2)\n\
-         --algo det|duato|adaptive   routing (default: the family's paper choice)\n\
-         --vcs <int>                 virtual channels (default 4)\n\
-         \n\
-         scenario overrides (work with a name too):\n\
-         --pattern <name>            uniform|complement|bitrev|transpose|shuffle|\n\
-                                     butterfly|tornado|neighbor|hotspot (default uniform)\n\
-         --injection <model>         bernoulli|periodic|onoff:<on>:<off> (default bernoulli)\n\
-         --throttle auto|off|<int>   source throttling (default auto: the paper's rule)\n\
-         --buffer <int>              lane depth in flits (default 4)\n\
-         --packet-bytes <int>        packet size (default 64)\n\
-         --cycles <int>              total cycles (default 20000)\n\
-         --warmup <int>              warm-up cycles (default 2000)\n\
-         --quick                     short run (1000/6000 cycles)\n\
-         --seed <salt>               salt the derived per-run seeds (default 0)\n\
-         --fixed-seed <int>          one fixed seed for every load point\n\
-         --label <text>              override the display label (feeds the seed)\n\
-         --faults <spec>             deterministic fault plan: comma-separated\n\
-                                     links=<frac>, routers=<count>,\n\
-                                     transient=<links>:<period>:<down>, seed=<int>,\n\
-                                     or the literal none (default: healthy network)\n\
+         {}\n\
          \n\
          run/sweep control:\n\
          --load <frac>               offered load for `run` (default 0.5)\n\
@@ -166,7 +142,8 @@ fn usage() -> ! {
          \n\
          Every invocation starts with a subcommand. The removed flags-first\n\
          form (netperf --topology ...) is spelled\n\
-         netperf run --topology ... --fixed-seed 0x5EED --throttle off."
+         netperf run --topology ... --fixed-seed 0x5EED.",
+        netperf::netsim::scenario::USAGE
     );
     std::process::exit(2);
 }

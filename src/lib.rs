@@ -36,18 +36,20 @@
 //! // under uniform traffic at 40% of capacity: look the configuration
 //! // up in the scenario registry and run one load point.
 //! let scenario = named("cube-duato").unwrap().with_run_length(RunLength::quick());
-//! let outcome = scenario.simulate(0.4);
+//! let outcome = scenario.try_simulate(0.4).unwrap();
 //! assert!(outcome.accepted_fraction > 0.35); // below saturation: accepted ~ offered
 //!
-//! // Or compose a custom design point with the builder.
-//! let custom = Scenario::builder()
-//!     .topology(TopologySpec::mesh(4, 2))
-//!     .routing(RoutingKind::Adaptive)
-//!     .vcs(2)
-//!     .pattern(Pattern::Transpose)
-//!     .build()
-//!     .unwrap();
+//! // Or compose a custom design point from the CLI's flags.
+//! let custom = Scenario::from_pairs(&[
+//!     ("topology", "mesh"),
+//!     ("k", "4"),
+//!     ("algo", "adaptive"),
+//!     ("vcs", "2"),
+//!     ("pattern", "transpose"),
+//! ])
+//! .unwrap();
 //! assert_eq!(custom.label(), "mesh, adaptive");
+//! assert_eq!(custom.pattern(), Pattern::Transpose);
 //! ```
 
 #![warn(missing_docs)]
@@ -71,8 +73,8 @@ pub mod prelude {
     pub use netsim::request::{execute, RequestError, RunReport, RunRequest};
     pub use netsim::scenario::{
         default_load_grid, derived_seed, named, paper_scenarios, registry, InjectionModel,
-        NamedScenario, RoutingKind, RunLength, Scenario, ScenarioBuilder, ScenarioError, SeedMode,
-        Throttle, TopologySpec,
+        NamedScenario, RoutingKind, RunLength, Scenario, ScenarioError, SeedMode, Throttle,
+        TopologySpec,
     };
     pub use netsim::sim::{
         run_simulation_controlled, run_simulation_faulted, run_simulation_probed, ResumeError,

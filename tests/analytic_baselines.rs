@@ -17,7 +17,11 @@ fn quick() -> RunLength {
 fn cube_zero_load_latency_matches_simulation_within_cycles() {
     let model = CubeModel::new(16, 2, 16);
     let spec = named("cube-duato").unwrap();
-    let sim = spec.clone().with_run_length(quick()).simulate(0.05);
+    let sim = spec
+        .clone()
+        .with_run_length(quick())
+        .try_simulate(0.05)
+        .unwrap();
     let measured = sim.mean_latency_cycles();
     let predicted = model.predicted_latency(0.05);
     assert!(
@@ -30,7 +34,11 @@ fn cube_zero_load_latency_matches_simulation_within_cycles() {
 fn tree_zero_load_latency_matches_simulation_within_cycles() {
     let model = TreeModel::new(4, 4, 32);
     let spec = named("tree-2vc").unwrap();
-    let sim = spec.clone().with_run_length(quick()).simulate(0.05);
+    let sim = spec
+        .clone()
+        .with_run_length(quick())
+        .try_simulate(0.05)
+        .unwrap();
     let measured = sim.mean_latency_cycles();
     let predicted = model.predicted_latency(0.05);
     assert!(
@@ -52,7 +60,8 @@ fn models_track_light_load_then_overestimate_contention() {
     let measured = spec
         .clone()
         .with_run_length(quick())
-        .simulate(0.2)
+        .try_simulate(0.2)
+        .unwrap()
         .mean_latency_cycles();
     let predicted = cube.predicted_latency(0.2);
     let err = (predicted - measured).abs() / measured;
@@ -64,7 +73,8 @@ fn models_track_light_load_then_overestimate_contention() {
     let measured = spec
         .clone()
         .with_run_length(quick())
-        .simulate(0.4)
+        .try_simulate(0.4)
+        .unwrap()
         .mean_latency_cycles();
     let predicted = cube.predicted_latency(0.4);
     assert!(
@@ -86,7 +96,11 @@ fn models_are_overly_optimistic_at_saturation() {
     assert!(tree.saturation_fraction() > 0.99);
 
     let det = named("cube-det").unwrap();
-    let out = det.clone().with_run_length(quick()).simulate(0.95);
+    let out = det
+        .clone()
+        .with_run_length(quick())
+        .try_simulate(0.95)
+        .unwrap();
     assert!(
         out.accepted_fraction < 0.75,
         "simulated deterministic cube sustained {} — the model's 100% \
@@ -95,7 +109,11 @@ fn models_are_overly_optimistic_at_saturation() {
     );
 
     let t1 = named("tree-1vc").unwrap();
-    let out = t1.clone().with_run_length(quick()).simulate(0.95);
+    let out = t1
+        .clone()
+        .with_run_length(quick())
+        .try_simulate(0.95)
+        .unwrap();
     assert!(out.accepted_fraction < 0.55);
 }
 

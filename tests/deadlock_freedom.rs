@@ -59,8 +59,8 @@ fn static_duato_escape_acyclic_across_radices() {
 
 fn overload_config(spec: &Scenario, pattern: P, cycles: u32) -> netperf::netsim::sim::SimConfig {
     let mut cfg = spec
-        .clone()
-        .with_pattern(pattern)
+        .with_pairs(&[("pattern", pattern.spec())])
+        .unwrap()
         .with_run_length(RunLength {
             warmup: cycles / 4,
             total: cycles,

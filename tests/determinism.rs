@@ -5,7 +5,6 @@
 
 use netperf::netsim::sim::run_simulation;
 use netperf::prelude::*;
-use netperf::traffic::Pattern as P;
 
 fn fingerprint(out: &netperf::netsim::sim::SimOutcome) -> (u64, u64, u64, u64) {
     (
@@ -44,10 +43,16 @@ fn different_seeds_produce_different_traces() {
 
 #[test]
 fn parallel_sweep_matches_serial_exactly() {
-    let transposed = named("tree-2vc-tiny").unwrap().with_pattern(P::Transpose);
+    let transposed = named("tree-2vc-tiny")
+        .unwrap()
+        .with_pairs(&[("pattern", "transpose")])
+        .unwrap();
     let grid = [0.2, 0.5, 0.8, 1.0];
-    let par = transposed.sweep_outcomes(&grid);
-    let ser: Vec<_> = grid.iter().map(|&f| transposed.simulate(f)).collect();
+    let par = transposed.try_sweep_outcomes(&grid).unwrap();
+    let ser: Vec<_> = grid
+        .iter()
+        .map(|&f| transposed.try_simulate(f).unwrap())
+        .collect();
     for (p, s) in par.iter().zip(&ser) {
         assert_eq!(fingerprint(p), fingerprint(s));
     }
@@ -58,12 +63,13 @@ fn seeds_differ_across_grid_points_and_specs() {
     // Two different loads of the same spec, and the same load of two
     // specs, must not share RNG streams: their traces differ even
     // though the measured values could legitimately coincide.
-    let spec = Scenario::builder()
-        .topology(TopologySpec::cube(4, 2))
-        .routing(RoutingKind::Deterministic)
-        .run_length(RunLength::quick())
-        .build()
-        .unwrap();
+    let spec = Scenario::from_pairs(&[
+        ("topology", "cube"),
+        ("k", "4"),
+        ("algo", "det"),
+        ("quick", "true"),
+    ])
+    .unwrap();
     let c1 = spec.config_at(0.5);
     let c2 = spec.config_at(0.55);
     assert_ne!(c1.seed, c2.seed);
@@ -151,8 +157,8 @@ fn engine_counters_are_stable_across_runs_of_paper_network() {
     // nondeterministic iteration (e.g. hash maps) sneaking in.
     let spec = named("tree-2vc").unwrap();
     let cfg = spec
-        .clone()
-        .with_pattern(P::BitReversal)
+        .with_pairs(&[("pattern", "bitrev")])
+        .unwrap()
         .with_run_length(RunLength {
             warmup: 500,
             total: 2_500,

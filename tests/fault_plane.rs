@@ -41,17 +41,24 @@ impl InjectionProcess for Windowed {
 /// (`FaultState` with `ACTIVE = true`), so this checks that the fault
 /// machinery is inert — not merely compiled out — when every fault set
 /// is empty: counters and the accepted fraction must match the healthy
-/// monomorphized path bit for bit.
+/// monomorphized path bit for bit. (A scenario maps an empty plan to
+/// the healthy network, so the faulted engine is driven directly.)
 #[test]
 fn empty_fault_plan_is_bit_identical_to_no_faults() {
     for name in ["cube-duato", "tree-4vc"] {
         let healthy = named(name).unwrap().with_run_length(RunLength::quick());
         let empty = FaultPlan::default();
         assert!(empty.is_empty());
-        let faulted = healthy.clone().with_faults(Some(empty)).unwrap();
+        assert_eq!(healthy.with_pairs(&[("faults", "none")]).unwrap(), healthy);
+        let algo = healthy.build_algorithm();
+        let state = empty
+            .compile(&Wiring::from_topology(algo.topology()))
+            .unwrap();
         for load in [0.3, 0.6] {
-            let a = healthy.simulate(load);
-            let b = faulted.simulate(load);
+            let a = healthy.try_simulate(load).unwrap();
+            let cfg = healthy.config_at(load);
+            let (b, _) =
+                run_simulation_faulted(algo.as_ref(), &cfg, NullProbe, state.clone()).unwrap();
             assert_eq!(a.created_packets, b.created_packets, "{name} @ {load}");
             assert_eq!(a.delivered_packets, b.delivered_packets, "{name} @ {load}");
             assert_eq!(

@@ -281,3 +281,106 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A scenario is its flag list: over random valid pair lists —
+    /// every family, pattern (hot spots included), injection model,
+    /// throttle, seed mode, run length and fault plan, in non-canonical
+    /// spellings — `from_pairs(to_pairs(s)) == s`, and the canonical
+    /// pairs are a fixed point.
+    #[test]
+    fn scenario_pairs_round_trip(
+        shape in 0usize..6,
+        pattern in 0usize..10,
+        hot in any::<u32>(),
+        percent in 0u8..=100,
+        injection in 0usize..3,
+        means in any::<(u32, u32)>(),
+        throttle in 0u32..12,
+        buffer in 1usize..9,
+        bytes in 1usize..300,
+        seed in any::<(u64, bool)>(),
+        run in any::<(u32, u32, bool)>(),
+        faults in 0usize..4,
+        label in any::<bool>(),
+    ) {
+        let (family, k, n, algo, vcs) = [
+            ("cube", "4", "2", "det", "4"),
+            ("torus", "4", "3", "duato", "4"),
+            ("fat-tree", "4", "3", "adaptive", "3"),
+            ("tapered-tree", "4", "2", "adaptive", "2"),
+            ("mesh", "5", "2", "adaptive", "2"),
+            ("thc", "4", "2", "deterministic", "4"),
+        ][shape];
+        let mut pairs: Vec<(&str, String)> = vec![
+            ("topology", family.into()),
+            ("k", k.into()),
+            ("n", n.into()),
+            ("algo", algo.into()),
+            ("vcs", vcs.into()),
+        ];
+        if family == "tapered-tree" {
+            pairs.push(("taper", (1 + buffer % 3).to_string()));
+        }
+        let patterns = [
+            "uniform", "complement", "bit-reversal", "transpose", "shuffle", "butterfly",
+            "tornado", "neighbor", "hotspot",
+        ];
+        pairs.push((
+            "pattern",
+            match patterns.get(pattern) {
+                Some(p) => p.to_string(),
+                None => format!("hotspot:{}:{percent}", hot % 16),
+            },
+        ));
+        let on = f64::from(1 + means.0 % 500);
+        let off = f64::from(means.1 % 1000) / 7.0 + 1.0;
+        pairs.push((
+            "injection",
+            ["bernoulli".to_string(), "periodic".into(), format!("onoff:{on}:{off}")][injection]
+                .clone(),
+        ));
+        pairs.push((
+            "throttle",
+            match throttle {
+                0 => "auto".to_string(),
+                1 => "off".into(),
+                l => l.to_string(),
+            },
+        ));
+        pairs.push(("buffer", buffer.to_string()));
+        pairs.push(("packet-bytes", bytes.to_string()));
+        pairs.push(match seed {
+            (s, true) => ("fixed-seed", format!("0x{s:x}")),
+            (s, false) => ("seed", s.to_string()),
+        });
+        let (warmup, extra, quick) = run;
+        if quick {
+            pairs.push(("quick", "true".into()));
+        }
+        if warmup % 3 != 0 {
+            let warmup = warmup % 3000;
+            pairs.push(("warmup", warmup.to_string()));
+            pairs.push(("cycles", (warmup + 1 + extra % 5000).to_string()));
+        }
+        let plans = ["none", "links=0.1", "routers=1,seed=7", "transient=1:100:10"];
+        pairs.push(("faults", plans[faults].into()));
+        if label {
+            pairs.push(("label", "a label, with = and : in it".into()));
+        }
+
+        let s = Scenario::from_pairs(&pairs);
+        // Bit patterns on the 25-node mesh are refused; nothing else is.
+        if s.is_err() {
+            prop_assert!(family == "mesh" && (1..6).contains(&pattern), "refused: {:?}", s);
+        }
+        prop_assume!(s.is_ok());
+        let s = s.unwrap();
+        let canonical = s.to_pairs();
+        let again = Scenario::from_pairs(&canonical).unwrap();
+        prop_assert_eq!(&again, &s);
+        prop_assert_eq!(again.to_pairs(), canonical);
+    }
+}

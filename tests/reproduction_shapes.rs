@@ -18,10 +18,11 @@ fn len() -> RunLength {
 }
 
 fn accepted(spec: &Scenario, pattern: P, load: f64) -> f64 {
-    spec.clone()
-        .with_pattern(pattern)
+    spec.with_pairs(&[("pattern", pattern.spec())])
+        .unwrap()
         .with_run_length(len())
-        .simulate(load)
+        .try_simulate(load)
+        .unwrap()
         .accepted_fraction
 }
 
@@ -56,10 +57,11 @@ fn tree_complement_is_congestion_free_and_insensitive_to_vcs() {
     for vcs in [1usize, 2, 4] {
         let spec = named(&format!("tree-{vcs}vc")).unwrap();
         let out = spec
-            .clone()
-            .with_pattern(P::Complement)
+            .with_pairs(&[("pattern", "complement")])
+            .unwrap()
             .with_run_length(len())
-            .simulate(0.9);
+            .try_simulate(0.9)
+            .unwrap();
         assert!(
             out.accepted_fraction > 0.80,
             "{vcs} vc accepted only {} under complement",
@@ -71,10 +73,11 @@ fn tree_complement_is_congestion_free_and_insensitive_to_vcs() {
     let lat = |vcs| {
         named(&format!("tree-{vcs}vc"))
             .unwrap()
-            .clone()
-            .with_pattern(P::Complement)
+            .with_pairs(&[("pattern", "complement")])
+            .unwrap()
             .with_run_length(len())
-            .simulate(0.5)
+            .try_simulate(0.5)
+            .unwrap()
             .mean_latency_cycles()
     };
     let (l1, l4) = (lat(1), lat(4));
@@ -129,7 +132,8 @@ fn cube_uniform_adaptive_beats_deterministic() {
     let lat = duato
         .clone()
         .with_run_length(len())
-        .simulate(0.5)
+        .try_simulate(0.5)
+        .unwrap()
         .mean_latency_cycles();
     assert!(
         (45.0..100.0).contains(&lat),
@@ -200,12 +204,20 @@ fn figure7_absolute_rankings_uniform() {
     let mut lat_ns: std::collections::HashMap<&str, f64> = Default::default();
     for spec in &specs {
         let norm = spec.normalization();
-        let out = spec.clone().with_run_length(len()).simulate(0.95);
+        let out = spec
+            .clone()
+            .with_run_length(len())
+            .try_simulate(0.95)
+            .unwrap();
         abs.insert(
             spec.label(),
             norm.fraction_to_bits_per_ns(out.accepted_fraction),
         );
-        let pre = spec.clone().with_run_length(len()).simulate(0.3);
+        let pre = spec
+            .clone()
+            .with_run_length(len())
+            .try_simulate(0.3)
+            .unwrap();
         lat_ns.insert(spec.label(), norm.cycles_to_ns(pre.mean_latency_cycles()));
     }
     assert!(abs["cube, Duato"] > abs["cube, deterministic"]);

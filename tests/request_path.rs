@@ -228,6 +228,13 @@ fn cross_flag_rules_are_errors_not_panics() {
     };
     let tiny = Some("cube-duato-tiny");
     assert!(err(Op::Run, tiny, &[("topology", "cube")]).contains("not both"));
+    // A registry name fixes its shape: k and n are refused, not ignored.
+    assert!(err(Op::Run, tiny, &[("k", "8")]).contains("not both"));
+    assert!(err(Op::Run, tiny, &[("n", "3")]).contains("not both"));
+    // A load flag of the other op is refused, not dropped.
+    assert!(err(Op::Run, tiny, &[("grid", "0.1:0.2:0.1")]).contains("applies to `sweep`"));
+    assert!(err(Op::Run, tiny, &[("sweep", "0.1:0.2:0.1")]).contains("applies to `sweep`"));
+    assert!(err(Op::Sweep, tiny, &[("load", "0.3")]).contains("applies to `run`"));
     assert!(err(Op::Run, tiny, &[("probe-stride", "5")]).contains("requires --trace"));
     assert!(err(Op::Sweep, tiny, &[("resume", "ck.bin")]).contains("apply to `run`"));
     assert!(err(Op::Run, tiny, &[("cache", "c"), ("trace", "t")]).contains("traced runs"));
@@ -255,6 +262,56 @@ fn cross_flag_rules_are_errors_not_panics() {
     assert_eq!(traced.with_default_cache(Some("c")).cache(), None);
     let plain = RunRequest::from_pairs(Op::Run, tiny, &[]).unwrap();
     assert_eq!(plain.with_default_cache(Some("c")).cache(), Some("c"));
+}
+
+#[test]
+fn a_single_run_length_override_keeps_the_entrys_other_value() {
+    // A registry name means its pairs followed by the request's: one
+    // override replaces one value. Explicit --warmup/--cycles beat
+    // --quick in either order.
+    let pairs = |kv: &[(&str, &str)]| -> Vec<(String, String)> {
+        kv.iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    };
+    let same = |a: (Option<&str>, &[(&str, &str)]), b: (Option<&str>, &[(&str, &str)])| {
+        let req = |(name, kv): (Option<&str>, &[(&str, &str)])| {
+            RunRequest::from_pairs(Op::Run, name, &pairs(kv)).unwrap()
+        };
+        assert_eq!(req(a), req(b));
+    };
+    let tiny = Some("cube-duato-tiny");
+    let explicit = |warmup, cycles| {
+        [
+            ("topology", "cube"),
+            ("k", "4"),
+            ("algo", "duato"),
+            ("warmup", warmup),
+            ("cycles", cycles),
+        ]
+    };
+    same(
+        (tiny, &[("warmup", "100")]),
+        (None, &explicit("100", "6000")),
+    );
+    same(
+        (tiny, &[("cycles", "1500")]),
+        (None, &explicit("1000", "1500")),
+    );
+    let paper = Some("cube-duato");
+    let big = |warmup, cycles| [("topology", "cube"), ("warmup", warmup), ("cycles", cycles)];
+    same((paper, &[("warmup", "100")]), (None, &big("100", "20000")));
+    // --quick is recorded in the manifest, so compare quick with quick.
+    let quick_big = |warmup, cycles| {
+        let [t, w, c] = big(warmup, cycles);
+        [t, w, c, ("quick", "true")]
+    };
+    for kv in [
+        [("quick", "true"), ("warmup", "100")],
+        [("warmup", "100"), ("quick", "true")],
+    ] {
+        same((paper, &kv), (None, &quick_big("100", "6000")));
+    }
 }
 
 #[test]

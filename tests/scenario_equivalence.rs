@@ -310,7 +310,8 @@ fn golden(
 fn derived_seeds_match_the_pre_refactor_goldens() {
     for &(label, pattern, load, seed, ..) in GOLDEN {
         let scenario = paper_scenario_by_label(label)
-            .with_pattern(Pattern::parse(pattern).unwrap())
+            .with_pairs(&[("pattern", pattern)])
+            .unwrap()
             .with_run_length(RunLength::quick());
         assert_eq!(
             scenario.config_at(load).seed,
@@ -334,7 +335,7 @@ fn registry_counters_are_bit_identical_to_the_legacy_harness() {
     let loads = [0.3, 0.6, 0.9];
     for name in ["cube-det", "cube-duato", "tree-1vc", "tree-2vc", "tree-4vc"] {
         let scenario = named(name).unwrap().with_run_length(RunLength::quick());
-        let outcomes = scenario.sweep_outcomes(&loads);
+        let outcomes = scenario.try_sweep_outcomes(&loads).unwrap();
         for (load, out) in loads.iter().zip(&outcomes) {
             let &(.., created, delivered, bits) = golden(scenario.label(), "uniform", *load);
             assert_eq!(
@@ -352,8 +353,8 @@ fn registry_counters_are_bit_identical_to_the_legacy_harness() {
             );
         }
 
-        let transposed = scenario.with_pattern(Pattern::Transpose);
-        let out = transposed.simulate(0.6);
+        let transposed = scenario.with_pairs(&[("pattern", "transpose")]).unwrap();
+        let out = transposed.try_simulate(0.6).unwrap();
         let &(.., created, delivered, bits) = golden(transposed.label(), "transpose", 0.6);
         assert_eq!(out.created_packets, created, "{name} transpose: created");
         assert_eq!(
@@ -392,7 +393,7 @@ fn recording_probe_leaves_golden_counters_bit_identical() {
             .with_run_length(RunLength::quick())
             .with_telemetry(TelemetryConfig::default());
         for load in [0.3, 0.9] {
-            let (out, rec) = scenario.simulate_traced(load);
+            let (out, rec) = scenario.try_simulate_traced(load).unwrap();
             let &(.., created, delivered, bits) = golden(scenario.label(), "uniform", load);
             assert_eq!(out.created_packets, created, "{name} @ {load}: created");
             assert_eq!(

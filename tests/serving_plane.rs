@@ -25,14 +25,26 @@ fn short() -> RunLength {
     }
 }
 
+/// A control block for `s` at `load`, split into `shards` shards.
+fn control<'a>(s: &Scenario, load: f64, shards: usize) -> RunControl<'a> {
+    RunControl {
+        shards,
+        ..RunControl::new(s.state_ident(load))
+    }
+}
+
 /// Uninterrupted outcome, then a checkpointed re-run (must be
 /// unperturbed), then a resume from each captured snapshot (must land
 /// on the identical outcome). Returns the captured snapshots so
 /// callers can probe them further.
-fn assert_resumes_identically(s: &Scenario, load: f64, every: u32) -> Vec<RunSnapshot> {
-    let ident = s.state_ident(load);
+fn assert_resumes_identically(
+    s: &Scenario,
+    load: f64,
+    every: u32,
+    shards: usize,
+) -> Vec<RunSnapshot> {
     let baseline = {
-        let mut ctl = RunControl::new(ident);
+        let mut ctl = control(s, load, shards);
         s.try_simulate_controlled(load, &mut ctl)
             .expect("baseline run")
     };
@@ -41,7 +53,7 @@ fn assert_resumes_identically(s: &Scenario, load: f64, every: u32) -> Vec<RunSna
     let mut snaps: Vec<RunSnapshot> = Vec::new();
     {
         let mut sink = |snap: &RunSnapshot| snaps.push(snap.clone());
-        let mut ctl = RunControl::new(ident);
+        let mut ctl = control(s, load, shards);
         ctl.checkpoint_every = Some(every);
         ctl.on_checkpoint = Some(&mut sink);
         let out = s
@@ -69,7 +81,7 @@ fn assert_resumes_identically(s: &Scenario, load: f64, every: u32) -> Vec<RunSna
         assert_eq!(&decoded, snap, "byte round-trip changed the snapshot");
         assert_eq!(decoded.state_hash(), snap.state_hash());
 
-        let mut ctl = RunControl::new(ident);
+        let mut ctl = control(s, load, shards);
         ctl.resume = Some(decoded);
         let out = s
             .try_simulate_controlled(load, &mut ctl)
@@ -92,37 +104,35 @@ fn all_five_paper_configs_resume_bit_identically() {
         // A cadence deliberately misaligned with the 100-cycle batch
         // boundaries, so snapshots land mid-batch and on neither side
         // of the warm-up boundary.
-        assert_resumes_identically(&s, 0.3, 330);
+        assert_resumes_identically(&s, 0.3, 330, 1);
     }
 }
 
 #[test]
 fn sharded_runs_resume_bit_identically() {
     for name in ["cube-duato-tiny", "tree-2vc-tiny"] {
-        let s = named(name).unwrap().with_run_length(short()).with_shards(4);
-        assert_resumes_identically(&s, 0.4, 250);
+        let s = named(name).unwrap().with_run_length(short());
+        assert_resumes_identically(&s, 0.4, 250, 4);
     }
 }
 
 #[test]
 fn faulted_runs_resume_bit_identically() {
-    let plan = FaultPlan::parse("links=0.05,routers=1,seed=7").unwrap();
     let s = named("cube-duato-tiny")
         .unwrap()
         .with_run_length(short())
-        .with_faults(Some(plan))
+        .with_pairs(&[("faults", "links=0.05,routers=1,seed=7")])
         .unwrap();
-    assert_resumes_identically(&s, 0.4, 330);
+    assert_resumes_identically(&s, 0.4, 330, 1);
 
     // Transient faults flip link state on a period; the snapshot must
     // capture the phase so the resumed run re-syncs.
-    let plan = FaultPlan::parse("transient=2:200:60,seed=11").unwrap();
     let s = named("tree-2vc-tiny")
         .unwrap()
         .with_run_length(short())
-        .with_faults(Some(plan))
+        .with_pairs(&[("faults", "transient=2:200:60,seed=11")])
         .unwrap();
-    assert_resumes_identically(&s, 0.3, 330);
+    assert_resumes_identically(&s, 0.3, 330, 1);
 }
 
 #[test]
@@ -186,7 +196,7 @@ fn traced_runs_resume_with_byte_identical_jsonl_suffix() {
 #[test]
 fn snapshots_carry_measurement_progress() {
     let s = named("cube-duato-tiny").unwrap().with_run_length(short());
-    let snaps = assert_resumes_identically(&s, 0.3, 130);
+    let snaps = assert_resumes_identically(&s, 0.3, 130, 1);
     // warmup 200, 10 batches of 100: cycle 130 is pre-warm-up, the
     // last snapshot (cycle 1170) has nine batches behind it.
     let first = &snaps[0];
@@ -210,17 +220,28 @@ fn state_ident_tracks_every_semantic_axis_and_ignores_sharding() {
     let base = named("cube-duato-tiny").unwrap().with_run_length(short());
     let ident = base.state_ident(0.4);
 
-    // Execution details: sharding never changes results, so it must
-    // not change the identity either.
-    assert_eq!(ident, base.clone().with_shards(4).state_ident(0.4));
+    // Execution details: sharding never changes results, so it is not
+    // part of the scenario — a checkpoint taken serially resumes, under
+    // the same identity, in four shards.
+    let mut snaps: Vec<RunSnapshot> = Vec::new();
+    let mut sink = |snap: &RunSnapshot| snaps.push(snap.clone());
+    let mut ctl = control(&base, 0.4, 1);
+    ctl.checkpoint_every = Some(500);
+    ctl.on_checkpoint = Some(&mut sink);
+    let serial = base.try_simulate_controlled(0.4, &mut ctl).unwrap();
+    let mut ctl = control(&base, 0.4, 4);
+    ctl.resume = Some(snaps[0].clone());
+    assert_eq!(ctl.ident, ident);
+    let sharded = base.try_simulate_controlled(0.4, &mut ctl).unwrap();
+    assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
 
     // Semantic axes: each variation must produce a fresh identity.
     let variants: Vec<(&str, u64)> = vec![
         ("load", base.state_ident(0.45)),
         (
             "pattern",
-            base.clone()
-                .with_pattern(Pattern::Transpose)
+            base.with_pairs(&[("pattern", "transpose")])
+                .unwrap()
                 .state_ident(0.4),
         ),
         (
@@ -238,8 +259,7 @@ fn state_ident_tracks_every_semantic_axis_and_ignores_sharding() {
         ),
         (
             "faults",
-            base.clone()
-                .with_faults(Some(FaultPlan::parse("links=0.05,seed=3").unwrap()))
+            base.with_pairs(&[("faults", "links=0.05,seed=3")])
                 .unwrap()
                 .state_ident(0.4),
         ),
@@ -430,9 +450,12 @@ fn cli_checkpoint_resume_reproduces_byte_identical_csv() {
 
 #[test]
 fn parent_written_checkpoint_resumes_to_the_committed_csv() {
-    // A checkpoint written before the lane store was compacted (see
-    // tests/data/README.md): same bytes on disk, so it still decodes to
-    // the pinned state and finishes the run to the committed CSV.
+    // A checkpoint written by an older build (see tests/data/README.md):
+    // same bytes on disk, so it still decodes to the pinned state, and
+    // resumed under its own ident it finishes the run bit for bit. Its
+    // ident is the old hand-listed digest, which the derived
+    // `netperf-run-snapshot/2` ident no longer matches: the CLI refuses
+    // it instead of guessing.
     let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
     let fixture = data.join("cube-duato-tiny.l040.c2000.npck");
     let snap = RunSnapshot::from_bytes(&std::fs::read(&fixture).unwrap()).expect("fixture decodes");
@@ -442,11 +465,18 @@ fn parent_written_checkpoint_resumes_to_the_committed_csv() {
             warmup: 1000,
             total: 3000,
         });
-    assert_eq!(snap.ident(), s.state_ident(0.4));
     assert_eq!(
         (snap.cycle(), snap.state_hash()),
         (2000, 0xf30b_052d_e339_dc2e)
     );
+    assert_ne!(snap.ident(), s.state_ident(0.4));
+    let straight = s
+        .try_simulate_controlled(0.4, &mut RunControl::new(s.state_ident(0.4)))
+        .unwrap();
+    let mut ctl = RunControl::new(snap.ident());
+    ctl.resume = Some(snap);
+    let resumed = s.try_simulate_controlled(0.4, &mut ctl).unwrap();
+    assert_eq!(format!("{resumed:?}"), format!("{straight:?}"));
 
     let dir = tempdir("fixture-resume");
     let args = [
@@ -459,25 +489,21 @@ fn parent_written_checkpoint_resumes_to_the_committed_csv() {
         "--warmup",
         "1000",
     ];
-    let resumed = netperf(
-        &dir,
-        &[
-            &args[..],
-            &[
-                "--resume",
-                fixture.to_str().unwrap(),
-                "--csv",
-                "resumed.csv",
-            ],
-        ]
-        .concat(),
-    );
-    assert!(resumed.status.success(), "{resumed:?}");
     let straight = netperf(&dir, &[&args[..], &["--csv", "straight.csv"]].concat());
     assert!(straight.status.success(), "{straight:?}");
     let golden = std::fs::read(data.join("cube-duato-tiny.l040.csv")).unwrap();
-    assert_eq!(std::fs::read(dir.join("resumed.csv")).unwrap(), golden);
     assert_eq!(std::fs::read(dir.join("straight.csv")).unwrap(), golden);
+    let resumed = netperf(
+        &dir,
+        &[&args[..], &["--resume", fixture.to_str().unwrap()]].concat(),
+    );
+    assert_eq!(resumed.status.code(), Some(2), "{resumed:?}");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert!(
+        lines.len() == 1 && lines[0].starts_with("error: ") && lines[0].contains("ident"),
+        "want one ident mismatch line, got: {stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -622,12 +648,10 @@ proptest! {
     ) {
         let load = load_pct as f64 / 100.0;
         let name = ["cube-duato-tiny", "tree-2vc-tiny", "cube-det", "tree-1vc"][which];
-        let mut s = named(name).unwrap().with_run_length(short()).with_shards(shards);
+        let mut s = named(name).unwrap().with_run_length(short());
         if faulted {
-            s = s
-                .with_faults(Some(FaultPlan::parse("links=0.04,seed=5").unwrap()))
-                .unwrap();
+            s = s.with_pairs(&[("faults", "links=0.04,seed=5")]).unwrap();
         }
-        assert_resumes_identically(&s, load, every);
+        assert_resumes_identically(&s, load, every, shards);
     }
 }

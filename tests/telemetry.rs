@@ -18,8 +18,8 @@ fn traced_runs_are_deterministic() {
     // exact same event stream, packet table and utilization samples —
     // the trace is a pure function of (scenario, load).
     let s = traced_scenario("cube-duato-tiny");
-    let (out_a, rec_a) = s.simulate_traced(0.5);
-    let (out_b, rec_b) = s.simulate_traced(0.5);
+    let (out_a, rec_a) = s.try_simulate_traced(0.5).unwrap();
+    let (out_b, rec_b) = s.try_simulate_traced(0.5).unwrap();
     assert_eq!(out_a.created_packets, out_b.created_packets);
     assert_eq!(out_a.delivered_packets, out_b.delivered_packets);
     assert_eq!(
@@ -40,7 +40,7 @@ fn traced_runs_are_deterministic() {
 fn latency_components_sum_to_total_on_real_runs() {
     for name in ["cube-duato-tiny", "tree-2vc-tiny"] {
         for load in [0.2, 0.8] {
-            let (_, rec) = traced_scenario(name).simulate_traced(load);
+            let (_, rec) = traced_scenario(name).try_simulate_traced(load).unwrap();
             let breakdowns = rec.breakdowns();
             assert!(!breakdowns.is_empty(), "{name} @ {load}: no packets");
             for b in &breakdowns {
@@ -67,7 +67,9 @@ fn latency_components_sum_to_total_on_real_runs() {
 
 #[test]
 fn jsonl_export_is_one_valid_object_per_event() {
-    let (_, rec) = traced_scenario("cube-duato-tiny").simulate_traced(0.4);
+    let (_, rec) = traced_scenario("cube-duato-tiny")
+        .try_simulate_traced(0.4)
+        .unwrap();
     let jsonl = trace::events_jsonl(rec.events());
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), rec.events().len());
@@ -90,7 +92,9 @@ fn jsonl_export_is_one_valid_object_per_event() {
 
 #[test]
 fn chrome_trace_has_the_expected_envelope() {
-    let (_, rec) = traced_scenario("tree-2vc-tiny").simulate_traced(0.6);
+    let (_, rec) = traced_scenario("tree-2vc-tiny")
+        .try_simulate_traced(0.6)
+        .unwrap();
     let json = trace::chrome_trace(&rec);
     assert!(json.starts_with("{\"traceEvents\":[\n"));
     assert!(json.ends_with("\n],\"displayTimeUnit\":\"ms\"}\n"));
@@ -111,7 +115,7 @@ fn utilization_sampling_respects_the_stride() {
             stride: 250,
             record_events: false,
         });
-    let (_, rec) = s.simulate_traced(0.5);
+    let (_, rec) = s.try_simulate_traced(0.5).unwrap();
     assert!(rec.events().is_empty(), "events recorded despite opt-out");
     assert_eq!(rec.samples().len(), rec.cycles() as usize / 250);
     for (i, sample) in rec.samples().iter().enumerate() {
@@ -145,7 +149,7 @@ fn streamed_artifacts_equal_the_string_exports() {
         stride: 100,
         record_events: true,
     });
-    let (_, rec) = s.simulate_traced(0.5);
+    let (_, rec) = s.try_simulate_traced(0.5).unwrap();
     let expected = [
         (".trace.jsonl", trace::events_jsonl(rec.events())),
         (".trace.json", trace::chrome_trace(&rec)),

@@ -6,15 +6,15 @@
 
 use proptest::prelude::*;
 
-use netperf::netsim::scenario::RoutingKind;
 use netperf::prelude::*;
 
-/// Small networks that keep a proptest case under ~50 ms.
-fn spec_for(topo: usize) -> (TopologySpec, RoutingKind, usize) {
+/// Small networks that keep a proptest case under ~50 ms: (family,
+/// routing, vcs).
+fn spec_for(topo: usize) -> [(&'static str, &'static str); 3] {
     match topo {
-        0 => (TopologySpec::cube(4, 2), RoutingKind::Duato, 4),
-        1 => (TopologySpec::tree(4, 2), RoutingKind::Adaptive, 2),
-        _ => (TopologySpec::mesh(4, 2), RoutingKind::Adaptive, 2),
+        0 => [("topology", "cube"), ("algo", "duato"), ("vcs", "4")],
+        1 => [("topology", "tree"), ("algo", "adaptive"), ("vcs", "2")],
+        _ => [("topology", "mesh"), ("algo", "adaptive"), ("vcs", "2")],
     }
 }
 
@@ -29,19 +29,20 @@ proptest! {
         salt in any::<u64>(),
     ) {
         let load = f64::from(load_pct) / 100.0;
-        let (spec, routing, vcs) = spec_for(topo);
-        let pattern = [Pattern::Uniform, Pattern::Transpose, Pattern::Complement][pattern];
-        let scenario = Scenario::builder()
-            .topology(spec)
-            .routing(routing)
-            .vcs(vcs)
-            .pattern(pattern)
-            .seed(netperf::netsim::scenario::SeedMode::Derived { salt })
-            .run_length(RunLength { warmup: 100, total: 1200 })
-            .telemetry(TelemetryConfig { stride: 64, record_events: true })
-            .build()
-            .unwrap();
-        let (_, rec) = scenario.simulate_traced(load);
+        let pattern = ["uniform", "transpose", "complement"][pattern];
+        let salt = salt.to_string();
+        let mut pairs: Vec<(&str, &str)> = spec_for(topo).to_vec();
+        pairs.extend([
+            ("k", "4"),
+            ("pattern", pattern),
+            ("seed", salt.as_str()),
+            ("warmup", "100"),
+            ("cycles", "1200"),
+        ]);
+        let scenario = Scenario::from_pairs(&pairs)
+            .unwrap()
+            .with_telemetry(TelemetryConfig { stride: 64, record_events: true });
+        let (_, rec) = scenario.try_simulate_traced(load).unwrap();
 
         let breakdowns = rec.breakdowns();
         prop_assert_eq!(
